@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import string
 import sys
 
 import numpy as np
@@ -30,7 +31,7 @@ from .statefile import ParseError, parse_state_file
 from .tangle import one_tangle, three_tangle, wootters_tangle
 
 _T = DEFAULT_TOLERANCES
-_FOCUS_LETTERS = "ABCD"
+_FOCUS_LETTERS = string.ascii_uppercase
 
 
 class _UsageError(Exception):
@@ -309,7 +310,7 @@ def build_parser() -> _Parser:
 
     pa = sub.add_parser("analyze", help="full measure report for a state file")
     pa.add_argument("file")
-    pa.add_argument("--focus", choices=("A", "B", "C"), default=None)
+    pa.add_argument("--focus", choices=tuple(_FOCUS_LETTERS), default=None)
     pa.add_argument("--canonical", action="store_true")
     pa.set_defaults(handler=_cmd_analyze)
 
@@ -325,7 +326,7 @@ def build_parser() -> _Parser:
 
     pr = sub.add_parser("roof", help="convex-roof negativity of a mixed state")
     pr.add_argument("file")
-    pr.add_argument("--focus", choices=("A", "B", "C"), required=True)
+    pr.add_argument("--focus", choices=tuple(_FOCUS_LETTERS), required=True)
     pr.add_argument("--measure", choices=("global", "k2", "k3"), required=True)
     pr.add_argument("--restarts", type=int, default=32)
     pr.add_argument("--seed", type=int, default=0)

@@ -7,7 +7,6 @@ k = 4*i1 + 2*i2 + i3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +69,7 @@ class DensityOperator:
         D = self.layout.total_dim
         if self.matrix.shape != (D, D):
             raise ValidationError(f"matrix shape {self.matrix.shape}, layout needs ({D},{D})")
-        herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm > _T.eps_herm:
-            raise ValidationError(f"hermiticity defect = {herm}, allowed {_T.eps_herm}")
+        _check_hermitian(self.matrix)
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > _T.eps_norm:
             raise ValidationError(f"trace = {tr}, must be 1 within {_T.eps_norm}")
@@ -152,73 +149,15 @@ def _check_hermitian(M: np.ndarray):
         raise ValidationError(f"hermiticity defect = {defect}, allowed {_T.eps_herm}")
 
 
-def hermitian_eigensystem(M: np.ndarray, method: str = "lapack") -> EigenSystem:
-    """Full spectrum of a Hermitian matrix, ascending, residuals checked.
-
-    method "lapack" uses the standard QR-based solver, method "jacobi" runs
-    the cyclic Jacobi sweep solver below; the two serve as independent
-    cross-checks of each other in the test suite.
-    """
+def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
+    """Full spectrum of a Hermitian matrix, ascending, residuals checked."""
     M = np.asarray(M, dtype=complex)
     _check_hermitian(M)
-    if method == "lapack":
-        w, V = np.linalg.eigh(M)
-    elif method == "jacobi":
-        w, V = jacobi_eigensystem(M)
-    else:
-        raise ValueError(f"unknown eigensolver method {method!r}")
+    w, V = np.linalg.eigh(M)
     resid = float(np.abs(M @ V - V * w).max())
     if resid > _T.eps_herm:
         raise NumericalError(f"eigenpair residual {resid} exceeds {_T.eps_herm}")
     return EigenSystem(w, V)
-
-
-def jacobi_eigensystem(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
-    """Cyclic complex Jacobi diagonalization.
-
-    Convergence: off-diagonal Frobenius norm below tol, at most max_sweeps
-    full sweeps.  Each (p, q) step factors the pivot phase out so the 2x2
-    subproblem is real symmetric.
-    """
-    A = np.array(M, dtype=complex)
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
-
-    def _off():
-        # direct sum over off-diagonal entries; subtracting diagonal mass from
-        # the total cancels catastrophically once the off-diagonal is tiny
-        off = np.abs(A - np.diag(np.diagonal(A)))
-        return float(np.sqrt((off**2).sum()))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _off() < tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                m = abs(A[p, q])
-                if m < 1e-300:
-                    continue
-                ph = A[p, q] / m
-                tau = (A[q, q].real - A[p, p].real) / (2 * m)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1 + tau * tau))
-                c = 1 / math.sqrt(1 + t * t)
-                s = t * c
-                colp = c * A[:, p] - s * np.conj(ph) * A[:, q]
-                colq = s * A[:, p] + c * np.conj(ph) * A[:, q]
-                A[:, p], A[:, q] = colp, colq
-                rowp = c * A[p, :] - s * ph * A[q, :]
-                rowq = s * A[p, :] + c * ph * A[q, :]
-                A[p, :], A[q, :] = rowp, rowq
-                vp = c * V[:, p] - s * np.conj(ph) * V[:, q]
-                vq = s * V[:, p] + c * np.conj(ph) * V[:, q]
-                V[:, p], V[:, q] = vp, vq
-    if not converged and _off() >= tol:
-        raise NumericalError(f"jacobi sweep limit {max_sweeps} reached")
-    w = np.diagonal(A).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
 
 
 def trace_norm(M: np.ndarray) -> float:

@@ -1,19 +1,23 @@
 """Negativity measures built on the partial transposes.
 
-The global negativity of focus p is (|| rho^{T_p} ||_1 - 1)/(d_p - 1).  The
-partial K-way negativities E_K^p project the K-way transposed operator onto
-the negative subspace of the GLOBAL transpose,
+Each channel is the weight -(2/(d_p - 1)) Tr(P_minus M) of one operator M on
+the projector P_minus onto the negative subspace of the GLOBAL transpose.
+The global negativity of focus p is (|| rho^{T_p} ||_1 - 1)/(d_p - 1), the
+partial K-way negativity E_K^p takes M = rho_K^{T_p}, and
+E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 
-    E_K^p = -(2/(d_p - 1)) Tr(P_minus rho_K^{T_p}),
+Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
+(N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
+term R = -(2/(d_p - 1)) Tr(P_minus (rho_1^{T_p} - rho)).  rho_1^{T_p} - rho
+lives on the elements whose labels differ only in the focus, where the swap
+conjugates the element, so R vanishes for real matrix elements (in the
+computational basis) and is generally nonzero for complex ones.  |R| is
+reported in sum_residual rather than hidden.
 
-and E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho) closes the sum rule
-N_G^p = sum_K E_K^p - E_0^p whenever the transpose decomposition identity
-rho_G^{T_p} = sum_K rho_K^{T_p} - (N-2) rho holds for the input.
-
-That identity is exact for density matrices with real matrix elements (in
-the computational basis) and is generally broken by complex off-diagonal
-phases: the residual is reported in sum_residual rather than hidden.  The
-pair split E_2^p = E_2^{p-q} + E_2^{p-r} is exact for every input.
+The pair split E_2^p = E_2^{p-q} + E_2^{p-r} is exact for every input:
+rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho makes
+E_2^{p-q} = (-2 Tr(P_minus rho_2^{T_{p-pq}}) + Tr(P_minus rho))/(d_p - 1)
+the unique symmetric split.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ _T = DEFAULT_TOLERANCES
 class NegativityReport:
     """All negativity measures of one focus subsystem.
 
-    sum_residual = |n_global - (sum_K e_partial[K] - e0)|.  It is <= 1e-9
-    for real-representation inputs; a larger value flags complex two-way or
-    three-way coherences that the decomposition identity does not cover.
+    sum_residual = |n_global - (sum_K e_partial[K] - e0)| is the size of the
+    one-way term R of the module docstring.  It comes from the imaginary parts
+    of coherences that differ only in the focus label, so it is <= 1e-9 for
+    real-representation inputs and generally larger for complex ones.
     """
 
     focus: int
@@ -66,42 +71,23 @@ def negative_subspace(M: np.ndarray):
     return out
 
 
-def _negative_projector(M: np.ndarray) -> np.ndarray:
-    pairs = negative_subspace(M)
-    D = M.shape[0]
+def _negative_projector(pairs, D: int) -> np.ndarray:
+    """P_minus = sum of |v><v| over the negative eigenpairs."""
     P = np.zeros((D, D), dtype=complex)
     for _, vec in pairs:
         P += np.outer(vec, vec.conj())
     return P
 
 
+def _channel(P: np.ndarray, M: np.ndarray, d_p: int) -> float:
+    """Weight -(2/(d_p - 1)) Tr(P M) of the operator M on the projector P."""
+    return float(-(2.0 / (d_p - 1)) * np.trace(P @ M).real)
+
+
 def partial_kway_negativity(rho: DensityOperator, K: int, p: int) -> float:
-    P = _negative_projector(global_pt(rho, p))
-    d_p = rho.layout.dims[p]
-    return float(-(2.0 / (d_p - 1)) * np.trace(P @ kway_pt(rho, K, p)).real)
-
-
-def e0_negativity(rho: DensityOperator, p: int) -> float:
-    n = rho.layout.n_subsystems
-    d_p = rho.layout.dims[p]
-    if n == 2:
-        return 0.0
-    P = _negative_projector(global_pt(rho, p))
-    return float(-(2.0 * (n - 2) / (d_p - 1)) * np.trace(P @ rho.matrix).real)
-
-
-def pair_partial_negativity(rho: DensityOperator, p: int, partner: int) -> float:
-    """One term of the symmetric pair split of E_2^p.
-
-    The identity rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho
-    makes -(2/(d_p-1)) Tr(P rho_2^{T_{p-pq}}) + (1/(d_p-1)) Tr(P rho) the
-    unique symmetric split whose two terms sum exactly to E_2^p.
-    """
-    P = _negative_projector(global_pt(rho, p))
-    d_p = rho.layout.dims[p]
-    t_pair = np.trace(P @ pair_pt(rho, p, partner)).real
-    t_id = np.trace(P @ rho.matrix).real
-    return float((-2.0 * t_pair + t_id) / (d_p - 1))
+    """E_K^p alone, for callers that need one channel and not the full report."""
+    P = _negative_projector(negative_subspace(global_pt(rho, p)), rho.layout.total_dim)
+    return _channel(P, kway_pt(rho, K, p), rho.layout.dims[p])
 
 
 def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
@@ -109,10 +95,7 @@ def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
     d_p = rho.layout.dims[p]
     g = global_pt(rho, p)
     pairs = negative_subspace(g)
-    D = rho.layout.total_dim
-    P = np.zeros((D, D), dtype=complex)
-    for _, vec in pairs:
-        P += np.outer(vec, vec.conj())
+    P = _negative_projector(pairs, rho.layout.total_dim)
 
     n_global = negativity_from_pt(g, d_p)
     n_kway = {}
@@ -120,14 +103,14 @@ def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
     for K in range(2, n + 1):
         rk = kway_pt(rho, K, p)
         n_kway[K] = negativity_from_pt(rk, d_p)
-        e_partial[K] = float(-(2.0 / (d_p - 1)) * np.trace(P @ rk).real)
+        e_partial[K] = _channel(P, rk, d_p)
+    t_id = np.trace(P @ rho.matrix).real
     e0 = 0.0
     if n > 2:
-        e0 = float(-(2.0 * (n - 2) / (d_p - 1)) * np.trace(P @ rho.matrix).real)
+        e0 = float(-(2.0 * (n - 2) / (d_p - 1)) * t_id)
 
     pair_split = {}
     if n == 3:
-        t_id = np.trace(P @ rho.matrix).real
         for partner in range(3):
             if partner == p:
                 continue

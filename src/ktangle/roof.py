@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ValidationError
-from .core import DensityOperator, PureState, outer, partial_trace, trace_norm
-from .negativity import partial_kway_negativity
+from .core import DensityOperator, PureState, outer, partial_trace
+from .negativity import negativity_from_pt, partial_kway_negativity
 from .transpose import global_pt
 
 _T = DEFAULT_TOLERANCES
@@ -70,20 +70,34 @@ class RoofResult:
     bound: str = field(default="upper")  # reported value is an upper bound on the roof
 
 
-def eigen_ensemble(rho: DensityOperator) -> Ensemble:
+def _support(rho: DensityOperator):
+    """Eigenvalues above the rank cutoff 1e-12 and their eigenvectors."""
     lam, vec = np.linalg.eigh(rho.matrix)
+    keep = lam > 1e-12
+    return lam[keep], vec[:, keep]
+
+
+def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
+    """Members phis[j]/sqrt(probs[j]) with weight probs[j], dropping weights <= 1e-14."""
+    members = [
+        (float(q), PureState(layout, row / math.sqrt(q)))
+        for row, q in zip(phis, probs)
+        if q > 1e-14
+    ]
+    return Ensemble(members=tuple(members))
+
+
+def eigen_ensemble(rho: DensityOperator) -> Ensemble:
+    lam, vec = _support(rho)
     members = [
         (float(l), PureState(rho.layout, vec[:, k] / np.linalg.norm(vec[:, k])))
         for k, l in enumerate(lam)
-        if l > 1e-12
     ]
     return Ensemble(members=tuple(members))
 
 
 def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
-    lam, vec = np.linalg.eigh(rho.matrix)
-    keep = lam > 1e-12
-    lam, vec = lam[keep], vec[:, keep]
+    lam, vec = _support(rho)
     r = lam.size
     W = np.asarray(W, dtype=complex)
     if W.shape != (m, r):
@@ -92,33 +106,29 @@ def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
         raise ValidationError("decomposition matrix must have orthonormal columns")
     base = vec * np.sqrt(lam)
     phis = W @ base.T
-    members = []
-    for row in phis:
-        p = float(np.vdot(row, row).real)
-        if p > 1e-14:
-            members.append((p, PureState(rho.layout, row / math.sqrt(p))))
-    return Ensemble(members=tuple(members))
+    return _ensemble(rho.layout, phis, [float(np.vdot(row, row).real) for row in phis])
 
 
-def _member_value(measure: str, p: int, layout):
-    d_p = layout.dims[p]
+def _measure(measure: str, p: int, layout):
+    """The named measure of focus p as a function of a density operator."""
     if measure == "global":
-        def val(vec: np.ndarray) -> float:
-            rho = DensityOperator(layout, np.outer(vec, vec.conj()))
-            return (trace_norm(global_pt(rho, p)) - 1.0) / (d_p - 1)
-
-        return val
+        d_p = layout.dims[p]
+        return lambda rho: negativity_from_pt(global_pt(rho, p), d_p)
     if measure.startswith("k") and measure[1:].isdigit():
         k = int(measure[1:])
         if not 2 <= k <= layout.n_subsystems:
             raise ValidationError(f"k-way order {k} out of range for {layout.n_subsystems} parts")
-
-        def val(vec: np.ndarray) -> float:
-            rho = DensityOperator(layout, np.outer(vec, vec.conj()))
-            return partial_kway_negativity(rho, k, p)
-
-        return val
+        return lambda rho: partial_kway_negativity(rho, k, p)
     raise ValidationError(f"unknown roof measure {measure!r} (use global, k2, k3)")
+
+
+def _member_value(measure: str, p: int, layout):
+    of_rho = _measure(measure, p, layout)
+
+    def val(vec: np.ndarray) -> float:
+        return of_rho(DensityOperator(layout, np.outer(vec, vec.conj())))
+
+    return val
 
 
 def roof_negativity(
@@ -131,20 +141,14 @@ def roof_negativity(
     """
     layout = rho.layout
     value_of = _member_value(measure, p, layout)
-    lam, vec = np.linalg.eigh(rho.matrix)
-    keep = lam > 1e-12
-    lam, vec = lam[keep], vec[:, keep]
+    lam, vec = _support(rho)
     r = lam.size
     if r == 1:
         # rank one: the only decomposition is the state itself, so evaluate
         # the measure on rho as given (bitwise equal to the direct route)
         psi = PureState(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
-        if measure == "global":
-            value = (trace_norm(global_pt(rho, p)) - 1.0) / (layout.dims[p] - 1)
-        else:
-            value = partial_kway_negativity(rho, int(measure[1:]), p)
         return RoofResult(
-            value=value,
+            value=_measure(measure, p, layout)(rho),
             certificate=Ensemble(members=((1.0, psi),)),
             restarts_used=0,
             converged=True,
@@ -200,15 +204,9 @@ def roof_negativity(
         if best is None or cur < best[0]:
             best = (cur, phis.copy(), probs.copy(), converged)
 
-    members = []
-    for j in range(m):
-        if best[2][j] > 1e-14:
-            members.append(
-                (float(best[2][j]), PureState(layout, best[1][j] / math.sqrt(best[2][j])))
-            )
     return RoofResult(
         value=float(best[0]),
-        certificate=Ensemble(members=tuple(members)),
+        certificate=_ensemble(layout, best[1], best[2]),
         restarts_used=budget.restarts,
         converged=best[3],
     )
@@ -229,4 +227,4 @@ def reduced_pair_negativity(psi: PureState, pair) -> float:
     keep = sorted((p, partner))
     rho2 = partial_trace(outer(psi), keep)
     pos = keep.index(p)
-    return trace_norm(global_pt(rho2, pos)) - 1.0
+    return negativity_from_pt(global_pt(rho2, pos), rho2.layout.dims[pos])

@@ -8,7 +8,7 @@ requires the third subsystem's label to be unchanged (three subsystems only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -18,38 +18,17 @@ from .core import DensityOperator, SubsystemLayout
 _T = DEFAULT_TOLERANCES
 
 
-@dataclass(frozen=True)
-class TransposeSpec:
-    kind: str  # "global" | "kway" | "pair"
-    focus: int
-    k: int | None = None
-    partner: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("global", "kway", "pair"):
-            raise ValueError(f"unknown transpose kind {self.kind!r}")
-        if self.kind == "kway" and (self.k is None or self.k < 2):
-            raise ValueError("kway transpose needs K >= 2")
-        if self.kind == "pair" and self.partner == self.focus:
-            raise ValueError("pair transpose needs partner != focus")
-
-
-def _digit_table(layout: SubsystemLayout) -> np.ndarray:
-    # digits[k, m] = m-th subsystem label of flat index k
+def _label_tables(layout: SubsystemLayout):
+    """Digit table dg[k, m] (m-th subsystem label of flat index k) and
+    differing-count table diff[r, c] (subsystems whose labels differ)."""
     D, n = layout.total_dim, layout.n_subsystems
-    out = np.zeros((D, n), dtype=np.int64)
+    dg = np.zeros((D, n), dtype=np.int64)
     k = np.arange(D)
     for m in reversed(range(n)):
-        out[:, m] = k % layout.dims[m]
+        dg[:, m] = k % layout.dims[m]
         k = k // layout.dims[m]
-    return out
-
-
-def _strides(layout: SubsystemLayout) -> np.ndarray:
-    s = np.ones(layout.n_subsystems, dtype=np.int64)
-    for m in range(layout.n_subsystems - 2, -1, -1):
-        s[m] = s[m + 1] * layout.dims[m + 1]
-    return s
+    diff = (dg[:, None, :] != dg[None, :, :]).sum(axis=2)
+    return dg, diff
 
 
 def differing_count(r: int, c: int, layout: SubsystemLayout) -> int:
@@ -85,13 +64,14 @@ def global_pt(rho: DensityOperator, p: int) -> np.ndarray:
     return _validate_output(t.reshape(D, D))
 
 
-def _masked_focus_swap(rho: DensityOperator, p: int, mask: np.ndarray) -> np.ndarray:
-    dg = _digit_table(rho.layout)
-    st = _strides(rho.layout)
+def _masked_focus_swap(
+    rho: DensityOperator, p: int, dg: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    stride = math.prod(rho.layout.dims[p + 1 :])
     out = rho.matrix.copy()
     R, C = np.nonzero(mask)
     # swapped element address: focus digit of r replaced by that of c and vice versa
-    out[R, C] = rho.matrix[R + (dg[C, p] - dg[R, p]) * st[p], C + (dg[R, p] - dg[C, p]) * st[p]]
+    out[R, C] = rho.matrix[R + (dg[C, p] - dg[R, p]) * stride, C + (dg[R, p] - dg[C, p]) * stride]
     return _validate_output(out)
 
 
@@ -102,9 +82,8 @@ def kway_pt(rho: DensityOperator, K: int, p: int) -> np.ndarray:
         raise ValueError(f"K = {K} out of range [2, {n}]")
     if not 0 <= p < n:
         raise ValueError(f"focus {p} out of range")
-    dg = _digit_table(rho.layout)
-    diff = (dg[:, None, :] != dg[None, :, :]).sum(axis=2)
-    return _masked_focus_swap(rho, p, diff == K)
+    dg, diff = _label_tables(rho.layout)
+    return _masked_focus_swap(rho, p, dg, diff == K)
 
 
 def pair_pt(rho: DensityOperator, p: int, partner: int) -> np.ndarray:
@@ -117,7 +96,6 @@ def pair_pt(rho: DensityOperator, p: int, partner: int) -> np.ndarray:
     if not (0 <= p < 3 and 0 <= partner < 3):
         raise ValueError("subsystem index out of range")
     third = next(m for m in range(3) if m not in (p, partner))
-    dg = _digit_table(rho.layout)
-    diff = (dg[:, None, :] != dg[None, :, :]).sum(axis=2)
+    dg, diff = _label_tables(rho.layout)
     mask = (diff == 2) & (dg[:, None, third] == dg[None, :, third])
-    return _masked_focus_swap(rho, p, mask)
+    return _masked_focus_swap(rho, p, dg, mask)

@@ -30,6 +30,55 @@ def mixed_state(layout, rng, rank=3, real=False):
     return kt.DensityOperator(layout, m)
 
 
+def jacobi_eigensystem(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
+    """Cyclic complex Jacobi diagonalization.
+
+    Convergence: off-diagonal Frobenius norm below tol, at most max_sweeps
+    full sweeps.  Each (p, q) step factors the pivot phase out so the 2x2
+    subproblem is real symmetric.  The suite's eigensolver oracle,
+    independent of LAPACK.
+    """
+    A = np.array(M, dtype=complex)
+    n = A.shape[0]
+    V = np.eye(n, dtype=complex)
+
+    def _off():
+        # direct sum over off-diagonal entries; subtracting diagonal mass from
+        # the total cancels catastrophically once the off-diagonal is tiny
+        off = np.abs(A - np.diag(np.diagonal(A)))
+        return float(np.sqrt((off**2).sum()))
+
+    converged = False
+    for _ in range(max_sweeps):
+        if _off() < tol:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                m = abs(A[p, q])
+                if m < 1e-300:
+                    continue
+                ph = A[p, q] / m
+                tau = (A[q, q].real - A[p, p].real) / (2 * m)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1 + tau * tau))
+                c = 1 / math.sqrt(1 + t * t)
+                s = t * c
+                colp = c * A[:, p] - s * np.conj(ph) * A[:, q]
+                colq = s * A[:, p] + c * np.conj(ph) * A[:, q]
+                A[:, p], A[:, q] = colp, colq
+                rowp = c * A[p, :] - s * ph * A[q, :]
+                rowq = s * A[p, :] + c * ph * A[q, :]
+                A[p, :], A[q, :] = rowp, rowq
+                vp = c * V[:, p] - s * np.conj(ph) * V[:, q]
+                vq = s * V[:, p] + c * np.conj(ph) * V[:, q]
+                V[:, p], V[:, q] = vp, vq
+    if not converged and _off() >= tol:
+        raise kt.NumericalError(f"jacobi sweep limit {max_sweeps} reached")
+    w = np.diagonal(A).real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order]
+
+
 def random_form(rng, phases=None):
     """Valid CanonicalForm3Q with amplitudes bounded away from zero.
 

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ktangle as kt
 from ktangle.cli import main
 
-from conftest import amplitudes_json
+from conftest import amplitudes_json, mixed_state
 
 
 def _ghz_doc():
@@ -55,6 +60,33 @@ def test_analyze_focus_and_canonical(write_state, capsys):
     assert abs(form["a"] - 1 / math.sqrt(2)) < 1e-9
     assert abs(form["f"] - 1 / math.sqrt(2)) < 1e-9
     assert doc["canonical"]["residual"] <= 1e-12
+
+
+def _haar_doc(n, seed):
+    psi = kt.haar_random_pure(kt.qubit_layout(n), seed)
+    return {"dims": [2] * n, "amplitudes": amplitudes_json(psi.amplitudes)}
+
+
+def test_analyze_all_foci_five_qubits(write_state, capsys):
+    path = write_state("q5.json", _haar_doc(5, 11))
+    rc, out, _ = _run(capsys, ["analyze", path])
+    assert rc in (0, 3)
+    doc = json.loads(out)
+    assert [r["negativity"]["focus"] for r in doc["reports"]] == list("ABCDE")
+
+
+def test_analyze_focus_beyond_c(write_state, capsys):
+    path = write_state("q4.json", _haar_doc(4, 12))
+    rc, out, _ = _run(capsys, ["analyze", path, "--focus", "D"])
+    assert rc in (0, 3)
+    doc = json.loads(out)
+    assert [r["negativity"]["focus"] for r in doc["reports"]] == ["D"]
+
+    path = write_state("ghz.json", _ghz_doc())
+    rc, out, err = _run(capsys, ["analyze", path, "--focus", "E"])
+    assert rc == 1
+    assert out == ""
+    assert "focus E out of range" in err
 
 
 def test_analyze_bad_norm_message(write_state, capsys):
@@ -298,8 +330,14 @@ def test_parse_errors(write_state, capsys):
 
 
 def _run_subprocess(argv):
+    # the child imports the same ktangle as this process, installed or not
+    src = os.path.dirname(os.path.dirname(kt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ktangle", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "ktangle", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -334,3 +372,87 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "ktangle" in out
+
+
+_JUNK_ENTRIES = (
+    None,
+    "0.5",
+    True,
+    [],
+    {"re": 0.5},
+    {"re": "x", "im": 0.0},
+    {"re": float("nan"), "im": 0.0},
+    {"re": float("inf"), "im": 0.0},
+    {"re": 1e308, "im": -1e308},
+)
+
+
+@st.composite
+def _state_files(draw):
+    """State-file text: a valid document of 2 to 6 qubits, then maybe one defect."""
+    n = draw(st.integers(2, 6))
+    layout = kt.qubit_layout(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["amplitudes", "matrix", "ensemble"]))
+    if kind == "amplitudes":
+        payload = amplitudes_json(kt.haar_random_pure(layout, rng).amplitudes)
+        entries = payload
+    elif kind == "matrix":
+        payload = [amplitudes_json(row) for row in mixed_state(layout, rng).matrix]
+        entries = payload[int(rng.integers(len(payload)))]
+    else:
+        probs = rng.dirichlet(np.ones(draw(st.integers(1, 3))))
+        members = [kt.haar_random_pure(layout, rng) for _ in probs]
+        payload = [
+            {"p": float(p), "amplitudes": amplitudes_json(psi.amplitudes)}
+            for p, psi in zip(probs, members)
+        ]
+        entries = payload[0]["amplitudes"]
+    doc = {"dims": [2] * n, kind: payload}
+
+    defect = draw(
+        st.sampled_from(
+            ["none", "entry", "scale", "short", "dims", "second_payload", "prob", "text"]
+        )
+    )
+    if defect == "entry":
+        entries[int(rng.integers(len(entries)))] = draw(st.sampled_from(_JUNK_ENTRIES))
+    elif defect == "scale":  # parses, but not normalized / not trace one
+        k = int(rng.integers(len(entries)))
+        entries[k] = {"re": entries[k]["re"] * 3.0 + 0.1, "im": entries[k]["im"]}
+    elif defect == "short":
+        del entries[-1]
+    elif defect == "dims":
+        doc["dims"] = draw(st.sampled_from([[2] * (n + 1), [1, 2], [], [2.0, 2], "2", [True, 2]]))
+    elif defect == "second_payload":
+        doc["amplitudes" if kind != "amplitudes" else "matrix"] = []
+    elif defect == "prob":
+        if kind == "ensemble":
+            payload[0]["p"] = draw(st.sampled_from([-0.5, 0.0, 2.0, "1", float("nan")]))
+        else:
+            doc[kind] = {"p": 1.0}
+    text = json.dumps(doc)
+    if defect == "text":
+        text = text[: int(rng.integers(len(text)))]
+    return text
+
+
+@given(
+    _state_files(),
+    st.sampled_from(["analyze", "canonicalize", "roof"]),
+    st.sampled_from([None, "A", "B", "C", "D", "E", "F", "G"]),
+)
+def test_exit_code_contract_over_state_files(text, command, focus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, path]
+        if command == "roof":
+            # one restart keeps the search cheap on 6-qubit inputs
+            argv += ["--focus", focus or "A", "--measure", "k2", "--restarts", "1"]
+        elif command == "analyze" and focus is not None:
+            argv += ["--focus", focus]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)

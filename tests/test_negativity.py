@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, L4, mixed_state, random_form, real_pure
+from conftest import L2, L3, L4, jacobi_eigensystem, mixed_state, random_form, real_pure
 
 
 def _closed_vector(form):
@@ -58,7 +58,7 @@ def test_e0_phase_dependence(seed, phi):
     # E0 tracks the complex phase of the second support amplitude
     form = random_form(np.random.default_rng(seed), phases=(phi,))
     rho = kt.outer(kt.build_canonical_state(form))
-    e0 = kt.e0_negativity(rho, 0)
+    e0 = kt.negativity_report(rho, 0).e0
     a, b, g = form.a, form.b, form.g
     expect = -8 * a * a * b * b * math.sin(phi) ** 2 / (4 * a * g + 2)
     assert abs(e0 - expect) < 1e-10
@@ -70,9 +70,9 @@ def test_projector_route_agrees_across_eigensolvers():
     gpt = kt.global_pt(rho, 0)
     rep = kt.negativity_report(rho, 0)
 
-    es = kt.hermitian_eigensystem(gpt, method="jacobi")
+    w, V = jacobi_eigensystem(gpt)
     P = np.zeros((8, 8), dtype=complex)
-    for lam, vec in zip(es.eigenvalues, es.eigenvectors.T):
+    for lam, vec in zip(w, V.T):
         if lam < -kt.DEFAULT_TOLERANCES.eps_eig:
             P += np.outer(vec, vec.conj())
     for K in (2, 3):
@@ -95,6 +95,30 @@ def test_sum_rule_real_four_qubit_pure(seed):
         assert kt.negativity_report(rho, p).sum_residual <= 1e-9
 
 
+def _one_way_pt(rho, p):
+    # rho_1^{T_p}: focus swap only where bra and ket differ in one subsystem
+    dims = rho.layout.dims
+    digits = np.array(np.unravel_index(np.arange(rho.layout.total_dim), dims)).T
+    one_way = (digits[:, None, :] != digits[None, :, :]).sum(axis=2) == 1
+    return np.where(one_way, kt.global_pt(rho, p), rho.matrix)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([L3, L4]), st.booleans())
+def test_sum_residual_is_one_way_term(seed, layout, pure):
+    # complex input: the residual is exactly the one-way channel, not noise
+    rng = np.random.default_rng(seed)
+    rho = kt.outer(kt.haar_random_pure(layout, rng)) if pure else mixed_state(layout, rng)
+    p = int(rng.integers(layout.n_subsystems))
+    rep = kt.negativity_report(rho, p)
+    P = np.zeros_like(rho.matrix)
+    for _, v in rep.negative_eigenpairs:
+        P += np.outer(v, v.conj())
+    one_way = float(-2.0 * np.trace(P @ (_one_way_pt(rho, p) - rho.matrix)).real)
+    signed = rep.n_global - (sum(rep.e_partial.values()) - rep.e0)
+    assert abs(signed - one_way) < 1e-12
+    assert abs(rep.sum_residual - abs(one_way)) < 1e-12
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2))
 def test_pair_split_sums_exactly(seed, p):
     # exact for complex inputs too, unlike the K-way sum rule
@@ -115,7 +139,6 @@ def test_no_violations_for_real_pure(seed):
 def test_two_subsystem_report_has_no_e0():
     psi = kt.PureState(L2, np.array([1, 0, 0, 1]) / math.sqrt(2))
     rho = kt.outer(psi)
-    assert kt.e0_negativity(rho, 0) == 0.0
     rep = kt.negativity_report(rho, 0)
     assert rep.e0 == 0.0
     assert abs(rep.n_global - 1.0) < 1e-12
