@@ -23,15 +23,28 @@ import numpy as np
 from . import __version__
 from .canonical import canonicalize3, coherence_delta
 from .config import DEFAULT_TOLERANCES, NumericalError, ValidationError
-from .core import DensityOperator, PureState, haar_random_pure, outer, partial_trace, qubit_layout
+from .core import (
+    DensityOperator,
+    PureState,
+    _check_density,
+    _check_norm,
+    _haar_amplitudes,
+    _outer,
+    outer,
+    qubit_layout,
+)
 from .ghzw import sweep_family
-from .negativity import negativity_report
+from .negativity import _report_arrays, negativity_report
 from .roof import Ensemble, RoofBudget, roof_negativity
 from .statefile import ParseError, parse_state_file
-from .tangle import one_tangle, three_tangle, wootters_tangle
+from .tangle import _tangles, three_tangle
 
 _T = DEFAULT_TOLERANCES
 _FOCUS_LETTERS = string.ascii_uppercase
+
+# States per stack in `audit`: large enough that per-call overhead is paid
+# once for many states, small enough that memory does not grow with N.
+_AUDIT_CHUNK = 256
 
 
 class _UsageError(Exception):
@@ -271,6 +284,13 @@ def _cmd_roof(args) -> int:
     return 0
 
 
+def _haar_stacks(layout, n_states: int, rng):
+    """n_states Haar amplitude vectors in stacks of at most _AUDIT_CHUNK rows,
+    the states that n_states successive haar_random_pure calls return."""
+    for start in range(0, n_states, _AUDIT_CHUNK):
+        yield _haar_amplitudes(layout.total_dim, rng, min(_AUDIT_CHUNK, n_states - start))
+
+
 def _cmd_audit(args) -> int:
     n_states = args.random
     if n_states < 1:
@@ -278,26 +298,16 @@ def _cmd_audit(args) -> int:
     layout = qubit_layout(args.qubits)
     rng = np.random.default_rng(args.seed)
     viol_e2 = viol_e3 = viol_ckw = 0
-    for _ in range(n_states):
-        psi = haar_random_pure(layout, rng)
-        rho = outer(psi)
-        rep = negativity_report(rho, 0)
-        if abs(rep.e0) <= _T.eps_norm:
-            if rep.e_partial[2] > rep.n_global + _T.eps_norm:
-                viol_e2 += 1
-            if rep.e_partial[3] > rep.n_global + _T.eps_norm:
-                viol_e3 += 1
-        if args.qubits == 3:
-            tr = three_tangle(psi, 0)
-            if tr.tau_focus + _T.eps_norm < sum(tr.tau_pairs.values()):
-                viol_ckw += 1
-        else:
-            tau_f = one_tangle(psi, 0)
-            pair_sum = sum(
-                wootters_tangle(partial_trace(rho, [0, j])) for j in range(1, 4)
-            )
-            if tau_f + _T.eps_norm < pair_sum:
-                viol_ckw += 1
+    for v in _haar_stacks(layout, n_states, rng):
+        # the checks of PureState and of outer(psi), once per stack
+        _check_norm(v)
+        rho = _outer(v)
+        _check_density(rho)
+        neg = _report_arrays(rho, layout.dims, 0)
+        viol_e2 += int(neg.violates[2].sum())
+        viol_e3 += int(neg.violates[3].sum())
+        tau_f, pairs = _tangles(rho, layout.dims, 0)
+        viol_ckw += int((tau_f + _T.eps_norm < sum(pairs.values())).sum())
     print("states,qubits,seed,viol_ng_e2,viol_ng_e3,viol_ckw")
     print(f"{n_states},{args.qubits},{args.seed},{viol_e2},{viol_e3},{viol_ckw}")
     return 0

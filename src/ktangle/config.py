@@ -32,6 +32,13 @@ CANONICAL_DISC_EPS = 1e-12
 # Maximum allowed leakage outside the canonical support after reduction.
 CANONICAL_RESIDUAL = 1e-8
 
+# Hermiticity defect allowed in a partial-transpose output; the transposes
+# only move elements, so a larger defect signals an index bug.
+TRANSPOSE_HERM_EPS = 1e-14
+
+# Largest entry of |U^dagger U - 1| accepted for a local unitary.
+UNITARITY_EPS = 1e-12
+
 
 class ValidationError(ValueError):
     """An input violates a documented invariant (norm, trace, Hermiticity...)."""

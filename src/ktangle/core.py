@@ -3,15 +3,22 @@
 Index convention used throughout the project: basis label |i1 i2 ... iN> maps
 to the flat index with the LAST subsystem fastest, so for three qubits
 k = 4*i1 + 2*i2 + i3.
+
+hermitian_eigensystem, trace_norm and the private checks and kernels also
+take stacks: leading axes index the stack and the last two axes hold each
+matrix.  A check applies to every matrix of the stack and names the first
+one that fails.  A check passes only where "defect <= bound" holds, so NaN
+fails it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, NumericalError, ValidationError
+from .config import DEFAULT_TOLERANCES, UNITARITY_EPS, NumericalError, ValidationError
 
 _T = DEFAULT_TOLERANCES
 
@@ -28,10 +35,11 @@ class SubsystemLayout:
         if any(int(d) < 2 for d in self.dims):
             raise ValidationError("every subsystem dimension must be >= 2")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "_total_dim", math.prod(self.dims))
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return self._total_dim
 
     @property
     def n_subsystems(self) -> int:
@@ -54,9 +62,7 @@ class PureState:
                 f"amplitude vector has length {self.amplitudes.shape}, "
                 f"layout needs {self.layout.total_dim}"
             )
-        nrm = float(np.linalg.norm(self.amplitudes))
-        if abs(nrm - 1.0) > _T.eps_norm:
-            raise ValidationError(f"state norm = {nrm}, must be 1 within {_T.eps_norm}")
+        _check_norm(self.amplitudes)
 
 
 @dataclass
@@ -69,13 +75,7 @@ class DensityOperator:
         D = self.layout.total_dim
         if self.matrix.shape != (D, D):
             raise ValidationError(f"matrix shape {self.matrix.shape}, layout needs ({D},{D})")
-        _check_hermitian(self.matrix)
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > _T.eps_norm:
-            raise ValidationError(f"trace = {tr}, must be 1 within {_T.eps_norm}")
-        lo = float(np.linalg.eigvalsh(self.matrix)[0])
-        if lo < -_T.eps_norm:
-            raise ValidationError(f"smallest eigenvalue = {lo}, must be >= -{_T.eps_norm}")
+        _check_density(self.matrix)
 
 
 @dataclass
@@ -95,8 +95,59 @@ class LocalUnitary:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         d = self.matrix.shape[0]
         defect = float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max())
-        if defect > 1e-12:
-            raise ValidationError(f"unitarity defect = {defect}, allowed 1e-12")
+        if not (defect <= UNITARITY_EPS):
+            raise ValidationError(f"unitarity defect = {defect}, allowed {UNITARITY_EPS}")
+
+
+def _require(ok, value, message: str, error=ValidationError):
+    """Raise error for the first stacked matrix whose check ok is not True.
+
+    ok and value hold one entry per stacked matrix (0-d for a single one);
+    message is formatted with the failing value.
+    """
+    # bool() of a single entry is far cheaper than the reduction of .all()
+    if bool(ok) if ok.size == 1 else ok.all():
+        return
+    i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    where = f" (stack index {i[0] if ok.ndim == 1 else i})" if ok.ndim else ""
+    raise error(message.format(np.asarray(value)[i]) + where)
+
+
+def _hermiticity_defect(M: np.ndarray) -> np.ndarray:
+    """Largest entry of |M - M^dagger| for each stacked matrix (NaN propagates)."""
+    return np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _check_hermitian(M: np.ndarray):
+    defect = _hermiticity_defect(M)
+    _require(defect <= _T.eps_herm, defect, f"hermiticity defect = {{}}, allowed {_T.eps_herm}")
+
+
+def _check_density(M: np.ndarray):
+    """Hermiticity, unit trace and no eigenvalue below -eps_norm, per stacked matrix."""
+    _check_hermitian(M)
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    _require(np.abs(tr - 1.0) <= _T.eps_norm, tr, f"trace = {{}}, must be 1 within {_T.eps_norm}")
+    lo = np.linalg.eigvalsh(M)[..., 0]
+    _require(lo >= -_T.eps_norm, lo, f"smallest eigenvalue = {{}}, must be >= -{_T.eps_norm}")
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each stacked vector, bit for bit np.linalg.norm of it."""
+    re, im = v.real, v.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _check_norm(v: np.ndarray):
+    nrm = _norms(v)
+    message = f"state norm = {{}}, must be 1 within {_T.eps_norm}"
+    _require(np.abs(nrm - 1.0) <= _T.eps_norm, nrm, message)
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """|v><v| of each stacked vector, with the products of np.outer."""
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def flat_index(multi, layout: SubsystemLayout) -> int:
@@ -123,49 +174,62 @@ def multi_index(k: int, layout: SubsystemLayout) -> tuple:
 
 
 def outer(psi: PureState) -> DensityOperator:
-    v = psi.amplitudes
-    return DensityOperator(psi.layout, np.outer(v, v.conj()))
+    return DensityOperator(psi.layout, _outer(psi.amplitudes))
+
+
+def _keep_list(keep, n: int) -> list:
+    """The sorted, distinct subsystems of keep, checked against n subsystems."""
+    keep = sorted(set(int(m) for m in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if any(m < 0 or m >= n for m in keep):
+        raise ValueError("keep set references a nonexistent subsystem")
+    return keep
+
+
+def _partial_trace(M: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """Reduced matrices of a stack on the subsystems in keep.
+
+    The results are not checked as density operators; callers that need it
+    run _check_density on them.
+    """
+    n, lead = len(dims), M.shape[:-2]
+    keep = _keep_list(keep, n)
+    t = M.reshape(lead + dims + dims)
+    for m in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=len(lead) + m, axis2=len(lead) + m + (t.ndim - len(lead)) // 2)
+    d = math.prod(dims[m] for m in keep)
+    return t.reshape(lead + (d, d))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every subsystem not in keep; kept order follows the layout."""
-    keep = sorted(set(int(m) for m in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    n = rho.layout.n_subsystems
-    if any(m < 0 or m >= n for m in keep):
-        raise ValueError("keep set references a nonexistent subsystem")
-    dims = list(rho.layout.dims)
-    t = rho.matrix.reshape(dims + dims)
-    for m in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=m, axis2=m + t.ndim // 2)
-    sub = SubsystemLayout(tuple(dims[m] for m in keep))
-    return DensityOperator(sub, t.reshape(sub.total_dim, sub.total_dim))
-
-
-def _check_hermitian(M: np.ndarray):
-    defect = float(np.abs(M - M.conj().T).max())
-    if defect > _T.eps_herm:
-        raise ValidationError(f"hermiticity defect = {defect}, allowed {_T.eps_herm}")
+    keep = _keep_list(keep, rho.layout.n_subsystems)
+    sub = SubsystemLayout(tuple(rho.layout.dims[m] for m in keep))
+    return DensityOperator(sub, _partial_trace(rho.matrix, rho.layout.dims, keep))
 
 
 def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
-    """Full spectrum of a Hermitian matrix, ascending, residuals checked."""
+    """Full spectrum of a Hermitian matrix (or stack), ascending, residuals checked."""
     M = np.asarray(M, dtype=complex)
     _check_hermitian(M)
     w, V = np.linalg.eigh(M)
-    resid = float(np.abs(M @ V - V * w).max())
-    if resid > _T.eps_herm:
-        raise NumericalError(f"eigenpair residual {resid} exceeds {_T.eps_herm}")
+    resid = np.abs(M @ V - V * w[..., None, :]).max(axis=(-2, -1))
+    _require(resid <= _T.eps_herm, resid, f"eigenpair residual {{}} exceeds {_T.eps_herm}",
+             NumericalError)
     return EigenSystem(w, V)
 
 
-def trace_norm(M: np.ndarray) -> float:
-    """Sum of singular values; equals sum |eigenvalue| for Hermitian input."""
+def trace_norm(M: np.ndarray):
+    """Sum of singular values; equals sum |eigenvalue| for Hermitian input.
+
+    A float for one matrix, an array with one entry per matrix for a stack.
+    """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("trace_norm needs a square matrix")
-    return float(np.linalg.svd(M, compute_uv=False).sum())
+    s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    return float(s) if M.ndim == 2 else s
 
 
 def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
@@ -176,8 +240,18 @@ def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
     return PureState(psi.layout, t.reshape(psi.layout.total_dim))
 
 
+def _haar_amplitudes(D: int, rng: np.random.Generator, b: int) -> np.ndarray:
+    """b normalized complex-normal vectors of length D, as rows.
+
+    Each row takes its real and then its imaginary parts from the stream, so
+    b rows equal b successive haar_random_pure calls bit for bit.
+    """
+    z = rng.standard_normal((b, 2, D))
+    v = z[:, 0] + 1j * z[:, 1]
+    return v / _norms(v)[:, None]
+
+
 def haar_random_pure(layout: SubsystemLayout, seed) -> PureState:
     """Complex-normal amplitudes, normalized.  seed: int or numpy Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
-    return PureState(layout, v / np.linalg.norm(v))
+    return PureState(layout, _haar_amplitudes(layout.total_dim, rng, 1)[0])

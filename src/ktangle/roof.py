@@ -35,12 +35,12 @@ class Ensemble:
         total = 0.0
         layout = self.members[0][1].layout
         for p, psi in self.members:
-            if p <= 0:
+            if not (p > 0):
                 raise ValidationError(f"ensemble probability {p} must be positive")
             if psi.layout.dims != layout.dims:
                 raise ValidationError("ensemble members live on different layouts")
             total += p
-        if abs(total - 1.0) > _T.eps_norm:
+        if not (abs(total - 1.0) <= _T.eps_norm):
             raise ValidationError(f"ensemble probabilities sum to {total}, must be 1")
 
     def density(self) -> DensityOperator:

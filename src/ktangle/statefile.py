@@ -9,6 +9,7 @@ index k follows the flat layout convention (last subsystem fastest).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -21,12 +22,21 @@ class ParseError(ValueError):
     """Malformed state-file text or schema."""
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _complex_node(node, where: str) -> complex:
     if not isinstance(node, dict) or set(node.keys()) != {"re", "im"}:
         raise ParseError(f"{where} must be an object with re and im fields")
     re, im = node["re"], node["im"]
     if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise ParseError(f"{where} re/im must be numbers")
+    if not (_finite(re) and _finite(im)):
+        raise ParseError(f"{where} re/im must be finite (got re={re}, im={im})")
     return complex(re, im)
 
 
@@ -79,8 +89,8 @@ def parse_state_file(text: str):
         if not isinstance(node, dict) or "p" not in node or "amplitudes" not in node:
             raise ParseError(f"ensemble[{i}] must be an object with p and amplitudes")
         p = node["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ParseError(f"ensemble[{i}].p must be a number")
+        if not isinstance(p, (int, float)) or isinstance(p, bool) or not _finite(p):
+            raise ParseError(f"ensemble[{i}].p must be a finite number")
         built.append(
             (float(p), PureState(layout, _vector(node["amplitudes"], n, f"ensemble[{i}].amplitudes")))
         )

@@ -4,30 +4,41 @@ The K-way transpose swaps the focus-subsystem indices only for matrix
 elements whose bra and ket labels differ in exactly K subsystems; the global
 transpose swaps them everywhere.  The pair-restricted variant additionally
 requires the third subsystem's label to be unchanged (three subsystems only).
+
+The kernels act on the last two axes, so they transpose a whole stack of
+matrices at once; the public functions apply them to one DensityOperator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ValidationError
-from .core import DensityOperator, SubsystemLayout
-
-_T = DEFAULT_TOLERANCES
+from .config import TRANSPOSE_HERM_EPS
+from .core import DensityOperator, SubsystemLayout, _hermiticity_defect, _require
 
 
-def _label_tables(layout: SubsystemLayout):
+@functools.lru_cache(maxsize=8)
+def _label_tables(dims: tuple):
     """Digit table dg[k, m] (m-th subsystem label of flat index k) and
-    differing-count table diff[r, c] (subsystems whose labels differ)."""
-    D, n = layout.total_dim, layout.n_subsystems
+    differing-count table diff[r, c] (subsystems whose labels differ).
+
+    Cached per dims and read-only; diff is uint8 and built one subsystem at a
+    time, so it takes D^2 bytes.
+    """
+    D, n = math.prod(dims), len(dims)
     dg = np.zeros((D, n), dtype=np.int64)
     k = np.arange(D)
     for m in reversed(range(n)):
-        dg[:, m] = k % layout.dims[m]
-        k = k // layout.dims[m]
-    diff = (dg[:, None, :] != dg[None, :, :]).sum(axis=2)
+        dg[:, m] = k % dims[m]
+        k = k // dims[m]
+    diff = np.zeros((D, D), dtype=np.uint8)
+    for m in range(n):
+        diff += dg[:, None, m] != dg[None, :, m]
+    dg.flags.writeable = False
+    diff.flags.writeable = False
     return dg, diff
 
 
@@ -46,56 +57,65 @@ def differing_count(r: int, c: int, layout: SubsystemLayout) -> int:
 
 def _validate_output(M: np.ndarray) -> np.ndarray:
     # index bugs show up as hermiticity breakage, fail hard
-    defect = float(np.abs(M - M.conj().T).max())
-    if defect > 1e-14:
-        raise ValidationError(f"transpose output hermiticity defect {defect}")
+    defect = _hermiticity_defect(M)
+    _require(defect <= TRANSPOSE_HERM_EPS, defect, "transpose output hermiticity defect {}")
     return M
 
 
-def global_pt(rho: DensityOperator, p: int) -> np.ndarray:
-    """Partial transpose over subsystem p of every matrix element."""
-    dims = list(rho.layout.dims)
-    n = len(dims)
+def _check_focus(p: int, n: int):
     if not 0 <= p < n:
         raise ValueError(f"focus {p} out of range")
-    t = rho.matrix.reshape(dims + dims)
-    t = np.swapaxes(t, p, n + p)
-    D = rho.layout.total_dim
-    return _validate_output(t.reshape(D, D))
 
 
-def _masked_focus_swap(
-    rho: DensityOperator, p: int, dg: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    stride = math.prod(rho.layout.dims[p + 1 :])
-    out = rho.matrix.copy()
+def _global_pt(M: np.ndarray, dims: tuple, p: int) -> np.ndarray:
+    n = len(dims)
+    _check_focus(p, n)
+    lead = M.shape[:-2]
+    t = np.swapaxes(M.reshape(lead + dims + dims), len(lead) + p, len(lead) + n + p)
+    return _validate_output(t.reshape(M.shape))
+
+
+def _masked_focus_swap(M: np.ndarray, dims: tuple, p: int, dg, mask) -> np.ndarray:
+    stride = math.prod(dims[p + 1 :])
+    out = M.copy()
     R, C = np.nonzero(mask)
     # swapped element address: focus digit of r replaced by that of c and vice versa
-    out[R, C] = rho.matrix[R + (dg[C, p] - dg[R, p]) * stride, C + (dg[R, p] - dg[C, p]) * stride]
+    out[..., R, C] = M[..., R + (dg[C, p] - dg[R, p]) * stride, C + (dg[R, p] - dg[C, p]) * stride]
     return _validate_output(out)
 
 
-def kway_pt(rho: DensityOperator, K: int, p: int) -> np.ndarray:
-    """Focus-swap only the elements with differing_count exactly K."""
-    n = rho.layout.n_subsystems
+def _kway_pt(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
+    n = len(dims)
     if not 2 <= K <= n:
         raise ValueError(f"K = {K} out of range [2, {n}]")
-    if not 0 <= p < n:
-        raise ValueError(f"focus {p} out of range")
-    dg, diff = _label_tables(rho.layout)
-    return _masked_focus_swap(rho, p, dg, diff == K)
+    _check_focus(p, n)
+    dg, diff = _label_tables(dims)
+    return _masked_focus_swap(M, dims, p, dg, diff == K)
 
 
-def pair_pt(rho: DensityOperator, p: int, partner: int) -> np.ndarray:
-    """2-way transpose restricted to elements leaving the third subsystem fixed."""
-    n = rho.layout.n_subsystems
-    if n != 3:
+def _pair_pt(M: np.ndarray, dims: tuple, p: int, partner: int) -> np.ndarray:
+    if len(dims) != 3:
         raise ValueError("pair-restricted transpose is defined for three subsystems only")
     if p == partner:
         raise ValueError("partner must differ from focus")
     if not (0 <= p < 3 and 0 <= partner < 3):
         raise ValueError("subsystem index out of range")
     third = next(m for m in range(3) if m not in (p, partner))
-    dg, diff = _label_tables(rho.layout)
+    dg, diff = _label_tables(dims)
     mask = (diff == 2) & (dg[:, None, third] == dg[None, :, third])
-    return _masked_focus_swap(rho, p, dg, mask)
+    return _masked_focus_swap(M, dims, p, dg, mask)
+
+
+def global_pt(rho: DensityOperator, p: int) -> np.ndarray:
+    """Partial transpose over subsystem p of every matrix element."""
+    return _global_pt(rho.matrix, rho.layout.dims, p)
+
+
+def kway_pt(rho: DensityOperator, K: int, p: int) -> np.ndarray:
+    """Focus-swap only the elements with differing_count exactly K."""
+    return _kway_pt(rho.matrix, rho.layout.dims, K, p)
+
+
+def pair_pt(rho: DensityOperator, p: int, partner: int) -> np.ndarray:
+    """2-way transpose restricted to elements leaving the third subsystem fixed."""
+    return _pair_pt(rho.matrix, rho.layout.dims, p, partner)

@@ -99,6 +99,15 @@ def test_analyze_bad_norm_message(write_state, capsys):
     assert "norm" in err and "0.9" in err
 
 
+def test_analyze_nan_entry_is_a_parse_error(write_state, capsys):
+    doc = _ghz_doc()
+    doc["amplitudes"][3]["re"] = float("nan")
+    rc, out, err = _run(capsys, ["analyze", write_state("nan.json", doc)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("parse error:") and "amplitudes[3]" in err
+
+
 def test_analyze_density_input(write_state, capsys):
     # classical two-qubit mixture: all negativities vanish
     m = np.diag([0.5, 0.5, 0.0, 0.0])

@@ -61,6 +61,29 @@ def test_local_unitary_check():
         kt.LocalUnitary(0, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_constructor_checks_reject_nan():
+    # every comparison with NaN is False, so the checks must fail closed
+    with pytest.raises(kt.ValidationError, match="norm"):
+        kt.PureState(L2, np.array([np.nan, 1.0, 0.0, 0.0]))
+    m = np.eye(4) / 4.0
+    m[1, 1] = np.nan
+    with pytest.raises(kt.ValidationError, match="hermiticity"):
+        kt.DensityOperator(L2, m)
+    with pytest.raises(kt.ValidationError, match="unitarity"):
+        kt.LocalUnitary(0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    psi = kt.PureState(L2, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(kt.ValidationError, match="probabilit"):
+        kt.Ensemble(members=((float("nan"), psi),))
+
+
+def test_total_dim_is_stored_once():
+    layout = kt.SubsystemLayout((2, 3, 2))
+    assert layout.total_dim == 12 and type(layout.total_dim) is int
+    # the stored product is not a field: equality and hashing follow dims
+    assert kt.SubsystemLayout((2, 2)) == L2
+    assert hash(kt.SubsystemLayout((2, 2))) == hash(L2)
+
+
 def test_partial_trace_ghz(ghz):
     rho = kt.outer(ghz)
     r1 = kt.partial_trace(rho, [0])

@@ -1,0 +1,232 @@
+"""The stacked (B, D, D) pipeline against its batches of one.
+
+The public scalar functions call the stacked code with a stack of one
+matrix, so these tests compare a stack of several states, row by row, with
+the public result for each state on its own.
+"""
+
+import dataclasses
+import io
+import contextlib
+
+import numpy as np
+import pytest
+
+import ktangle as kt
+from ktangle import cli, negativity
+from ktangle.core import _check_density, _check_norm, _outer, _partial_trace
+from ktangle.negativity import _report_arrays
+from ktangle.tangle import _tangles, _wootters
+from ktangle.transpose import _global_pt
+
+from conftest import L3, L4, mixed_state
+
+EPS_EIG = kt.DEFAULT_TOLERANCES.eps_eig
+
+
+def _haar_stack(layout, seed, b=6):
+    rng = np.random.default_rng(seed)
+    return np.stack([kt.outer(kt.haar_random_pure(layout, rng)).matrix for _ in range(b)])
+
+
+def _mixed_stack(layout, seed, b=6):
+    rng = np.random.default_rng(seed)
+    return np.stack([mixed_state(layout, rng, rank=1 + k % 4).matrix for k in range(b)])
+
+
+STACKS = {
+    "haar3": lambda: (L3, _haar_stack(L3, 1)),
+    "haar4": lambda: (L4, _haar_stack(L4, 2)),
+    "mixed3": lambda: (L3, _mixed_stack(L3, 3)),
+    "mixed4": lambda: (L4, _mixed_stack(L4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_report_arrays_match_batch_of_one(name):
+    layout, M = STACKS[name]()
+    for p in range(layout.n_subsystems):
+        a = _report_arrays(M, layout.dims, p)
+        for b in range(M.shape[0]):
+            rep = kt.negativity_report(kt.DensityOperator(layout, M[b]), p)
+            # same LAPACK calls on the same matrix: bit for bit
+            assert a.n_global[b] == rep.n_global
+            w = a.eigenvalues[b]
+            assert list(w[w < -EPS_EIG]) == [lam for lam, _ in rep.negative_eigenpairs]
+            vecs = a.negative_vectors[b].T[: len(rep.negative_eigenpairs)]
+            for vec, (_, ref) in zip(vecs, rep.negative_eigenpairs, strict=True):
+                assert np.abs(vec - ref).max() <= 1e-14
+            for field in ("n_kway", "e_partial", "pair_split"):
+                row = getattr(a, field)
+                ref = getattr(rep, field)
+                assert set(row) == set(ref)
+                for k in ref:
+                    assert abs(row[k][b] - ref[k]) <= 1e-14, (field, k)
+            assert abs(a.e0[b] - rep.e0) <= 1e-14
+            assert abs(a.sum_residual[b] - rep.sum_residual) <= 1e-14
+            flagged = [K for K in a.violates if a.violates[K][b]]
+            named = " ".join(rep.violations)
+            assert flagged == [K for K in rep.e_partial if f"e_partial[{K}]" in named]
+
+
+@pytest.mark.parametrize("name", ["haar3", "haar4"])
+def test_tangles_match_batch_of_one(name):
+    layout, M = STACKS[name]()
+    n = layout.n_subsystems
+    for focus in range(n):
+        tau_f, pairs = _tangles(M, layout.dims, focus)
+        assert sorted(pairs) == [q for q in range(n) if q != focus]
+        for b in range(M.shape[0]):
+            rho = kt.DensityOperator(layout, M[b])
+            psi = kt.PureState(layout, np.linalg.eigh(M[b])[1][:, -1])
+            assert abs(tau_f[b] - kt.one_tangle(psi, focus)) <= 1e-14
+            for partner, tau in pairs.items():
+                red = kt.partial_trace(rho, [focus, partner])
+                if focus > partner:
+                    m = red.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+                    red = kt.DensityOperator(red.layout, m)
+                assert abs(tau[b] - kt.wootters_tangle(red)) <= 1e-14
+            if n == 3:
+                rep = kt.three_tangle(psi, focus)
+                assert abs(tau_f[b] - rep.tau_focus) <= 1e-14
+                for partner, tau in pairs.items():
+                    assert abs(tau[b] - rep.tau_pairs[partner]) <= 1e-14
+
+
+def test_wootters_stack_matches_batch_of_one():
+    # mixed two-qubit stack, including rank-deficient members near the clamp
+    rng = np.random.default_rng(9)
+    L2 = kt.qubit_layout(2)
+    M = np.stack([mixed_state(L2, rng, rank=1 + k % 4).matrix for k in range(8)])
+    tau = _wootters(M)
+    for b in range(M.shape[0]):
+        assert abs(tau[b] - kt.wootters_tangle(kt.DensityOperator(L2, M[b]))) <= 1e-14
+
+
+def test_partial_trace_stack_matches_per_matrix():
+    layout, M = STACKS["mixed4"]()
+    for keep in ([0], [1, 3], [0, 1, 2]):
+        red = _partial_trace(M, layout.dims, keep)
+        for b in range(M.shape[0]):
+            ref = kt.partial_trace(kt.DensityOperator(layout, M[b]), keep).matrix
+            assert np.array_equal(red[b], ref)
+
+
+def test_haar_stacks_straddle_the_chunk():
+    n = cli._AUDIT_CHUNK + 3
+    stacks = list(cli._haar_stacks(L3, n, np.random.default_rng(5)))
+    assert [s.shape[0] for s in stacks] == [cli._AUDIT_CHUNK, 3]
+    rng = np.random.default_rng(5)
+    ref = np.stack([kt.haar_random_pure(L3, rng).amplitudes for _ in range(n)])
+    assert np.array_equal(np.concatenate(stacks), ref)
+
+
+def _reference_audit(n_states, qubits, seed, eps):
+    # the audit written state by state over the public functions
+    layout = kt.qubit_layout(qubits)
+    rng = np.random.default_rng(seed)
+    e2 = e3 = ckw = 0
+    for _ in range(n_states):
+        psi = kt.haar_random_pure(layout, rng)
+        rho = kt.outer(psi)
+        rep = kt.negativity_report(rho, 0)
+        if abs(rep.e0) <= eps:
+            e2 += rep.e_partial[2] > rep.n_global + eps
+            e3 += rep.e_partial[3] > rep.n_global + eps
+        tau_f = kt.one_tangle(psi, 0)
+        pairs = sum(kt.wootters_tangle(kt.partial_trace(rho, [0, j])) for j in range(1, qubits))
+        ckw += tau_f + eps < pairs
+    return f"{n_states},{qubits},{seed},{e2},{e3},{ckw}"
+
+
+def _audit_line(n_states, qubits, seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["audit", "--random", str(n_states), "--seed", str(seed),
+                       "--qubits", str(qubits)])
+    assert rc == 0
+    return out.getvalue().splitlines()[-1]
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_audit_counts_match_state_by_state_loop(offset):
+    n = cli._AUDIT_CHUNK + offset
+    assert _audit_line(n, 3, 8) == _reference_audit(n, 3, 8, kt.DEFAULT_TOLERANCES.eps_norm)
+
+
+@pytest.mark.parametrize("qubits,slack", [(3, -0.1), (4, -0.7)])
+def test_audit_counts_match_with_a_shifted_gate(monkeypatch, qubits, slack):
+    # with the default gates every count is 0; a negative slack makes the
+    # CKW column count the states whose residual tangle is below -slack, so
+    # the stacked counting is compared on nonzero counts
+    shifted = dataclasses.replace(kt.DEFAULT_TOLERANCES, eps_norm=slack)
+    monkeypatch.setattr(cli, "_T", shifted)
+    monkeypatch.setattr(negativity, "_T", shifted)
+    n = cli._AUDIT_CHUNK + 1
+    line = _audit_line(n, qubits, 4)
+    assert 0 < int(line.split(",")[-1]) < n
+    assert line == _reference_audit(n, qubits, 4, slack)
+
+
+def _valid_stack():
+    return _mixed_stack(L3, 11, b=5)
+
+
+def _corrupt(kind):
+    M = _valid_stack()
+    if kind == "hermiticity":
+        M[3, 0, 1] += 1e-3
+    elif kind == "trace":
+        M[3] *= 1.01
+    elif kind == "eigenvalue":
+        M[3] = np.diag([0.6, 0.5, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    elif kind == "nan":
+        M[3, 2, 2] = np.nan
+    return M
+
+
+@pytest.mark.parametrize("kind,match", [
+    ("hermiticity", "hermiticity"),
+    ("trace", "trace"),
+    ("eigenvalue", "eigenvalue"),
+    ("nan", "hermiticity defect = nan"),
+])
+def test_stacked_density_check_names_the_bad_matrix(kind, match):
+    _check_density(_valid_stack())
+    with pytest.raises(kt.ValidationError, match=match) as exc:
+        _check_density(_corrupt(kind))
+    assert "stack index 3" in str(exc.value)
+
+
+def test_stacked_checks_cover_every_matrix():
+    M = _corrupt("hermiticity")
+    with pytest.raises(kt.ValidationError, match="stack index 3"):
+        kt.hermitian_eigensystem(M)
+    # the transpose output check sees the one broken matrix of the stack
+    with pytest.raises(kt.ValidationError, match="transpose output"):
+        _global_pt(M, L3.dims, 0)
+    v = np.stack([kt.haar_random_pure(L3, s).amplitudes for s in range(4)])
+    _check_norm(v)
+    v[2, 0] = np.nan
+    with pytest.raises(kt.ValidationError, match="norm = nan.*stack index 2"):
+        _check_norm(v)
+
+
+def test_stacked_eigensystem_and_trace_norm():
+    _, M = STACKS["mixed3"]()
+    es = kt.hermitian_eigensystem(M)
+    norms = kt.trace_norm(M)
+    assert es.eigenvalues.shape == M.shape[:-1] and norms.shape == M.shape[:1]
+    for b in range(M.shape[0]):
+        one = kt.hermitian_eigensystem(M[b])
+        assert np.array_equal(es.eigenvalues[b], one.eigenvalues)
+        assert np.array_equal(es.eigenvectors[b], one.eigenvectors)
+        assert norms[b] == kt.trace_norm(M[b])
+    assert isinstance(kt.trace_norm(M[0]), float)
+
+
+def test_outer_stack_is_np_outer():
+    v = np.stack([kt.haar_random_pure(L4, s).amplitudes for s in range(3)])
+    P = _outer(v)
+    for b in range(3):
+        assert np.array_equal(P[b], np.outer(v[b], v[b].conj()))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,4 +71,37 @@ def test_parse_propagates_state_validation():
     v[0] = 0.5  # not normalized
     doc = {"dims": [2, 2], "amplitudes": amplitudes_json(v)}
     with pytest.raises(kt.ValidationError):
+        parse_state_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize("payload", ["amplitudes", "matrix", "ensemble"])
+def test_parse_rejects_non_finite_entries(bad, payload):
+    v = np.zeros(4)
+    v[0] = 1.0
+    cells = amplitudes_json(v)
+    cells[1]["im"] = bad
+    if payload == "amplitudes":
+        doc, where = {"dims": [2, 2], "amplitudes": cells}, "amplitudes[1]"
+    elif payload == "matrix":
+        rows = [amplitudes_json(row) for row in np.eye(4) / 4]
+        rows[2][1] = cells[1]
+        doc, where = {"dims": [2, 2], "matrix": rows}, "matrix[2][1]"
+    else:
+        doc, where = {"dims": [2, 2], "ensemble": [{"p": 1.0, "amplitudes": cells}]}, \
+            "ensemble[0].amplitudes[1]"
+    with pytest.raises(kt.ParseError, match=re.escape(where) + " re/im must be finite"):
+        parse_state_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_parse_rejects_non_finite_probability(bad):
+    v = np.zeros(4)
+    v[0] = 1.0
+    doc = {"dims": [2, 2], "ensemble": [{"p": bad, "amplitudes": amplitudes_json(v)}]}
+    with pytest.raises(kt.ParseError, match=r"ensemble\[0\]\.p must be a finite number"):
         parse_state_file(json.dumps(doc))

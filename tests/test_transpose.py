@@ -23,6 +23,19 @@ def test_global_pt_matches_elementwise_definition(seed):
     assert np.abs(pt - pt.conj().T).max() < 1e-14
 
 
+def test_label_tables_are_lean_and_cached():
+    from ktangle.transpose import _label_tables
+
+    layout = kt.SubsystemLayout((2, 3, 2))
+    dg, diff = _label_tables(layout.dims)
+    assert diff.dtype == np.uint8 and not diff.flags.writeable and not dg.flags.writeable
+    assert _label_tables(layout.dims)[1] is diff
+    for r in range(layout.total_dim):
+        assert list(dg[r]) == list(kt.multi_index(r, layout))
+        for c in range(layout.total_dim):
+            assert diff[r, c] == kt.differing_count(r, c, layout)
+
+
 def test_differing_count():
     assert kt.differing_count(5, 5, L3) == 0
     assert kt.differing_count(3, 5, L3) == 2  # 011 vs 101
