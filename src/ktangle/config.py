@@ -39,6 +39,17 @@ TRANSPOSE_HERM_EPS = 1e-14
 # Largest entry of |U^dagger U - 1| accepted for a local unitary.
 UNITARITY_EPS = 1e-12
 
+# Eigenvalues of a state above this count toward its rank in the roof search.
+ROOF_RANK_CUTOFF = 1e-12
+
+# Roof members with weight at or below this are dropped from a certificate
+# and take the value 0 in the search.
+ROOF_MEMBER_CUTOFF = 1e-14
+
+# The roof search accepts a rotation only if it lowers the average by more
+# than this.
+ROOF_ACCEPT_MARGIN = 1e-15
+
 
 class ValidationError(ValueError):
     """An input violates a documented invariant (norm, trace, Hermiticity...)."""

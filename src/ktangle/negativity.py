@@ -128,11 +128,14 @@ def _projector_of(M: np.ndarray, dims: tuple, p: int):
     return g, es.eigenvalues, V, P
 
 
+def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
+    """E_K^p of each matrix of a stack, without the rest of the report."""
+    return _channel(_projector_of(M, dims, p)[3], _kway_pt(M, dims, K, p), dims[p])
+
+
 def partial_kway_negativity(rho: DensityOperator, K: int, p: int) -> float:
     """E_K^p alone, for callers that need one channel and not the full report."""
-    M, dims = rho.matrix[None], rho.layout.dims
-    P = _projector_of(M, dims, p)[3]
-    return float(_channel(P, _kway_pt(M, dims, K, p), dims[p])[0])
+    return float(_kway_channel(rho.matrix[None], rho.layout.dims, K, p)[0])
 
 
 def _report_arrays(M: np.ndarray, dims: tuple, p: int) -> _ReportArrays:

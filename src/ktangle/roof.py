@@ -17,10 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ValidationError
-from .core import DensityOperator, PureState, outer, partial_trace
-from .negativity import negativity_from_pt, partial_kway_negativity
-from .transpose import global_pt
+from .config import (
+    DEFAULT_TOLERANCES,
+    ROOF_ACCEPT_MARGIN,
+    ROOF_MEMBER_CUTOFF,
+    ROOF_RANK_CUTOFF,
+    ValidationError,
+)
+from .core import DensityOperator, PureState, _check_density, _outer, outer, partial_trace
+from .negativity import _kway_channel, negativity_from_pt
+from .transpose import _global_pt, global_pt
 
 _T = DEFAULT_TOLERANCES
 
@@ -71,18 +77,19 @@ class RoofResult:
 
 
 def _support(rho: DensityOperator):
-    """Eigenvalues above the rank cutoff 1e-12 and their eigenvectors."""
+    """Eigenvalues above ROOF_RANK_CUTOFF and their eigenvectors."""
     lam, vec = np.linalg.eigh(rho.matrix)
-    keep = lam > 1e-12
+    keep = lam > ROOF_RANK_CUTOFF
     return lam[keep], vec[:, keep]
 
 
 def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
-    """Members phis[j]/sqrt(probs[j]) with weight probs[j], dropping weights <= 1e-14."""
+    """Members phis[j]/sqrt(probs[j]) with weight probs[j], dropping weights
+    <= ROOF_MEMBER_CUTOFF."""
     members = [
         (float(q), PureState(layout, row / math.sqrt(q)))
         for row, q in zip(phis, probs)
-        if q > 1e-14
+        if q > ROOF_MEMBER_CUTOFF
     ]
     return Ensemble(members=tuple(members))
 
@@ -109,26 +116,49 @@ def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
     return _ensemble(rho.layout, phis, [float(np.vdot(row, row).real) for row in phis])
 
 
-def _measure(measure: str, p: int, layout):
-    """The named measure of focus p as a function of a density operator."""
+def _stack_measure(measure: str, p: int, layout):
+    """The named measure of focus p as a function of a (b, D, D) stack of
+    density matrices, one value per matrix."""
+    dims, d_p = layout.dims, layout.dims[p]
     if measure == "global":
-        d_p = layout.dims[p]
-        return lambda rho: negativity_from_pt(global_pt(rho, p), d_p)
+        return lambda M: negativity_from_pt(_global_pt(M, dims, p), d_p)
     if measure.startswith("k") and measure[1:].isdigit():
         k = int(measure[1:])
         if not 2 <= k <= layout.n_subsystems:
             raise ValidationError(f"k-way order {k} out of range for {layout.n_subsystems} parts")
-        return lambda rho: partial_kway_negativity(rho, k, p)
+        return lambda M: _kway_channel(M, dims, k, p)
     raise ValidationError(f"unknown roof measure {measure!r} (use global, k2, k3)")
 
 
 def _member_value(measure: str, p: int, layout):
-    of_rho = _measure(measure, p, layout)
+    """The measure of each member of a (b, D) stack of normalized vectors.
 
-    def val(vec: np.ndarray) -> float:
-        return of_rho(DensityOperator(layout, np.outer(vec, vec.conj())))
+    Every member density |v><v| passes the hermiticity, trace and
+    smallest-eigenvalue checks; a failure names its stack index.
+    """
+    of_stack = _stack_measure(measure, p, layout)
+
+    def val(vecs: np.ndarray) -> np.ndarray:
+        M = _outer(vecs)
+        _check_density(M)
+        return of_stack(M)
 
     return val
+
+
+def _rotate(g, theta: float, phis: np.ndarray):
+    """Draw a two-member rotation from g and apply it to rows j, k of phis.
+
+    Returns j, k, the rotated rows and their weights.
+    """
+    j, k = g.choice(len(phis), size=2, replace=False)
+    t = g.uniform(-theta, theta)
+    ph = g.uniform(0.0, 2.0 * math.pi)
+    c, s = math.cos(t), math.sin(t)
+    ei = cmath.exp(1j * ph)
+    nj = c * phis[j] + s * ei * phis[k]
+    nk = -s * np.conj(ei) * phis[j] + c * phis[k]
+    return j, k, nj, nk, float(np.vdot(nj, nj).real), float(np.vdot(nk, nk).real)
 
 
 def roof_negativity(
@@ -136,8 +166,11 @@ def roof_negativity(
 ) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
-    Deterministic given budget.seed; monotone nonincreasing in restarts
-    (restart RNG streams are a prefix-stable spawn of the seed).
+    The restarts run in lockstep: each iteration evaluates the proposed
+    members of every restart as one stack.  Restart i draws only from its own
+    generator, a prefix-stable spawn of budget.seed, so the result equals a
+    sequential search and is deterministic and monotone nonincreasing in
+    restarts.
     """
     layout = rho.layout
     value_of = _member_value(measure, p, layout)
@@ -148,7 +181,7 @@ def roof_negativity(
         # the measure on rho as given (bitwise equal to the direct route)
         psi = PureState(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
         return RoofResult(
-            value=_measure(measure, p, layout)(rho),
+            value=float(_stack_measure(measure, p, layout)(rho.matrix[None])[0]),
             certificate=Ensemble(members=((1.0, psi),)),
             restarts_used=0,
             converged=True,
@@ -158,9 +191,9 @@ def roof_negativity(
     base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
     iters = budget.iterations
     mark = max(1, int(0.8 * iters))
-    ss = np.random.SeedSequence(budget.seed)
-    best = None  # (value, phis, probs, converged)
-    for ridx, child in enumerate(ss.spawn(budget.restarts)):
+    R = budget.restarts
+    gens, phis, probs = [], [], []
+    for ridx, child in enumerate(np.random.SeedSequence(budget.seed).spawn(R)):
         g = np.random.default_rng(child)
         if ridx == 0:
             W = np.zeros((m, r), dtype=complex)
@@ -168,47 +201,45 @@ def roof_negativity(
         else:
             Z = g.standard_normal((m, r)) + 1j * g.standard_normal((m, r))
             W, _ = np.linalg.qr(Z)
-        phis = W @ base
-        probs = np.einsum("jd,jd->j", phis, phis.conj()).real
-        vals = np.array(
-            [
-                value_of(phis[j] / math.sqrt(probs[j])) if probs[j] > 1e-14 else 0.0
-                for j in range(m)
-            ]
-        )
-        cur = float(probs @ vals)
-        at_mark = cur
-        theta = 0.5
-        for it in range(iters):
-            j, k = g.choice(m, size=2, replace=False)
-            t = g.uniform(-theta, theta)
-            ph = g.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(t), math.sin(t)
-            ei = cmath.exp(1j * ph)
-            nj = c * phis[j] + s * ei * phis[k]
-            nk = -s * np.conj(ei) * phis[j] + c * phis[k]
-            pj = float(np.vdot(nj, nj).real)
-            pk = float(np.vdot(nk, nk).real)
-            vj = value_of(nj / math.sqrt(pj)) if pj > 1e-14 else 0.0
-            vk = value_of(nk / math.sqrt(pk)) if pk > 1e-14 else 0.0
-            new = cur - probs[j] * vals[j] - probs[k] * vals[k] + pj * vj + pk * vk
-            if new < cur - 1e-15:
-                cur = new
-                phis[j], phis[k] = nj, nk
-                probs[j], probs[k] = pj, pk
-                vals[j], vals[k] = vj, vk
-            theta *= 0.995
-            if it == mark - 1:
-                at_mark = cur
-        converged = (at_mark - cur) < 1e-8
-        if best is None or cur < best[0]:
-            best = (cur, phis.copy(), probs.copy(), converged)
+        gens.append(g)
+        phis.append(W @ base)
+        probs.append(np.einsum("jd,jd->j", phis[-1], phis[-1].conj()).real)
 
+    live = [(i, j) for i in range(R) for j in range(m) if probs[i][j] > ROOF_MEMBER_CUTOFF]
+    got = value_of(np.array([phis[i][j] / math.sqrt(probs[i][j]) for i, j in live]))
+    vals = [np.zeros(m) for _ in range(R)]
+    for (i, j), v in zip(live, got):
+        vals[i][j] = v
+    cur = [float(probs[i] @ vals[i]) for i in range(R)]
+    at_mark = list(cur)
+    theta = 0.5
+    for it in range(iters):
+        steps, batch = [], []
+        for i in range(R):
+            steps.append(_rotate(gens[i], theta, phis[i]))
+            j, k, nj, nk, pj, pk = steps[-1]
+            batch += [v / math.sqrt(q) for v, q in ((nj, pj), (nk, pk)) if q > ROOF_MEMBER_CUTOFF]
+        got = iter(value_of(np.array(batch)) if batch else ())
+        for i, (j, k, nj, nk, pj, pk) in enumerate(steps):
+            vj = next(got) if pj > ROOF_MEMBER_CUTOFF else 0.0
+            vk = next(got) if pk > ROOF_MEMBER_CUTOFF else 0.0
+            P, V = probs[i], vals[i]
+            new = cur[i] - P[j] * V[j] - P[k] * V[k] + pj * vj + pk * vk
+            if new < cur[i] - ROOF_ACCEPT_MARGIN:
+                cur[i] = new
+                phis[i][j], phis[i][k] = nj, nk
+                P[j], P[k] = pj, pk
+                V[j], V[k] = vj, vk
+        theta *= 0.995
+        if it == mark - 1:
+            at_mark = list(cur)
+
+    best = min(range(R), key=cur.__getitem__)  # the first of equal values
     return RoofResult(
-        value=float(best[0]),
-        certificate=_ensemble(layout, best[1], best[2]),
-        restarts_used=budget.restarts,
-        converged=best[3],
+        value=float(cur[best]),
+        certificate=_ensemble(layout, phis[best], probs[best]),
+        restarts_used=R,
+        converged=(at_mark[best] - cur[best]) < 1e-8,
     )
 
 

@@ -33,7 +33,8 @@ def _complex_node(node, where: str) -> complex:
     if not isinstance(node, dict) or set(node.keys()) != {"re", "im"}:
         raise ParseError(f"{where} must be an object with re and im fields")
     re, im = node["re"], node["im"]
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # a type test, not isinstance: JSON true/false load as bool, a subclass of int
+    if type(re) not in (int, float) or type(im) not in (int, float):
         raise ParseError(f"{where} re/im must be numbers")
     if not (_finite(re) and _finite(im)):
         raise ParseError(f"{where} re/im must be finite (got re={re}, im={im})")

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -143,3 +144,87 @@ def write_state(tmp_path):
 
 def amplitudes_json(vec):
     return [{"re": float(z.real), "im": float(z.imag)} for z in np.asarray(vec, complex)]
+
+
+def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
+    """The roof search one restart and one member at a time.
+
+    Each member is evaluated through a validated DensityOperator and the
+    public measure functions.  The suite's oracle for the lockstep search
+    in roof_negativity, which must return the same bits.
+    """
+    from ktangle.roof import RoofResult, _ensemble, _support
+
+    layout = rho.layout
+    if measure == "global":
+        d_p = layout.dims[p]
+
+        def of_rho(r):
+            return kt.negativity_from_pt(kt.global_pt(r, p), d_p)
+    else:
+        order = int(measure[1:])
+
+        def of_rho(r):
+            return kt.partial_kway_negativity(r, order, p)
+
+    def value_of(vec):
+        return of_rho(kt.DensityOperator(layout, np.outer(vec, vec.conj())))
+
+    lam, vec = _support(rho)
+    r = lam.size
+    m = max(r, min(2 * r, budget.m_max))
+    base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
+    iters = budget.iterations
+    mark = max(1, int(0.8 * iters))
+    ss = np.random.SeedSequence(budget.seed)
+    best = None  # (value, phis, probs, converged)
+    for ridx, child in enumerate(ss.spawn(budget.restarts)):
+        g = np.random.default_rng(child)
+        if ridx == 0:
+            W = np.zeros((m, r), dtype=complex)
+            W[:r, :r] = np.eye(r)
+        else:
+            Z = g.standard_normal((m, r)) + 1j * g.standard_normal((m, r))
+            W, _ = np.linalg.qr(Z)
+        phis = W @ base
+        probs = np.einsum("jd,jd->j", phis, phis.conj()).real
+        vals = np.array(
+            [
+                value_of(phis[j] / math.sqrt(probs[j])) if probs[j] > 1e-14 else 0.0
+                for j in range(m)
+            ]
+        )
+        cur = float(probs @ vals)
+        at_mark = cur
+        theta = 0.5
+        for it in range(iters):
+            j, k = g.choice(m, size=2, replace=False)
+            t = g.uniform(-theta, theta)
+            ph = g.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(t), math.sin(t)
+            ei = cmath.exp(1j * ph)
+            nj = c * phis[j] + s * ei * phis[k]
+            nk = -s * np.conj(ei) * phis[j] + c * phis[k]
+            pj = float(np.vdot(nj, nj).real)
+            pk = float(np.vdot(nk, nk).real)
+            vj = value_of(nj / math.sqrt(pj)) if pj > 1e-14 else 0.0
+            vk = value_of(nk / math.sqrt(pk)) if pk > 1e-14 else 0.0
+            new = cur - probs[j] * vals[j] - probs[k] * vals[k] + pj * vj + pk * vk
+            if new < cur - 1e-15:
+                cur = new
+                phis[j], phis[k] = nj, nk
+                probs[j], probs[k] = pj, pk
+                vals[j], vals[k] = vj, vk
+            theta *= 0.995
+            if it == mark - 1:
+                at_mark = cur
+        converged = (at_mark - cur) < 1e-8
+        if best is None or cur < best[0]:
+            best = (cur, phis.copy(), probs.copy(), converged)
+
+    return RoofResult(
+        value=float(best[0]),
+        certificate=_ensemble(layout, best[1], best[2]),
+        restarts_used=budget.restarts,
+        converged=best[3],
+    )

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, mixed_state
+from conftest import L2, L3, mixed_state, sequential_roof
+from ktangle.roof import _member_value
 
 
 def _basis_state(layout, k):
@@ -208,3 +209,62 @@ def test_reduced_pair_negativity_validation(w_state):
     a = kt.reduced_pair_negativity(w_state, (0, 1))
     b = kt.reduced_pair_negativity(w_state, (1, 0))
     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "layout, measure, rank",
+    [(L2, "global", 2), (L2, "global", 3), (L2, "global", 4),
+     (L3, "k2", 2), (L3, "k2", 3), (L3, "k3", 2), (L3, "k3", 3)],
+)
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts):
+    # restart 0 starts from the identity isometry, whose rows past the rank
+    # have zero weight, so the member cutoff branch runs in every case
+    for seed in (0, 11, 2024):
+        rng = np.random.default_rng(1000 * rank + seed)
+        rho = mixed_state(layout, rng, rank=rank)
+        p = int(rng.integers(layout.n_subsystems))
+        budget = kt.RoofBudget(restarts=restarts, iterations=40, seed=seed)
+        got = kt.roof_negativity(rho, p, measure, budget)
+        want = sequential_roof(rho, p, measure, budget)
+        assert got.value == want.value
+        assert got.converged == want.converged
+        assert got.restarts_used == want.restarts_used
+        assert len(got.certificate.members) == len(want.certificate.members)
+        for (p1, s1), (p2, s2) in zip(got.certificate.members, want.certificate.members):
+            assert np.array_equal(p1, p2)
+            assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+
+def _member_stack(layout, rng, b):
+    z = rng.standard_normal((b, layout.total_dim)) + 1j * rng.standard_normal((b, layout.total_dim))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+@pytest.mark.parametrize(
+    "layout, measure", [(L2, "global"), (L3, "global"), (L3, "k2"), (L3, "k3")]
+)
+def test_stacked_member_value_matches_density_route(layout, measure):
+    vecs = _member_stack(layout, np.random.default_rng(5), 9)
+    # a product member has no negative eigenvalue, so its P_minus columns
+    # are all masked in the stack
+    vecs[4] = 0.0
+    vecs[4, 0] = 1.0
+    for p in range(layout.n_subsystems):
+        got = _member_value(measure, p, layout)(vecs)
+        assert got.shape == (9,)
+        for v, g in zip(vecs, got):
+            rho = kt.DensityOperator(layout, np.outer(v, v.conj()))
+            if measure == "global":
+                want = kt.negativity_from_pt(kt.global_pt(rho, p), layout.dims[p])
+            else:
+                want = kt.partial_kway_negativity(rho, int(measure[1:]), p)
+            assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("measure", ["global", "k2"])
+def test_stacked_member_value_checks_every_member(measure):
+    vecs = _member_stack(L3, np.random.default_rng(6), 6)
+    vecs[3] *= 1.01  # trace 1.0201, caught by the density check of the stack
+    with pytest.raises(kt.ValidationError, match=r"trace = .* \(stack index 3\)"):
+        _member_value(measure, 0, L3)(vecs)

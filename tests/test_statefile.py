@@ -8,6 +8,8 @@ import pytest
 import ktangle as kt
 from ktangle.statefile import parse_state_file
 
+from ktangle.cli import main
+
 from conftest import amplitudes_json
 
 
@@ -105,3 +107,44 @@ def test_parse_rejects_non_finite_probability(bad):
     doc = {"dims": [2, 2], "ensemble": [{"p": bad, "amplitudes": amplitudes_json(v)}]}
     with pytest.raises(kt.ParseError, match=r"ensemble\[0\]\.p must be a finite number"):
         parse_state_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize("payload", ["amplitudes", "matrix", "ensemble"])
+def test_parse_rejects_boolean_entries(payload, write_state, capsys):
+    # JSON true/false are not numbers, although Python's bool is an int
+    v = np.zeros(4)
+    v[0] = 1.0
+    cells = amplitudes_json(v)
+    cells[0] = {"re": True, "im": False}
+    if payload == "amplitudes":
+        doc, where = {"dims": [2, 2], "amplitudes": cells}, "amplitudes[0]"
+    elif payload == "matrix":
+        rows = [amplitudes_json(row) for row in np.diag([1.0, 0.0, 0.0, 0.0])]
+        rows[0][0] = cells[0]
+        doc, where = {"dims": [2, 2], "matrix": rows}, "matrix[0][0]"
+    else:
+        doc, where = {"dims": [2, 2], "ensemble": [{"p": 1.0, "amplitudes": cells}]}, \
+            "ensemble[0].amplitudes[0]"
+    with pytest.raises(kt.ParseError, match=re.escape(where) + " re/im must be numbers"):
+        parse_state_file(json.dumps(doc))
+    rc = main(["analyze", write_state("bool.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:") and where in captured.err
+
+
+def test_parse_matrix_as_documented():
+    # the README's form: "matrix" holds a list of rows of {re, im} cells
+    text = """{"dims": [2, 2], "matrix": [
+        [{"re": 0.5, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0.5, "im": 0}],
+        [{"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}],
+        [{"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}],
+        [{"re": 0.5, "im": 0}, {"re": 0, "im": 0}, {"re": 0, "im": 0}, {"re": 0.5, "im": 0}]
+    ]}"""
+    rho = parse_state_file(text)
+    assert isinstance(rho, kt.DensityOperator)
+    assert rho.layout.dims == (2, 2)
+    want = np.zeros((4, 4))
+    want[0, 0] = want[0, 3] = want[3, 0] = want[3, 3] = 0.5
+    assert np.array_equal(rho.matrix, want)
