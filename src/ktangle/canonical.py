@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    CANONICAL_AMP_EPS,
     CANONICAL_DISC_EPS,
     CANONICAL_RESIDUAL,
     DEFAULT_TOLERANCES,
@@ -31,7 +32,7 @@ from .config import (
     ValidationError,
 )
 from .core import LocalUnitary, PureState, outer, qubit_layout
-from .negativity import NegativityReport, negativity_report
+from .negativity import NegativityReport, _report_arrays
 from .tangle import TangleReport, three_tangle
 
 _T = DEFAULT_TOLERANCES
@@ -50,7 +51,7 @@ class CanonicalForm3Q:
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "f"):
             v = float(getattr(self, name))
-            if v < -1e-12:
+            if v < -CANONICAL_AMP_EPS:
                 raise ValidationError(f"amplitude {name} = {v} must be nonnegative")
             object.__setattr__(self, name, max(v, 0.0))
         nrm2 = self.a**2 + self.b**2 + self.c**2 + self.d**2 + self.f**2
@@ -192,11 +193,11 @@ def _phase_gauge(amps: np.ndarray):
     """
     bt, dt, ct, ft = amps[4], amps[5], amps[6], amps[7]
     tb, tc, td, tf = (float(np.angle(z)) for z in (bt, ct, dt, ft))
-    zc, zd, zf = (abs(z) < 1e-12 for z in (ct, dt, ft))
+    zc, zd, zf = (abs(z) < CANONICAL_AMP_EPS for z in (ct, dt, ft))
     if not (zc or zd or zf):
         delta = tf - tc - td
         return delta, -tc - delta, -td - delta
-    delta = -tb if abs(bt) > 1e-12 else 0.0
+    delta = -tb if abs(bt) > CANONICAL_AMP_EPS else 0.0
     if not zc and not zd:
         return delta, -tc - delta, -td - delta
     if not zc and not zf:
@@ -248,7 +249,7 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
         amps = np.kron(UA2, np.kron(UB2, UC2)) @ psi.amplitudes
 
         b = abs(amps[4])
-        phi = float(np.angle(amps[4])) % (2 * math.pi) if b > 1e-12 else 0.0
+        phi = float(np.angle(amps[4])) % (2 * math.pi) if b > CANONICAL_AMP_EPS else 0.0
         resid = max(
             abs(amps[1]),
             abs(amps[2]),
@@ -287,9 +288,9 @@ def coherence_delta(psi: PureState) -> float:
     orbit it tracks how much three-way coherence has been rotated into or
     out of two-way coherences.
     """
-    rep = negativity_report(outer(psi), 0)
+    a = _report_arrays(outer(psi).matrix[None], psi.layout.dims, 0)
     tau = three_tangle(psi, 0)
-    return float(rep.e_partial[3] * rep.n_global - tau.tau3)
+    return float(a.e_partial[3][0] * a.n_global[0] - tau.tau3)
 
 
 def third_qubit_rotation(alpha: float) -> LocalUnitary:

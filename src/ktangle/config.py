@@ -32,6 +32,19 @@ CANONICAL_DISC_EPS = 1e-12
 # Maximum allowed leakage outside the canonical support after reduction.
 CANONICAL_RESIDUAL = 1e-8
 
+# Canonical amplitudes at or below this magnitude count as zero: a form may
+# carry amplitudes down to -CANONICAL_AMP_EPS (clamped to 0), and the phase
+# gauge and the phi of the |100> term ignore amplitudes this small.
+CANONICAL_AMP_EPS = 1e-12
+
+# The GHZ+W canonical forms are checked against the closed-form roots of the
+# first-qubit rotation ratio within this relative tolerance.
+GHZW_ROOT_RTOL = 1e-6
+
+# Rotation entries below this are too small to form that ratio from, and
+# |x^3 - 4| below it marks the degenerate (double-root) point of the family.
+GHZW_ROOT_EPS = 1e-9
+
 # Hermiticity defect allowed in a partial-transpose output; the transposes
 # only move elements, so a larger defect signals an index bug.
 TRANSPOSE_HERM_EPS = 1e-14
@@ -49,6 +62,13 @@ ROOF_MEMBER_CUTOFF = 1e-14
 # The roof search accepts a rotation only if it lowers the average by more
 # than this.
 ROOF_ACCEPT_MARGIN = 1e-15
+
+# A roof search is reported converged when its last 20% of iterations lowered
+# the best restart's average by less than this.
+ROOF_CONVERGED_DROP = 1e-8
+
+# Largest entry of |W^dagger W - 1| accepted for a decomposition matrix W.
+ROOF_ISOMETRY_EPS = 1e-10
 
 
 class ValidationError(ValueError):

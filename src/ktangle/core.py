@@ -221,14 +221,18 @@ def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
 
 
 def trace_norm(M: np.ndarray):
-    """Sum of singular values; equals sum |eigenvalue| for Hermitian input.
+    """Trace norm of a Hermitian matrix (or stack): the sum of |eigenvalue|.
 
-    A float for one matrix, an array with one entry per matrix for a stack.
+    The input must be Hermitian, as every partial transpose of a density
+    operator is; a hermiticity defect above eps_herm raises ValidationError
+    rather than returning the eigenvalue sum of the wrong matrix.  A float
+    for one matrix, an array with one entry per matrix for a stack.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("trace_norm needs a square matrix")
-    s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    _check_hermitian(M)
+    s = np.abs(np.linalg.eigvalsh(M)).sum(axis=-1)
     return float(s) if M.ndim == 2 else s
 
 

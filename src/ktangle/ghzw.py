@@ -23,7 +23,7 @@ from .canonical import (
 )
 from .core import LocalUnitary, PureState, outer, qubit_layout
 from .negativity import negativity_from_pt
-from .config import NumericalError, ValidationError
+from .config import GHZW_ROOT_EPS, GHZW_ROOT_RTOL, NumericalError, ValidationError
 from .transpose import global_pt
 
 _L3 = qubit_layout(3)
@@ -127,14 +127,14 @@ def _closed_form_root_check(result: CanonicalizationResult, x: float):
     for us in result.unitaries:
         ua = us[0].matrix
         den = abs(ua[0, 1])
-        if den < 1e-9:
+        if den < GHZW_ROOT_EPS:
             continue
         ratio = abs(ua[0, 0]) / den
         # the printed assignment of (alpha, beta) to rotation entries is
         # convention-dependent, so the inverse ratio is accepted too
-        candidates = [ratio, 1.0 / ratio if ratio > 1e-9 else math.inf]
+        candidates = [ratio, 1.0 / ratio if ratio > GHZW_ROOT_EPS else math.inf]
         ok = any(
-            abs(cand - r) <= 1e-6 * (1.0 + r) for r in roots for cand in candidates
+            abs(cand - r) <= GHZW_ROOT_RTOL * (1.0 + r) for r in roots for cand in candidates
         )
         if not ok:
             raise NumericalError(
@@ -149,7 +149,7 @@ def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
     result = canonicalize3(build_ghzw(params))
     x = x_parameter(params)
     _closed_form_root_check(result, x)
-    if abs(x**3 - 4.0) < 1e-9 and len(result.forms) > 1:
+    if abs(x**3 - 4.0) < GHZW_ROOT_EPS and len(result.forms) > 1:
         result = CanonicalizationResult(
             forms=result.forms[:1],
             unitaries=result.unitaries[:1],

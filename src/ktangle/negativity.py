@@ -6,6 +6,14 @@ The global negativity of focus p is (|| rho^{T_p} ||_1 - 1)/(d_p - 1), the
 partial K-way negativity E_K^p takes M = rho_K^{T_p}, and
 E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 
+Everything comes from Hermitian spectra.  A trace norm is the sum of
+|eigenvalue| (Vidal & Werner, PRA 65, 032314, 2002); the global one is read
+off the spectrum whose eigenvectors also give the channels.  A channel is
+taken from the c negative eigenvectors V alone, Tr(P_minus M) =
+Tr(V^dagger M V), at O(c D^2) per operator; no D x D projector is built and
+no SVD is run.  The K-way negativities n_kway need one eigvalsh each and are
+computed only by negativity_report.
+
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
 term R = -(2/(d_p - 1)) Tr(P_minus (rho_1^{T_p} - rho)).  rho_1^{T_p} - rho
@@ -19,8 +27,8 @@ rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho makes
 E_2^{p-q} = (-2 Tr(P_minus rho_2^{T_{p-pq}}) + Tr(P_minus rho))/(d_p - 1)
 the unique symmetric split.
 
-_report_arrays computes every report field for a stack of density matrices
-at once; negativity_report is its batch of one.
+_report_arrays computes every report field but n_kway for a stack of density
+matrices at once; negativity_report is its batch of one and adds n_kway.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import DensityOperator, _outer, hermitian_eigensystem, trace_norm
+from .core import DensityOperator, hermitian_eigensystem, trace_norm
 from .transpose import _global_pt, _kway_pt, _pair_pt
 
 _T = DEFAULT_TOLERANCES
@@ -59,16 +67,16 @@ class NegativityReport:
 
 @dataclass
 class _ReportArrays:
-    """The NegativityReport fields of a stack, one entry per stacked matrix.
+    """The NegativityReport fields of a stack but n_kway, one entry per
+    stacked matrix.
 
     violates[K] flags e_partial[K] > n_global + eps_norm where |e0| <= eps_norm.
     eigenvalues are the ascending spectra of the global transposes and
-    negative_vectors their leading c eigenvector columns, c the largest number
-    of eigenvalues < -eps_eig of any matrix in the stack.
+    negative_vectors their negative eigenvector columns (see
+    _negative_vectors).
     """
 
     n_global: np.ndarray
-    n_kway: dict
     e_partial: dict
     e0: np.ndarray
     pair_split: dict
@@ -78,11 +86,16 @@ class _ReportArrays:
     negative_vectors: np.ndarray
 
 
+def _negativity(norm, d_p: int):
+    """(||M||_1 - 1)/(d_p - 1) from the trace norm of each stacked matrix."""
+    return (norm - 1.0) / (d_p - 1)
+
+
 def negativity_from_pt(M: np.ndarray, d_p: int):
     """(trace_norm - 1)/(d_p - 1) of a Hermitian trace-one matrix (or stack)."""
     if d_p < 2:
         raise ValueError("focus dimension must be >= 2")
-    return (trace_norm(M) - 1.0) / (d_p - 1)
+    return _negativity(trace_norm(M), d_p)
 
 
 def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
@@ -100,37 +113,38 @@ def negative_subspace(M: np.ndarray):
     return _negative_pairs(es.eigenvalues, es.eigenvectors)
 
 
-def _trace_with(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Re Tr(P M) for each stacked pair."""
-    return np.trace(P @ M, axis1=-2, axis2=-1).real
+def _trace_with(Vm: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Re Tr(Vm^dagger M Vm) = Re Tr(P_minus M) for each stacked pair, with
+    P_minus = Vm Vm^dagger; O(c D^2) for c columns."""
+    return (Vm.conj() * (M @ Vm)).sum(axis=(-2, -1)).real
 
 
-def _channel(P: np.ndarray, M: np.ndarray, d_p: int) -> np.ndarray:
-    """Weight -(2/(d_p - 1)) Tr(P M) of the operator M on the projector P."""
-    return -(2.0 / (d_p - 1)) * _trace_with(P, M)
+def _channel(Vm: np.ndarray, M: np.ndarray, d_p: int) -> np.ndarray:
+    """Weight -(2/(d_p - 1)) Tr(P_minus M) of the operator M on the negative
+    eigenvectors Vm."""
+    return -(2.0 / (d_p - 1)) * _trace_with(Vm, M)
 
 
-def _projector_of(M: np.ndarray, dims: tuple, p: int):
-    """Global transposes g of a stack, their spectra w, the leading eigenvector
-    columns that hold every eigenvalue < -eps_eig, and P_minus per matrix."""
-    g = _global_pt(M, dims, p)
-    es = hermitian_eigensystem(g)
-    neg = es.eigenvalues < -_T.eps_eig
+def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
+    """Spectra w of the global transposes of a stack and their negative
+    eigenvector columns Vm.
+
+    Vm holds the leading c eigenvector columns, c the largest number of
+    eigenvalues < -eps_eig of any matrix in the stack.  A column whose
+    eigenvalue is not below -eps_eig for its own matrix is zero, so
+    Vm Vm^dagger is P_minus of every matrix.
+    """
+    es = hermitian_eigensystem(_global_pt(M, dims, p))
+    w = es.eigenvalues
+    neg = w < -_T.eps_eig
     c = int(neg.sum(axis=-1).max(initial=0))
-    # a copy, so that the full eigenvector array is freed on return
-    V = es.eigenvectors[..., :c].copy()
-    P = np.zeros(M.shape, dtype=complex)
-    for j in range(c):
-        # |v><v| column by column in ascending order gives each matrix the
-        # bits of its own sum; where column j is not negative, the masked
-        # zero vector adds exact zeros
-        P += _outer(V[..., j] * neg[..., j, None])
-    return g, es.eigenvalues, V, P
+    # a new array, so that the full eigenvector array is freed on return
+    return w, es.eigenvectors[..., :c] * neg[..., None, :c]
 
 
 def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     """E_K^p of each matrix of a stack, without the rest of the report."""
-    return _channel(_projector_of(M, dims, p)[3], _kway_pt(M, dims, K, p), dims[p])
+    return _channel(_negative_vectors(M, dims, p)[1], _kway_pt(M, dims, K, p), dims[p])
 
 
 def partial_kway_negativity(rho: DensityOperator, K: int, p: int) -> float:
@@ -138,44 +152,64 @@ def partial_kway_negativity(rho: DensityOperator, K: int, p: int) -> float:
     return float(_kway_channel(rho.matrix[None], rho.layout.dims, K, p)[0])
 
 
-def _report_arrays(M: np.ndarray, dims: tuple, p: int) -> _ReportArrays:
-    """Every NegativityReport field of focus p for a stack M of shape (B, D, D)."""
-    n, d_p = len(dims), dims[p]
-    g, w, V, P = _projector_of(M, dims, p)
+def _kway_pts(M: np.ndarray, dims: tuple, p: int):
+    """(K, rho_K^{T_p}) of a stack for K = 2..N, each built when asked for."""
+    for K in range(2, len(dims) + 1):
+        yield K, _kway_pt(M, dims, K, p)
 
-    n_global = negativity_from_pt(g, d_p)
-    n_kway = {}
+
+def _report_arrays(M: np.ndarray, dims: tuple, p: int, kway_pts=None) -> _ReportArrays:
+    """Every NegativityReport field of focus p but n_kway, for a stack M of
+    shape (B, D, D).
+
+    kway_pts yields the (K, rho_K^{T_p}) pairs the channels are taken on,
+    _kway_pts(M, dims, p) when None; negativity_report passes pairs from
+    which it also takes n_kway, so each K-way transpose is built once.
+    """
+    n, d_p = len(dims), dims[p]
+    w, Vm = _negative_vectors(M, dims, p)
+
+    # the trace norm of each global transpose is the sum of |w|
+    n_global = _negativity(np.abs(w).sum(axis=-1), d_p)
     e_partial = {}
-    for K in range(2, n + 1):
-        rk = _kway_pt(M, dims, K, p)
-        n_kway[K] = negativity_from_pt(rk, d_p)
-        e_partial[K] = _channel(P, rk, d_p)
-    t_id = _trace_with(P, M)
+    for K, rk in _kway_pts(M, dims, p) if kway_pts is None else kway_pts:
+        e_partial[K] = _channel(Vm, rk, d_p)
+        del rk  # at most one K-way transpose is alive at a time
+    t_id = _trace_with(Vm, M)
     e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
 
     pair_split = {}
     if n == 3:
         for partner in range(3):
             if partner != p:
-                t_pair = _trace_with(P, _pair_pt(M, dims, p, partner))
+                t_pair = _trace_with(Vm, _pair_pt(M, dims, p, partner))
                 pair_split[partner] = (-2.0 * t_pair + t_id) / (d_p - 1)
 
     gate = np.abs(e0) <= _T.eps_norm
     return _ReportArrays(
         n_global=n_global,
-        n_kway=n_kway,
         e_partial=e_partial,
         e0=e0,
         pair_split=pair_split,
         sum_residual=np.abs(n_global - (sum(e_partial.values()) - e0)),
         violates={K: gate & (ek > n_global + _T.eps_norm) for K, ek in e_partial.items()},
         eigenvalues=w,
-        negative_vectors=V,
+        negative_vectors=Vm,
     )
 
 
 def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
-    a = _report_arrays(rho.matrix[None], rho.layout.dims, p)
+    M, dims = rho.matrix[None], rho.layout.dims
+    n_kway = {}
+
+    def kway_pts():
+        # n_kway from each K-way transpose while its channel is taken
+        for K, rk in _kway_pts(M, dims, p):
+            n_kway[K] = negativity_from_pt(rk[0], dims[p])
+            yield K, rk
+            del rk
+
+    a = _report_arrays(M, dims, p, kway_pts())
 
     def row(d: dict) -> dict:
         return {k: float(v[0]) for k, v in d.items()}
@@ -185,7 +219,7 @@ def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
     return NegativityReport(
         focus=p,
         n_global=n_global,
-        n_kway=row(a.n_kway),
+        n_kway=n_kway,
         e_partial=e_partial,
         e0=float(a.e0[0]),
         pair_split=row(a.pair_split),

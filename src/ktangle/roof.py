@@ -20,6 +20,8 @@ import numpy as np
 from .config import (
     DEFAULT_TOLERANCES,
     ROOF_ACCEPT_MARGIN,
+    ROOF_CONVERGED_DROP,
+    ROOF_ISOMETRY_EPS,
     ROOF_MEMBER_CUTOFF,
     ROOF_RANK_CUTOFF,
     ValidationError,
@@ -109,7 +111,7 @@ def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
     W = np.asarray(W, dtype=complex)
     if W.shape != (m, r):
         raise ValidationError(f"isometry shape {W.shape} does not map rank {r} to {m} members")
-    if m < r or np.abs(W.conj().T @ W - np.eye(r)).max() > 1e-10:
+    if m < r or np.abs(W.conj().T @ W - np.eye(r)).max() > ROOF_ISOMETRY_EPS:
         raise ValidationError("decomposition matrix must have orthonormal columns")
     base = vec * np.sqrt(lam)
     phis = W @ base.T
@@ -239,7 +241,7 @@ def roof_negativity(
         value=float(cur[best]),
         certificate=_ensemble(layout, phis[best], probs[best]),
         restarts_used=R,
-        converged=(at_mark[best] - cur[best]) < 1e-8,
+        converged=(at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP,
     )
 
 

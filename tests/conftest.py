@@ -228,3 +228,94 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
         restarts_used=budget.restarts,
         converged=best[3],
     )
+
+
+def svd_trace_norm(M):
+    """Sum of singular values of a matrix (or stack).
+
+    The suite's trace-norm oracle for the Hermitian spectrum in
+    kt.trace_norm.
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("trace_norm needs a square matrix")
+    s = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    return float(s) if M.ndim == 2 else s
+
+
+def _projector_of(M, dims, p):
+    """Global transposes g of a stack, their spectra w, the leading
+    eigenvector columns that hold every eigenvalue < -eps_eig, and P_minus
+    per matrix, built as a D x D matrix."""
+    from ktangle.core import _outer
+    from ktangle.transpose import _global_pt
+
+    g = _global_pt(M, dims, p)
+    es = kt.hermitian_eigensystem(g)
+    neg = es.eigenvalues < -kt.DEFAULT_TOLERANCES.eps_eig
+    c = int(neg.sum(axis=-1).max(initial=0))
+    V = es.eigenvectors[..., :c].copy()
+    P = np.zeros(M.shape, dtype=complex)
+    for j in range(c):
+        P += _outer(V[..., j] * neg[..., j, None])
+    return g, es.eigenvalues, V, P
+
+
+def _projector_trace_with(P, M):
+    """Re Tr(P M) for each stacked pair."""
+    return np.trace(P @ M, axis1=-2, axis2=-1).real
+
+
+def _projector_channel(P, M, d_p):
+    return -(2.0 / (d_p - 1)) * _projector_trace_with(P, M)
+
+
+def projector_kway_channel(M, dims, K, p):
+    """E_K^p of each matrix of a stack through the D x D projector."""
+    from ktangle.transpose import _kway_pt
+
+    return _projector_channel(_projector_of(M, dims, p)[3], _kway_pt(M, dims, K, p), dims[p])
+
+
+def projector_report(M, dims, p):
+    """Every NegativityReport field of focus p for a stack M of shape (B, D, D),
+    one array per field (dicts of arrays for the per-K and per-partner ones).
+
+    The suite's oracle for negativity_report: trace norms by SVD and channels
+    by the D x D projector P_minus, Tr(P_minus M).
+    """
+    from ktangle.transpose import _kway_pt, _pair_pt
+
+    eps_norm = kt.DEFAULT_TOLERANCES.eps_norm
+    n, d_p = len(dims), dims[p]
+    g, w, V, P = _projector_of(M, dims, p)
+
+    n_global = (svd_trace_norm(g) - 1.0) / (d_p - 1)
+    n_kway = {}
+    e_partial = {}
+    for K in range(2, n + 1):
+        rk = _kway_pt(M, dims, K, p)
+        n_kway[K] = (svd_trace_norm(rk) - 1.0) / (d_p - 1)
+        e_partial[K] = _projector_channel(P, rk, d_p)
+    t_id = _projector_trace_with(P, M)
+    e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
+
+    pair_split = {}
+    if n == 3:
+        for partner in range(3):
+            if partner != p:
+                t_pair = _projector_trace_with(P, _pair_pt(M, dims, p, partner))
+                pair_split[partner] = (-2.0 * t_pair + t_id) / (d_p - 1)
+
+    gate = np.abs(e0) <= eps_norm
+    return {
+        "n_global": n_global,
+        "n_kway": n_kway,
+        "e_partial": e_partial,
+        "e0": e0,
+        "pair_split": pair_split,
+        "sum_residual": np.abs(n_global - (sum(e_partial.values()) - e0)),
+        "violates": {K: gate & (ek > n_global + eps_norm) for K, ek in e_partial.items()},
+        "eigenvalues": w,
+        "negative_vectors": V,
+    }

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, L4, jacobi_eigensystem, mixed_state, real_pure
+from conftest import L2, L3, L4, jacobi_eigensystem, mixed_state, real_pure, svd_trace_norm
 
 
 @given(st.integers(0, 15))
@@ -166,6 +166,8 @@ def test_eigensystem_rejects_non_hermitian():
 def test_trace_norm_equals_abs_eigenvalue_sum(seed):
     h = _unit_hermitian(np.random.default_rng(seed), 6)
     assert abs(kt.trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
+    # the singular-value sum is independent of the eigenvalue route taken
+    assert abs(kt.trace_norm(h) - svd_trace_norm(h)) < 1e-13
 
 
 def test_trace_norm_needs_square():

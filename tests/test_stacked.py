@@ -17,7 +17,7 @@ from ktangle import cli, negativity
 from ktangle.core import _check_density, _check_norm, _outer, _partial_trace
 from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
-from ktangle.transpose import _global_pt
+from ktangle.transpose import _global_pt, _kway_pt
 
 from conftest import L3, L4, mixed_state
 
@@ -47,6 +47,10 @@ def test_report_arrays_match_batch_of_one(name):
     layout, M = STACKS[name]()
     for p in range(layout.n_subsystems):
         a = _report_arrays(M, layout.dims, p)
+        n_kway = {
+            K: kt.negativity_from_pt(_kway_pt(M, layout.dims, K, p), layout.dims[p])
+            for K in range(2, layout.n_subsystems + 1)
+        }
         for b in range(M.shape[0]):
             rep = kt.negativity_report(kt.DensityOperator(layout, M[b]), p)
             # same LAPACK calls on the same matrix: bit for bit
@@ -56,7 +60,9 @@ def test_report_arrays_match_batch_of_one(name):
             vecs = a.negative_vectors[b].T[: len(rep.negative_eigenpairs)]
             for vec, (_, ref) in zip(vecs, rep.negative_eigenpairs, strict=True):
                 assert np.abs(vec - ref).max() <= 1e-14
-            for field in ("n_kway", "e_partial", "pair_split"):
+            # the stack has no n_kway; the report takes it from the stacked route
+            assert {K: v[b] for K, v in n_kway.items()} == rep.n_kway
+            for field in ("e_partial", "pair_split"):
                 row = getattr(a, field)
                 ref = getattr(rep, field)
                 assert set(row) == set(ref)
