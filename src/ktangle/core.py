@@ -4,6 +4,15 @@ Index convention used throughout the project: basis label |i1 i2 ... iN> maps
 to the flat index with the LAST subsystem fastest, so for three qubits
 k = 4*i1 + 2*i2 + i3.
 
+Validation happens once, at the boundary: the state-file parser, the public
+constructors (PureState, DensityOperator, LocalUnitary, Ensemble) and the
+public functions that take a raw array (hermitian_eigensystem, trace_norm)
+check their input.  What the package derives from checked objects is
+trusted: outer, partial_trace and Ensemble.density build their result
+through _density, which skips the checks, and the other modules call the
+kernels _eigh and _trace_norm, which skip the hermiticity check (_eigh keeps
+the eigenpair residual check).
+
 hermitian_eigensystem, trace_norm and the private checks and kernels also
 take stacks: leading axes index the stack and the last two axes hold each
 matrix.  A check applies to every matrix of the stack and names the first
@@ -78,6 +87,13 @@ class DensityOperator:
         _check_density(self.matrix)
 
 
+def _density(layout: SubsystemLayout, matrix: np.ndarray) -> DensityOperator:
+    """A DensityOperator of a matrix derived from validated input, unchecked."""
+    rho = object.__new__(DensityOperator)
+    rho.layout, rho.matrix = layout, matrix
+    return rho
+
+
 @dataclass
 class EigenSystem:
     """Ascending real spectrum with orthonormal eigenvectors as columns."""
@@ -140,9 +156,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _check_norm(v: np.ndarray):
+    """|norm^2 - 1| <= eps_norm per stacked vector, as for a trace."""
     nrm = _norms(v)
-    message = f"state norm = {{}}, must be 1 within {_T.eps_norm}"
-    _require(np.abs(nrm - 1.0) <= _T.eps_norm, nrm, message)
+    message = f"state norm = {{}}, its square must be 1 within {_T.eps_norm}"
+    _require(np.abs(nrm * nrm - 1.0) <= _T.eps_norm, nrm, message)
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
@@ -174,7 +191,7 @@ def multi_index(k: int, layout: SubsystemLayout) -> tuple:
 
 
 def outer(psi: PureState) -> DensityOperator:
-    return DensityOperator(psi.layout, _outer(psi.amplitudes))
+    return _density(psi.layout, _outer(psi.amplitudes))
 
 
 def _keep_list(keep, n: int) -> list:
@@ -190,8 +207,8 @@ def _keep_list(keep, n: int) -> list:
 def _partial_trace(M: np.ndarray, dims: tuple, keep) -> np.ndarray:
     """Reduced matrices of a stack on the subsystems in keep.
 
-    The results are not checked as density operators; callers that need it
-    run _check_density on them.
+    The reductions of validated density matrices are density matrices, so
+    the results are not checked again.
     """
     n, lead = len(dims), M.shape[:-2]
     keep = _keep_list(keep, n)
@@ -206,18 +223,29 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every subsystem not in keep; kept order follows the layout."""
     keep = _keep_list(keep, rho.layout.n_subsystems)
     sub = SubsystemLayout(tuple(rho.layout.dims[m] for m in keep))
-    return DensityOperator(sub, _partial_trace(rho.matrix, rho.layout.dims, keep))
+    return _density(sub, _partial_trace(rho.matrix, rho.layout.dims, keep))
+
+
+def _eigh(M: np.ndarray):
+    """Ascending spectra w and eigenvectors V of a Hermitian stack, residuals
+    checked; the hermiticity of M is not."""
+    w, V = np.linalg.eigh(M)
+    resid = np.abs(M @ V - V * w[..., None, :]).max(axis=(-2, -1))
+    _require(resid <= _T.eps_herm, resid, f"eigenpair residual {{}} exceeds {_T.eps_herm}",
+             NumericalError)
+    return w, V
 
 
 def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
     """Full spectrum of a Hermitian matrix (or stack), ascending, residuals checked."""
     M = np.asarray(M, dtype=complex)
     _check_hermitian(M)
-    w, V = np.linalg.eigh(M)
-    resid = np.abs(M @ V - V * w[..., None, :]).max(axis=(-2, -1))
-    _require(resid <= _T.eps_herm, resid, f"eigenpair residual {{}} exceeds {_T.eps_herm}",
-             NumericalError)
-    return EigenSystem(w, V)
+    return EigenSystem(*_eigh(M))
+
+
+def _trace_norm(M: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalue| of each stacked Hermitian matrix, unchecked."""
+    return np.abs(np.linalg.eigvalsh(M)).sum(axis=-1)
 
 
 def trace_norm(M: np.ndarray):
@@ -232,7 +260,7 @@ def trace_norm(M: np.ndarray):
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("trace_norm needs a square matrix")
     _check_hermitian(M)
-    s = np.abs(np.linalg.eigvalsh(M)).sum(axis=-1)
+    s = _trace_norm(M)
     return float(s) if M.ndim == 2 else s
 
 

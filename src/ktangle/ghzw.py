@@ -22,9 +22,8 @@ from .canonical import (
     coherence_delta,
 )
 from .core import LocalUnitary, PureState, outer, qubit_layout
-from .negativity import negativity_from_pt
+from .negativity import _global_negativity
 from .config import GHZW_ROOT_EPS, GHZW_ROOT_RTOL, NumericalError, ValidationError
-from .transpose import global_pt
 
 _L3 = qubit_layout(3)
 _TAU_COEF = 8.0 * math.sqrt(6.0) / 9.0
@@ -182,8 +181,7 @@ def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
     for q in np.linspace(q_start, q_end, steps):
         params = GhzwParams(q=float(q), sign=sign)
         psi = build_ghzw(params)
-        rho = outer(psi)
-        n_global = negativity_from_pt(global_pt(rho, 0), 2)
+        n_global = float(_global_negativity(outer(psi).matrix, psi.layout.dims, 0))
         form = ghzw_canonical_params(params).forms[0]
         neg_closed, _ = canonical_closed_forms(form)
         e2 = neg_closed.e_partial[2]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import DensityOperator, hermitian_eigensystem, trace_norm
+from .core import DensityOperator, _eigh, _trace_norm, hermitian_eigensystem, trace_norm
 from .transpose import _global_pt, _kway_pt, _pair_pt
 
 _T = DEFAULT_TOLERANCES
@@ -98,6 +98,11 @@ def negativity_from_pt(M: np.ndarray, d_p: int):
     return _negativity(trace_norm(M), d_p)
 
 
+def _global_negativity(M: np.ndarray, dims: tuple, p: int):
+    """N_G^p of each matrix of a stack (or of one matrix), unchecked."""
+    return _negativity(_trace_norm(_global_pt(M, dims, p)), dims[p])
+
+
 def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
     """(eigenvalue, eigenvector) of one spectrum for eigenvalues < -eps_eig.
 
@@ -134,12 +139,11 @@ def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
     eigenvalue is not below -eps_eig for its own matrix is zero, so
     Vm Vm^dagger is P_minus of every matrix.
     """
-    es = hermitian_eigensystem(_global_pt(M, dims, p))
-    w = es.eigenvalues
+    w, V = _eigh(_global_pt(M, dims, p))
     neg = w < -_T.eps_eig
     c = int(neg.sum(axis=-1).max(initial=0))
     # a new array, so that the full eigenvector array is freed on return
-    return w, es.eigenvectors[..., :c] * neg[..., None, :c]
+    return w, V[..., :c] * neg[..., None, :c]
 
 
 def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
@@ -205,7 +209,7 @@ def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
     def kway_pts():
         # n_kway from each K-way transpose while its channel is taken
         for K, rk in _kway_pts(M, dims, p):
-            n_kway[K] = negativity_from_pt(rk[0], dims[p])
+            n_kway[K] = float(_negativity(_trace_norm(rk[0]), dims[p]))
             yield K, rk
             del rk
 

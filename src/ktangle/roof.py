@@ -26,9 +26,8 @@ from .config import (
     ROOF_RANK_CUTOFF,
     ValidationError,
 )
-from .core import DensityOperator, PureState, _check_density, _outer, outer, partial_trace
-from .negativity import _kway_channel, negativity_from_pt
-from .transpose import _global_pt, global_pt
+from .core import DensityOperator, PureState, _density, _outer, outer, partial_trace
+from .negativity import _global_negativity, _kway_channel
 
 _T = DEFAULT_TOLERANCES
 
@@ -54,7 +53,7 @@ class Ensemble:
     def density(self) -> DensityOperator:
         layout = self.members[0][1].layout
         m = sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in self.members)
-        return DensityOperator(layout, m)
+        return _density(layout, m)
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,9 @@ def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
 def _stack_measure(measure: str, p: int, layout):
     """The named measure of focus p as a function of a (b, D, D) stack of
     density matrices, one value per matrix."""
-    dims, d_p = layout.dims, layout.dims[p]
+    dims = layout.dims
     if measure == "global":
-        return lambda M: negativity_from_pt(_global_pt(M, dims, p), d_p)
+        return lambda M: _global_negativity(M, dims, p)
     if measure.startswith("k") and measure[1:].isdigit():
         k = int(measure[1:])
         if not 2 <= k <= layout.n_subsystems:
@@ -133,19 +132,9 @@ def _stack_measure(measure: str, p: int, layout):
 
 
 def _member_value(measure: str, p: int, layout):
-    """The measure of each member of a (b, D) stack of normalized vectors.
-
-    Every member density |v><v| passes the hermiticity, trace and
-    smallest-eigenvalue checks; a failure names its stack index.
-    """
+    """The measure of each member of a (b, D) stack of normalized vectors."""
     of_stack = _stack_measure(measure, p, layout)
-
-    def val(vecs: np.ndarray) -> np.ndarray:
-        M = _outer(vecs)
-        _check_density(M)
-        return of_stack(M)
-
-    return val
+    return lambda vecs: of_stack(_outer(vecs))
 
 
 def _rotate(g, theta: float, phis: np.ndarray):
@@ -259,5 +248,4 @@ def reduced_pair_negativity(psi: PureState, pair) -> float:
         raise ValidationError("pair must name two distinct subsystems")
     keep = sorted((p, partner))
     rho2 = partial_trace(outer(psi), keep)
-    pos = keep.index(p)
-    return negativity_from_pt(global_pt(rho2, pos), rho2.layout.dims[pos])
+    return float(_global_negativity(rho2.matrix, rho2.layout.dims, keep.index(p)))

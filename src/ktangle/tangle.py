@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import WOOTTERS_CLAMP
-from .core import (
-    DensityOperator,
-    PureState,
-    _check_density,
-    _partial_trace,
-    hermitian_eigensystem,
-    outer,
-)
+from .core import DensityOperator, PureState, _eigh, _partial_trace, outer
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -32,9 +25,7 @@ class TangleReport:
 
 
 def _one_tangle(M: np.ndarray, dims: tuple, p: int) -> np.ndarray:
-    r1 = _partial_trace(M, dims, [p])
-    _check_density(r1)
-    return 4.0 * np.linalg.det(r1).real
+    return 4.0 * np.linalg.det(_partial_trace(M, dims, [p])).real
 
 
 def one_tangle(psi: PureState, p: int) -> float:
@@ -61,11 +52,10 @@ def _wootters(M: np.ndarray) -> np.ndarray:
     sqrt(machine noise)).
     """
     rt = _spin_flip(M)
-    es = hermitian_eigensystem(M)
-    ev = np.clip(es.eigenvalues, 0.0, None)
-    V = es.eigenvectors
+    w, V = _eigh(M)
+    ev = np.clip(w, 0.0, None)
     sq = (V * np.sqrt(ev)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    lam2 = hermitian_eigensystem(sq @ rt @ sq).eigenvalues
+    lam2 = _eigh(sq @ rt @ sq)[0]
     lam2 = np.where(np.abs(lam2) < WOOTTERS_CLAMP, 0.0, np.clip(lam2, 0.0, None))
     lam = np.sqrt(lam2)[..., ::-1]
     c = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
@@ -90,7 +80,6 @@ def _tangles(M: np.ndarray, dims: tuple, focus: int):
             # two-qubit reduction with the focus qubit first
             t = red.reshape(lead + (2, 2, 2, 2))
             red = np.swapaxes(np.swapaxes(t, -4, -3), -2, -1).reshape(lead + (4, 4))
-        _check_density(red)
         pairs[partner] = _wootters(red)
     return _one_tangle(M, dims, focus), pairs
 

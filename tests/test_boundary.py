@@ -1,0 +1,78 @@
+"""Validation happens once, at the boundary.
+
+The state-file parser and the public constructors check their input; nothing
+the package derives from a checked object is checked again.  The core checks
+are counted at every module that binds them while a command runs.
+"""
+
+import contextlib
+import io
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import ktangle as kt
+from ktangle import cli, core
+
+from conftest import L2, L3, amplitudes_json, mixed_state, real_pure
+
+_CHECKS = ("_check_density", "_check_norm", "_check_hermitian")
+
+
+@pytest.fixture
+def checks_of(monkeypatch):
+    """checks_of(argv): the core check calls, by name, of one command."""
+    counts = Counter()
+    for name in _CHECKS:
+        original = getattr(core, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ktangle" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    def run(argv):
+        counts.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return +counts
+
+    return run
+
+
+@pytest.mark.parametrize("qubits", ["3", "4"])
+def test_audit_checks_nothing_it_drew_itself(checks_of, qubits):
+    assert checks_of(["audit", "--random", "600", "--seed", "3", "--qubits", qubits]) == {}
+
+
+def test_analyze_pure_checks_the_norm_once(checks_of, write_state):
+    psi = real_pure(L3, np.random.default_rng(1))
+    path = write_state("pure.json", {"dims": [2, 2, 2], "amplitudes": amplitudes_json(psi.amplitudes)})
+    assert checks_of(["analyze", path, "--canonical"]) == {"_check_norm": 1}
+
+
+def test_analyze_matrix_checks_the_density_once(checks_of, write_state):
+    rho = mixed_state(L3, np.random.default_rng(2), real=True)
+    doc = {"dims": [2, 2, 2], "matrix": [amplitudes_json(row) for row in rho.matrix]}
+    got = checks_of(["analyze", write_state("mixed.json", doc)])
+    assert got == {"_check_density": 1, "_check_hermitian": 1}
+
+
+def test_roof_and_sweep_check_no_density(checks_of, write_state):
+    rng = np.random.default_rng(3)
+    members = [
+        {"p": p, "amplitudes": amplitudes_json(kt.haar_random_pure(L2, rng).amplitudes)}
+        for p in (0.3, 0.7)
+    ]
+    path = write_state("ens.json", {"dims": [2, 2], "ensemble": members})
+    for argv in (
+        ["roof", path, "--focus", "A", "--measure", "global", "--restarts", "2"],
+        ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "0:1:11"],
+    ):
+        got = checks_of(argv)
+        assert got["_check_density"] == got["_check_hermitian"] == 0, (argv[0], got)

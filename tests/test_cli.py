@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import ktangle as kt
 from ktangle.cli import main
 
-from conftest import amplitudes_json, mixed_state
+from conftest import amplitudes_json, mixed_state, real_pure
 
 
 def _ghz_doc():
@@ -97,6 +97,41 @@ def test_analyze_bad_norm_message(write_state, capsys):
     assert rc == 1
     assert out == ""
     assert "norm" in err and "0.9" in err
+
+
+_ROOF_PURE = ["--focus", "A", "--measure", "global", "--restarts", "1"]
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["canonicalize"], ["roof"] + _ROOF_PURE], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize("norm_error, rejected", [(7e-10, True), (4e-10, False)])
+def test_pure_norm_is_checked_squared_at_the_parser(
+    write_state, capsys, command, norm_error, rejected
+):
+    # |norm^2 - 1| is the quantity that the trace of |psi><psi| and the
+    # canonical amplitude sum carry, so a file the parser accepts passes
+    # every later stage and one it would fail on is rejected up front
+    v = real_pure(kt.qubit_layout(3), np.random.default_rng(4)).amplitudes * (1.0 + norm_error)
+    path = write_state("near.json", {"dims": [2, 2, 2], "amplitudes": amplitudes_json(v)})
+    rc, out, err = _run(capsys, [command[0], path] + command[1:])
+    if rejected:
+        assert (rc, out) == (1, "")
+        assert err.startswith("validation error: state norm")
+    else:
+        assert rc == 0, err
+        assert json.loads(out)["input"]["kind"] == "pure"
+
+
+def test_analyze_matrix_within_the_hermiticity_bound(write_state, capsys):
+    # a 1e-12 defect passes the parser (eps_herm = 1e-10), which keeps the
+    # Hermitian part, so the transposes' 1e-14 output check passes too
+    m = mixed_state(kt.qubit_layout(3), np.random.default_rng(8), real=True).matrix.copy()
+    m[1, 2] += 1e-12
+    doc_in = {"dims": [2, 2, 2], "matrix": [amplitudes_json(row) for row in m]}
+    rc, out, err = _run(capsys, ["analyze", write_state("defect.json", doc_in)])
+    assert rc == 0, err
+    assert [r["negativity"]["focus"] for r in json.loads(out)["reports"]] == ["A", "B", "C"]
 
 
 def test_analyze_nan_entry_is_a_parse_error(write_state, capsys):

@@ -260,11 +260,3 @@ def test_stacked_member_value_matches_density_route(layout, measure):
             else:
                 want = kt.partial_kway_negativity(rho, int(measure[1:]), p)
             assert np.array_equal(g, want)
-
-
-@pytest.mark.parametrize("measure", ["global", "k2"])
-def test_stacked_member_value_checks_every_member(measure):
-    vecs = _member_stack(L3, np.random.default_rng(6), 6)
-    vecs[3] *= 1.01  # trace 1.0201, caught by the density check of the stack
-    with pytest.raises(kt.ValidationError, match=r"trace = .* \(stack index 3\)"):
-        _member_value(measure, 0, L3)(vecs)

@@ -148,3 +148,20 @@ def test_parse_matrix_as_documented():
     want = np.zeros((4, 4))
     want[0, 0] = want[0, 3] = want[3, 0] = want[3, 3] = 0.5
     assert np.array_equal(rho.matrix, want)
+
+
+@pytest.mark.parametrize("defect", [0.0, 1e-13, 1e-11])
+def test_parse_matrix_keeps_the_hermitian_part(defect):
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    m = X @ X.conj().T
+    m = (m + m.conj().T) / (2 * np.trace(m).real)
+    m[1, 2] += defect
+    doc = {"dims": [2, 2, 2], "matrix": [amplitudes_json(row) for row in m]}
+    got = parse_state_file(json.dumps(doc)).matrix
+    assert np.array_equal(got, got.conj().T)
+    if defect == 0.0:
+        # an exactly Hermitian file is kept bit for bit
+        assert np.array_equal(got, m)
+    else:
+        assert np.abs(got - m).max() == pytest.approx(defect / 2, rel=1e-3)
