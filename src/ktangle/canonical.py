@@ -25,8 +25,12 @@ import numpy as np
 
 from .config import (
     CANONICAL_AMP_EPS,
+    CANONICAL_COEF_EPS,
     CANONICAL_DISC_EPS,
+    CANONICAL_DIVISOR_EPS,
+    CANONICAL_NEWTON_EPS,
     CANONICAL_RESIDUAL,
+    CANONICAL_ROOT_RTOL,
     DEFAULT_TOLERANCES,
     NumericalError,
     ValidationError,
@@ -153,19 +157,25 @@ def _quadratic_roots(a0: complex, b0: complex, c0: complex):
     sign-stabilized (the sqrt branch is chosen to avoid cancellation in q).
     """
     scale = max(abs(a0), abs(b0), abs(c0))
-    if scale < 1e-15:
+    if scale < CANONICAL_COEF_EPS:
         return [(1.0 + 0j, 0.0 + 0j)]
     disc = b0 * b0 - 4 * a0 * c0
     if abs(disc) < CANONICAL_DISC_EPS:
         if abs(a0) >= abs(c0):
-            return [(1.0 + 0j, -b0 / (2 * a0))] if abs(a0) > 1e-15 else [(0.0 + 0j, 1.0 + 0j)]
+            if abs(a0) > CANONICAL_COEF_EPS:
+                return [(1.0 + 0j, -b0 / (2 * a0))]
+            return [(0.0 + 0j, 1.0 + 0j)]
         return [(-b0 / (2 * c0), 1.0 + 0j)]
     sq = cmath.sqrt(disc)
     if (b0.conjugate() * sq).real < 0:
         sq = -sq
     qq = -0.5 * (b0 + sq)
-    r1 = (1.0 + 0j, qq / a0) if abs(a0) > abs(qq) * 1e-14 and abs(a0) > 1e-300 else (0.0 + 0j, 1.0 + 0j)
-    r2 = (1.0 + 0j, c0 / qq) if abs(qq) > 1e-300 else (1.0 + 0j, 0.0 + 0j)
+    r1 = (
+        (1.0 + 0j, qq / a0)
+        if abs(a0) > abs(qq) * CANONICAL_ROOT_RTOL and abs(a0) > CANONICAL_DIVISOR_EPS
+        else (0.0 + 0j, 1.0 + 0j)
+    )
+    r2 = (1.0 + 0j, c0 / qq) if abs(qq) > CANONICAL_DIVISOR_EPS else (1.0 + 0j, 0.0 + 0j)
     return [r1, r2]
 
 
@@ -175,12 +185,12 @@ def _polish(root, a0, b0, c0):
     if x != 0 and abs(y / x) <= 1.0:
         mu = y / x
         der = 2 * a0 * mu + b0
-        if abs(der) > 1e-13:
+        if abs(der) > CANONICAL_NEWTON_EPS:
             mu = mu - (a0 * mu * mu + b0 * mu + c0) / der
         return (1.0 + 0j, mu)
     nu = x / y if y != 0 else 0.0 + 0j
     der = 2 * c0 * nu + b0
-    if abs(der) > 1e-13:
+    if abs(der) > CANONICAL_NEWTON_EPS:
         nu = nu - (c0 * nu * nu + b0 * nu + a0) / der
     return (nu, 1.0 + 0j)
 

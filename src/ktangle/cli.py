@@ -296,7 +296,7 @@ def _cmd_audit(args) -> int:
         neg = _report_arrays(rho, layout.dims, 0)
         viol_e2 += int(neg.violates[2].sum())
         viol_e3 += int(neg.violates[3].sum())
-        tau_f, pairs = _tangles(rho, layout.dims, 0)
+        tau_f, pairs = _tangles(v, layout.dims, 0)
         viol_ckw += int((tau_f + _T.eps_norm < sum(pairs.values())).sum())
     print("states,qubits,seed,viol_ng_e2,viol_ng_e3,viol_ckw")
     print(f"{n_states},{args.qubits},{args.seed},{viol_e2},{viol_e3},{viol_ckw}")

@@ -20,14 +20,24 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# Clamp threshold for eigenvalues of the spin-flipped product matrix before
-# square roots.  The exact zeros of rank-deficient inputs otherwise pick up
-# O(sqrt(machine eps)) noise which would dominate the concurrence.
-WOOTTERS_CLAMP = 1e-12
-
 # Discriminant magnitude below which the slice quadratic is treated as a
 # double root (single canonical form returned).
 CANONICAL_DISC_EPS = 1e-12
+
+# Slice-quadratic coefficients below this vanish: all three below it make the
+# quadratic identically zero (any rotation works), and a leading coefficient
+# below it at a double root puts the root at infinity.
+CANONICAL_COEF_EPS = 1e-15
+
+# A quadratic root q/a is taken only where |a| exceeds this multiple of |q|;
+# below it the root sits at infinity in the affine chart.
+CANONICAL_ROOT_RTOL = 1e-14
+
+# Divisors at or below this are treated as zero in the root formulas.
+CANONICAL_DIVISOR_EPS = 1e-300
+
+# The Newton polish of a root is skipped where the derivative is this small.
+CANONICAL_NEWTON_EPS = 1e-13
 
 # Maximum allowed leakage outside the canonical support after reduction.
 CANONICAL_RESIDUAL = 1e-8
@@ -52,7 +62,8 @@ TRANSPOSE_HERM_EPS = 1e-14
 # Largest entry of |U^dagger U - 1| accepted for a local unitary.
 UNITARITY_EPS = 1e-12
 
-# Eigenvalues of a state above this count toward its rank in the roof search.
+# Eigenvalues of a state above this count toward its rank in the roof search,
+# and span the members of the exact two-qubit roof.
 ROOF_RANK_CUTOFF = 1e-12
 
 # Roof members with weight at or below this are dropped from a certificate

@@ -7,11 +7,14 @@ k = 4*i1 + 2*i2 + i3.
 Validation happens once, at the boundary: the state-file parser, the public
 constructors (PureState, DensityOperator, LocalUnitary, Ensemble) and the
 public functions that take a raw array (hermitian_eigensystem, trace_norm)
-check their input.  What the package derives from checked objects is
-trusted: outer, partial_trace and Ensemble.density build their result
-through _density, which skips the checks, and the other modules call the
-kernels _eigh and _trace_norm, which skip the hermiticity check (_eigh keeps
-the eigenpair residual check).
+check their input.  A DensityOperator whose hermiticity defect passes the
+check but exceeds TRANSPOSE_HERM_EPS, what a partial transpose may carry,
+stores its Hermitian part.  What the package derives from checked objects
+is trusted: outer, partial_trace and Ensemble.density build their result
+through _density, and the roof builds its certificate members through
+_pure, both unchecked; the other modules call the kernels _eigh and
+_trace_norm, which skip the hermiticity check (_eigh keeps the eigenpair
+residual check).
 
 hermitian_eigensystem, trace_norm and the private checks and kernels also
 take stacks: leading axes index the stack and the last two axes hold each
@@ -27,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, UNITARITY_EPS, NumericalError, ValidationError
+from .config import (
+    DEFAULT_TOLERANCES,
+    TRANSPOSE_HERM_EPS,
+    UNITARITY_EPS,
+    NumericalError,
+    ValidationError,
+)
 
 _T = DEFAULT_TOLERANCES
 
@@ -84,7 +93,18 @@ class DensityOperator:
         D = self.layout.total_dim
         if self.matrix.shape != (D, D):
             raise ValidationError(f"matrix shape {self.matrix.shape}, layout needs ({D},{D})")
-        _check_density(self.matrix)
+        if _check_density(self.matrix) > TRANSPOSE_HERM_EPS:
+            # the check allows a hermiticity defect up to eps_herm, but a
+            # partial transpose carries at most TRANSPOSE_HERM_EPS: keep the
+            # Hermitian part
+            self.matrix = (self.matrix + self.matrix.conj().T) / 2
+
+
+def _pure(layout: SubsystemLayout, amplitudes: np.ndarray) -> PureState:
+    """A PureState of normalized amplitudes derived from validated input, unchecked."""
+    psi = object.__new__(PureState)
+    psi.layout, psi.amplitudes = layout, amplitudes
+    return psi
 
 
 def _density(layout: SubsystemLayout, matrix: np.ndarray) -> DensityOperator:
@@ -134,18 +154,22 @@ def _hermiticity_defect(M: np.ndarray) -> np.ndarray:
     return np.abs(M - M.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _check_hermitian(M: np.ndarray):
+def _check_hermitian(M: np.ndarray) -> np.ndarray:
+    """Hermiticity defect <= eps_herm per stacked matrix; returns the defects."""
     defect = _hermiticity_defect(M)
     _require(defect <= _T.eps_herm, defect, f"hermiticity defect = {{}}, allowed {_T.eps_herm}")
+    return defect
 
 
-def _check_density(M: np.ndarray):
-    """Hermiticity, unit trace and no eigenvalue below -eps_norm, per stacked matrix."""
-    _check_hermitian(M)
+def _check_density(M: np.ndarray) -> np.ndarray:
+    """Hermiticity, unit trace and no eigenvalue below -eps_norm, per stacked
+    matrix; returns the hermiticity defects."""
+    defect = _check_hermitian(M)
     tr = np.trace(M, axis1=-2, axis2=-1)
     _require(np.abs(tr - 1.0) <= _T.eps_norm, tr, f"trace = {{}}, must be 1 within {_T.eps_norm}")
     lo = np.linalg.eigvalsh(M)[..., 0]
     _require(lo >= -_T.eps_norm, lo, f"smallest eigenvalue = {{}}, must be >= -{_T.eps_norm}")
+    return defect
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -5,8 +5,13 @@ over all decompositions.  Decompositions of a rank-r state into m members
 are parameterized by m x r matrices with orthonormal columns acting on the
 weighted eigenvectors, so the search runs over that isometry manifold with
 random restarts and accept-if-better two-member rotations under a cooling
-schedule.  Values reported are upper bounds on the true roof; the result
-record carries that caveat explicitly.
+schedule.  Its values are upper bounds on the true roof (bound "upper").
+
+The global roof of a two-qubit state is known in closed form: it is
+Wootters' concurrence (Lee, Kim, Park & Lee, J. Phys. A 36, 2003), and its
+optimal decomposition comes from the Takagi factorization that also gives
+the tangles (tangle._takagi).  That case is returned exactly (bound
+"exact"), with no search.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from .config import (
     ROOF_RANK_CUTOFF,
     ValidationError,
 )
-from .core import DensityOperator, PureState, _density, _outer, outer, partial_trace
+from .core import DensityOperator, PureState, _density, _outer, _pure, outer, partial_trace
 from .negativity import _global_negativity, _kway_channel
+from .tangle import _concurrence, _density_concurrence, _takagi
+from .transpose import _check_focus
 
 _T = DEFAULT_TOLERANCES
 
@@ -88,7 +95,7 @@ def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
     """Members phis[j]/sqrt(probs[j]) with weight probs[j], dropping weights
     <= ROOF_MEMBER_CUTOFF."""
     members = [
-        (float(q), PureState(layout, row / math.sqrt(q)))
+        (float(q), _pure(layout, row / math.sqrt(q)))
         for row, q in zip(phis, probs)
         if q > ROOF_MEMBER_CUTOFF
     ]
@@ -152,10 +159,132 @@ def _rotate(g, theta: float, phis: np.ndarray):
     return j, k, nj, nk, float(np.vdot(nj, nj).real), float(np.vdot(nk, nk).real)
 
 
+def _zero_diagonal(M: np.ndarray) -> np.ndarray:
+    """Real orthogonal O with diag(O M O^T) = 0, for a real symmetric M of
+    trace zero: a Givens sweep that zeroes one diagonal entry per rotation,
+    always pairing the largest with the smallest remaining entry."""
+    M = M.copy()
+    O = np.eye(len(M))
+    active = list(range(len(M)))
+    while len(active) > 1:
+        j = max(active, key=lambda i: M[i, i])
+        k = min(active, key=lambda i: M[i, i])
+        if not M[j, j] > 0.0 > M[k, k]:
+            break
+        # new M[j, j] = cos^2 (M_jj + 2 t M_jk + t^2 M_kk) for t = tan; the
+        # roots have opposite signs, take the smaller one stably
+        a, b, c = M[k, k], 2.0 * M[j, k], M[j, j]
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        t = c / q
+        cs = 1.0 / math.sqrt(1.0 + t * t)
+        G = np.eye(len(M))
+        G[j, j] = G[k, k] = cs
+        G[j, k], G[k, j] = t * cs, -t * cs
+        M = G @ M @ G.T
+        O = G @ O
+        active.remove(j)
+    return O
+
+
+def _closing_phases(sigma: np.ndarray) -> np.ndarray:
+    """Unit phases z with sum z_j sigma_j = 0 for descending sigma_1..4 with
+    sigma_1 <= sigma_2 + sigma_3 + sigma_4: a triangle (sigma_1, sigma_2, s)
+    whose side s splits into sigma_3 and sigma_4."""
+    s1, s2, s3, s4 = (float(x) for x in sigma)
+    s = max(s1 - s2, s3 - s4)
+
+    def turn(a, b):  # the angle t with |a + b e^{it}| = s
+        if a * b == 0.0:
+            return 0.0
+        return math.acos(min(1.0, max(-1.0, (s * s - a * a - b * b) / (2 * a * b))))
+
+    z2 = cmath.exp(1j * turn(s1, s2))
+    rest = -(s1 + s2 * z2)  # what sigma_3 and sigma_4 must add up to, |rest| = s
+    z4 = cmath.exp(1j * turn(s3, s4))
+    pair = s3 + s4 * z4
+    rot = (rest / abs(rest)) / (pair / abs(pair)) if abs(rest) > 0 and abs(pair) > 0 else 1.0
+    return np.array([1.0, z2, rot, rot * z4])
+
+
+# Real orthogonal 4 x 4 with equal squared entries: each row averages the diagonal.
+_HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+
+
+def _wootters_roof(rho: DensityOperator, lam: np.ndarray, vec: np.ndarray) -> RoofResult:
+    """Wootters' optimal decomposition of a two-qubit state of support
+    (lam, vec), every member of concurrence C (Wootters, PRL 80, 2245, 1998).
+
+    For rho = Phi Phi^dagger the members are the rows of U Phi^T for a
+    unitary U, with the concurrences |(U T U^T)_jj| / p_j.  U = Y Q^dagger
+    from the Takagi factorization T = Q Sigma Q^T gives U T U^T =
+    Y Sigma Y^T.  If C > 0, Y = diag(1, i, i, i) makes it diag(d) with
+    d = (sigma_1, -sigma_2, -sigma_3, -sigma_4) of trace C, and a real
+    rotation O that zeroes the diagonal of diag(d) - c Re G (G the members'
+    Gram matrix, c = C / tr rho, trace zero) leaves every member at
+    concurrence c.  If C = 0, phases with sum e^{i theta_j} sigma_j = 0 and a
+    4 x 4 Hadamard give every member concurrence 0.
+
+    The value is the concurrence of rho itself, the square root of
+    wootters_tangle bit for bit.  The members are built on the support: an
+    eigenvalue at or below ROOF_RANK_CUTOFF is roundoff whose eigenvector
+    column would only spawn members of negligible weight and arbitrary
+    concurrence.
+    """
+    value = float(_density_concurrence(rho.matrix[None])[0])
+    base = np.zeros((4, 4), dtype=complex)
+    base[: lam.size] = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
+    sigma, Q = (x[0] for x in _takagi(base.T[None]))
+    c = float(_concurrence(sigma))
+    if c > 0.0:
+        phis = (np.array([1.0, 1j, 1j, 1j])[:, None] * Q.conj().T) @ base
+        G = phis.conj() @ phis.T
+        d = np.array([sigma[0], -sigma[1], -sigma[2], -sigma[3]])
+        phis = _zero_diagonal(np.diag(d) - (c / np.trace(G).real) * G.real) @ phis
+    else:
+        phis = _HADAMARD4 @ ((np.sqrt(_closing_phases(sigma))[:, None] * Q.conj().T) @ base)
+    probs = np.einsum("jd,jd->j", phis, phis.conj()).real
+    return RoofResult(
+        value=value,
+        certificate=_ensemble(rho.layout, phis, probs),
+        restarts_used=0,
+        converged=True,
+        bound="exact",
+    )
+
+
 def roof_negativity(
     rho: DensityOperator, p: int, measure: str = "global", budget: RoofBudget = RoofBudget()
 ) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
+
+    A rank-one rho is its only decomposition.  The global roof of a two-qubit
+    state is Wootters' concurrence, returned exactly with its optimal
+    decomposition (_wootters_roof); budget does not enter.  Every other
+    measure and layout runs the search (_search), whose value is an upper
+    bound.
+    """
+    layout = rho.layout
+    of_stack = _stack_measure(measure, p, layout)
+    lam, vec = _support(rho)
+    if lam.size == 1:
+        # rank one: the only decomposition is the state itself, so evaluate
+        # the measure on rho as given (bitwise equal to the direct route)
+        psi = _pure(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
+        return RoofResult(
+            value=float(of_stack(rho.matrix[None])[0]),
+            certificate=Ensemble(members=((1.0, psi),)),
+            restarts_used=0,
+            converged=True,
+        )
+    if measure == "global" and layout.dims == (2, 2):
+        _check_focus(p, 2)
+        return _wootters_roof(rho, lam, vec)
+    return _search(layout, _member_value(measure, p, layout), lam, vec, budget)
+
+
+def _search(layout, value_of, lam: np.ndarray, vec: np.ndarray, budget: RoofBudget) -> RoofResult:
+    """The decomposition search over a support (lam, vec) of rank >= 2, with
+    value_of the member measure (_member_value).
 
     The restarts run in lockstep: each iteration evaluates the proposed
     members of every restart as one stack.  Restart i draws only from its own
@@ -163,20 +292,7 @@ def roof_negativity(
     sequential search and is deterministic and monotone nonincreasing in
     restarts.
     """
-    layout = rho.layout
-    value_of = _member_value(measure, p, layout)
-    lam, vec = _support(rho)
     r = lam.size
-    if r == 1:
-        # rank one: the only decomposition is the state itself, so evaluate
-        # the measure on rho as given (bitwise equal to the direct route)
-        psi = PureState(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
-        return RoofResult(
-            value=float(_stack_measure(measure, p, layout)(rho.matrix[None])[0]),
-            certificate=Ensemble(members=((1.0, psi),)),
-            restarts_used=0,
-            converged=True,
-        )
 
     m = max(r, min(2 * r, budget.m_max))
     base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k

@@ -79,11 +79,7 @@ def parse_state_file(text: str):
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"matrix must be a list of {n} rows")
         m = np.array([list(_vector(row, n, f"matrix[{i}]")) for i, row in enumerate(rows)])
-        rho = DensityOperator(layout, m)
-        # the check allows a defect up to eps_herm; keep the Hermitian part,
-        # which is bit for bit the matrix of an exactly Hermitian file
-        rho.matrix = (m + m.conj().T) / 2
-        return rho
+        return DensityOperator(layout, m)
 
     members = doc["ensemble"]
     if not isinstance(members, list) or not members:

@@ -1,7 +1,18 @@
 """One-tangle, Wootters two-qubit tangle and the three tangle.
 
-The private functions work on stacks of matrices (leading axes index the
-stack); the public ones are their batches of one.
+Every Wootters quantity comes from one Takagi factorization (Wootters, PRL
+80, 2245, 1998).  For any factor rho = Phi Phi^dagger of a two-qubit state,
+the complex symmetric matrix T = Phi^T (sy x sy) Phi has singular values
+lambda_1 >= ... >= lambda_4, the square roots of the spectrum of
+rho rho_tilde, and C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
+Nothing is squared and then square-rooted, so low-rank inputs need no clamp.
+A mixed state takes Phi = V sqrt(Lambda) from one eigensolve; the pair
+reduction of a pure state takes the amplitude slices over the other
+subsystems as Phi, with no eigensolve and no partial trace.  The Takagi
+vectors also give Wootters' optimal decomposition (roof.roof_negativity).
+
+The private functions work on stacks (leading axes index the stack); the
+public ones are their batches of one.
 """
 
 from __future__ import annotations
@@ -10,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WOOTTERS_CLAMP
-from .core import DensityOperator, PureState, _eigh, _partial_trace, outer
+from .core import DensityOperator, PureState, _eigh
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SYSY = np.kron(_SY, _SY)
+_SYSY = np.kron(_SY, _SY).real  # real: sy x sy = antidiag(-1, 1, 1, -1)
 
 
 @dataclass
@@ -24,41 +34,60 @@ class TangleReport:
     tau3: float
 
 
-def _one_tangle(M: np.ndarray, dims: tuple, p: int) -> np.ndarray:
-    return 4.0 * np.linalg.det(_partial_trace(M, dims, [p])).real
+def _takagi(Phi: np.ndarray, vectors: bool = True):
+    """Takagi factorization T = Q diag(sigma) Q^T of T = Phi^T (sy x sy) Phi
+    for each stacked (4, r) factor Phi.
+
+    Returns sigma (the min(r, 4) leading values, descending, padded with
+    zeros to 4) and, if vectors, the unitary Q (r x r), whose columns q
+    satisfy T conj(q) = sigma q.  With T = A + iB, the real symmetric
+    embedding [[A, B], [B, -A]] has the eigenpairs (+-sigma, [x; y]) and
+    (-+sigma, [-y; x]) for q = x + iy, so its ascending spectrum holds sigma
+    and the eigenvectors of its r largest eigenvalues hold Q.  A QR step
+    with the phases of R's diagonal makes Q exactly unitary: it moves q by
+    O(eps sigma_1 / sigma), so T = Q Sigma Q^T keeps an O(eps sigma_1)
+    residual, and columns of zero (or roundoff) sigma, whose embedding
+    eigenvectors may pair q with iq, are completed to an orthonormal basis
+    of the conjugated null space of T.
+    """
+    T = Phi.swapaxes(-1, -2) @ _SYSY @ Phi
+    A, B = T.real, T.imag
+    H = np.block([[A, B], [B, -A]])
+    r = T.shape[-1]
+    if vectors:
+        w, U = np.linalg.eigh(H)
+    else:
+        w = np.linalg.eigvalsh(H)
+    sigma = np.clip(w[..., r:][..., ::-1][..., :4], 0.0, None)
+    if r < 4:
+        sigma = np.concatenate([sigma, np.zeros(sigma.shape[:-1] + (4 - r,))], axis=-1)
+    if not vectors:
+        return sigma
+    top = U[..., r:][..., ::-1]  # eigenvectors of the r largest, descending
+    Q, R = np.linalg.qr(top[..., :r, :] + 1j * top[..., r:, :])
+    # the phase of a zero diagonal entry is taken as 1 (np.angle(0) = 0)
+    return sigma, Q * np.exp(1j * np.angle(np.diagonal(R, axis1=-2, axis2=-1)))[..., None, :]
 
 
-def one_tangle(psi: PureState, p: int) -> float:
-    """4 det of the reduced one-qubit state; equals (N_G^p)^2 for pure input."""
-    return float(_one_tangle(outer(psi).matrix[None], psi.layout.dims, p)[0])
+def _concurrence(sigma: np.ndarray) -> np.ndarray:
+    """Wootters' concurrence from descending Takagi values."""
+    return np.maximum(sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3], 0.0)
 
 
-def _spin_flip(M: np.ndarray) -> np.ndarray:
-    return _SYSY @ M.conj() @ _SYSY
+def _factor(M: np.ndarray) -> np.ndarray:
+    """Phi = V sqrt(max(Lambda, 0)) with M = Phi Phi^dagger, per stacked matrix."""
+    w, V = _eigh(M)
+    return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def spin_flip(rho2: DensityOperator) -> np.ndarray:
-    if rho2.matrix.shape != (4, 4):
-        raise ValueError("spin flip is defined for two-qubit states")
-    return _spin_flip(rho2.matrix)
+def _density_concurrence(M: np.ndarray) -> np.ndarray:
+    """Concurrence of each stacked two-qubit density matrix."""
+    return _concurrence(_takagi(_factor(M), vectors=False))
 
 
 def _wootters(M: np.ndarray) -> np.ndarray:
-    """Squared concurrence of each stacked two-qubit matrix, by two stacked eigensolves.
-
-    The spectrum of rho.rho_tilde is taken from the Hermitian similar matrix
-    sqrt(rho).rho_tilde.sqrt(rho); eigenvalues below the clamp are zeroed
-    before square roots (exact zeros of low-rank inputs otherwise surface as
-    sqrt(machine noise)).
-    """
-    rt = _spin_flip(M)
-    w, V = _eigh(M)
-    ev = np.clip(w, 0.0, None)
-    sq = (V * np.sqrt(ev)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    lam2 = _eigh(sq @ rt @ sq)[0]
-    lam2 = np.where(np.abs(lam2) < WOOTTERS_CLAMP, 0.0, np.clip(lam2, 0.0, None))
-    lam = np.sqrt(lam2)[..., ::-1]
-    c = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+    """Squared concurrence of each stacked two-qubit density matrix."""
+    c = _density_concurrence(M)
     return c * c
 
 
@@ -67,27 +96,48 @@ def wootters_tangle(rho2: DensityOperator) -> float:
     return float(_wootters(rho2.matrix[None])[0])
 
 
-def _tangles(M: np.ndarray, dims: tuple, focus: int):
+def _slices(amps: np.ndarray, dims: tuple, first: tuple) -> np.ndarray:
+    """Amplitude stack (..., D) as matrices: rows index the subsystems in
+    first (in that order), columns the others."""
+    lead = amps.shape[:-1]
+    t = amps.reshape(lead + dims)
+    t = np.moveaxis(t, [len(lead) + m for m in first], [len(lead) + k for k in range(len(first))])
+    rows = int(np.prod([dims[m] for m in first]))
+    return t.reshape(lead + (rows, -1))
+
+
+def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
+    """4 det of the reduced state of qubit p, per stacked amplitude vector."""
+    S = _slices(amps, dims, (p,))
+    r = S @ S.conj().swapaxes(-1, -2)
+    return 4.0 * (r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]).real
+
+
+def one_tangle(psi: PureState, p: int) -> float:
+    """4 det of the reduced one-qubit state; equals (N_G^p)^2 for pure input."""
+    return float(_one_tangle(psi.amplitudes[None], psi.layout.dims, p)[0])
+
+
+def _tangles(amps: np.ndarray, dims: tuple, focus: int):
     """One-tangle of the focus and the pair tangles tau_{focus,partner} of a
-    stack of qubit states, as (array, {partner: array})."""
-    lead = M.shape[:-2]
+    stack of pure qubit states (..., D), as (array, {partner: array}).
+
+    The pair reduction onto (focus, partner) is Phi Phi^dagger for the
+    amplitude slice Phi with rows (focus, partner), so Phi enters the Takagi
+    factorization directly.
+    """
     pairs = {}
     for partner in range(len(dims)):
-        if partner == focus:
-            continue
-        red = _partial_trace(M, dims, sorted((focus, partner)))
-        if focus > partner:
-            # two-qubit reduction with the focus qubit first
-            t = red.reshape(lead + (2, 2, 2, 2))
-            red = np.swapaxes(np.swapaxes(t, -4, -3), -2, -1).reshape(lead + (4, 4))
-        pairs[partner] = _wootters(red)
-    return _one_tangle(M, dims, focus), pairs
+        if partner != focus:
+            c = _concurrence(_takagi(_slices(amps, dims, (focus, partner)), vectors=False))
+            pairs[partner] = c * c
+    return _one_tangle(amps, dims, focus), pairs
 
 
 def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
     if psi.layout.dims != (2, 2, 2):
         raise ValueError("three tangle needs a three-qubit pure state")
-    tau_f, pairs = _tangles(outer(psi).matrix[None], psi.layout.dims, focus)
+    tau_f, pairs = _tangles(psi.amplitudes[None], psi.layout.dims, focus)
     tau_f = float(tau_f[0])
     tau_pairs = {partner: float(t[0]) for partner, t in pairs.items()}
     return TangleReport(

@@ -75,12 +75,41 @@ def _global_pt(M: np.ndarray, dims: tuple, p: int) -> np.ndarray:
     return _validate_output(t.reshape(M.shape))
 
 
-def _masked_focus_swap(M: np.ndarray, dims: tuple, p: int, dg, mask) -> np.ndarray:
-    stride = math.prod(dims[p + 1 :])
-    out = M.copy()
+@functools.lru_cache(maxsize=32)
+def _swap_addresses(dims: tuple, p: int, K: int, partner=None):
+    """Flat gather addresses (dst, src) of the focus-p swap over the elements
+    whose labels differ in exactly K subsystems (and, given a partner of a
+    three-subsystem layout, keep the third label fixed): the transpose is
+    M.flat[dst] = M.flat[src] per stacked matrix.
+
+    Cached per (dims, p, K, partner) and read-only: every K-way transpose of
+    a layout, in a report or in each iteration of a roof search, gathers from
+    the same addresses.
+    """
+    D = math.prod(dims)
+    dg, diff = _label_tables(dims)
+    # an element whose labels agree in the focus swaps onto itself: skip it
+    mask = (diff == K) & (dg[:, None, p] != dg[None, :, p])
+    if partner is not None:
+        third = next(m for m in range(3) if m not in (p, partner))
+        mask &= dg[:, None, third] == dg[None, :, third]
     R, C = np.nonzero(mask)
     # swapped element address: focus digit of r replaced by that of c and vice versa
-    out[..., R, C] = M[..., R + (dg[C, p] - dg[R, p]) * stride, C + (dg[R, p] - dg[C, p]) * stride]
+    shift = (dg[C, p] - dg[R, p]) * math.prod(dims[p + 1 :])
+    # int32 addresses take half the memory of intp wherever D^2 fits them
+    kind = np.int32 if D * D <= np.iinfo(np.int32).max else np.intp
+    dst = (R * D + C).astype(kind)
+    src = ((R + shift) * D + (C - shift)).astype(kind)
+    dst.flags.writeable = False
+    src.flags.writeable = False
+    return dst, src
+
+
+def _masked_focus_swap(M: np.ndarray, dims: tuple, p: int, K: int, partner=None) -> np.ndarray:
+    dst, src = _swap_addresses(dims, p, K, partner)
+    lead, D = M.shape[:-2], M.shape[-1]
+    out = M.copy()
+    out.reshape(lead + (D * D,))[..., dst] = M.reshape(lead + (D * D,))[..., src]
     return _validate_output(out)
 
 
@@ -89,8 +118,7 @@ def _kway_pt(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     if not 2 <= K <= n:
         raise ValueError(f"K = {K} out of range [2, {n}]")
     _check_focus(p, n)
-    dg, diff = _label_tables(dims)
-    return _masked_focus_swap(M, dims, p, dg, diff == K)
+    return _masked_focus_swap(M, dims, p, K)
 
 
 def _pair_pt(M: np.ndarray, dims: tuple, p: int, partner: int) -> np.ndarray:
@@ -100,10 +128,7 @@ def _pair_pt(M: np.ndarray, dims: tuple, p: int, partner: int) -> np.ndarray:
         raise ValueError("partner must differ from focus")
     if not (0 <= p < 3 and 0 <= partner < 3):
         raise ValueError("subsystem index out of range")
-    third = next(m for m in range(3) if m not in (p, partner))
-    dg, diff = _label_tables(dims)
-    mask = (diff == 2) & (dg[:, None, third] == dg[None, :, third])
-    return _masked_focus_swap(M, dims, p, dg, mask)
+    return _masked_focus_swap(M, dims, p, 2, partner)
 
 
 def global_pt(rho: DensityOperator, p: int) -> np.ndarray:

@@ -319,3 +319,104 @@ def projector_report(M, dims, p):
         "eigenvalues": w,
         "negative_vectors": V,
     }
+
+
+_SYSY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def spin_flip(M):
+    """Wootters' spin flip (sy x sy) M* (sy x sy) of a two-qubit matrix (or stack)."""
+    return _SYSY @ np.conj(M) @ _SYSY
+
+
+def sqrt_route_wootters(M):
+    """Squared concurrence of each stacked two-qubit matrix by two eigensolves.
+
+    The spectrum of rho rho_tilde is taken from the Hermitian similar matrix
+    sqrt(rho) rho_tilde sqrt(rho), and eigenvalues below 1e-12 are zeroed
+    before the square roots, so every lambda below 1e-6 is lost.  The
+    suite's oracle for the Takagi route of kt.wootters_tangle, accurate on
+    states whose lambdas are all 0 or well above 1e-6.
+    """
+    w, V = np.linalg.eigh(M)
+    sq = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    lam2 = np.linalg.eigvalsh(sq @ spin_flip(M) @ sq)
+    lam2 = np.where(np.abs(lam2) < 1e-12, 0.0, np.clip(lam2, 0.0, None))
+    lam = np.sqrt(lam2)[..., ::-1]
+    c = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+    return c * c
+
+
+def masked_swap(M, dims, p, mask):
+    """Focus-p swap of the elements of a stack where mask[r, c] holds, with
+    the addresses recomputed from the label table on every call.  The
+    suite's oracle for the cached addresses of the K-way and pair-restricted
+    transposes."""
+    from ktangle.transpose import _label_tables
+
+    dg, _ = _label_tables(dims)
+    stride = int(np.prod(dims[p + 1 :]))
+    out = M.copy()
+    R, C = np.nonzero(mask)
+    out[..., R, C] = M[..., R + (dg[C, p] - dg[R, p]) * stride, C + (dg[R, p] - dg[C, p]) * stride]
+    return out
+
+
+def uncached_kway_pt(M, dims, K, p):
+    from ktangle.transpose import _label_tables
+
+    return masked_swap(M, dims, p, _label_tables(dims)[1] == K)
+
+
+def uncached_pair_pt(M, dims, p, partner):
+    from ktangle.transpose import _label_tables
+
+    dg, diff = _label_tables(dims)
+    third = next(m for m in range(3) if m not in (p, partner))
+    return masked_swap(M, dims, p, (diff == 2) & (dg[:, None, third] == dg[None, :, third]))
+
+
+def defect_state(eps):
+    # (1 - 2 eps) |Phi+><Phi+| + eps |01><01| + eps |10><10|
+    m = np.zeros((4, 4))
+    m[0, 0] = m[3, 3] = m[0, 3] = m[3, 0] = (1 - 2 * eps) / 2
+    m[1, 1] = m[2, 2] = eps
+    return m
+
+
+def x_concurrence(m):
+    # Yu & Eberly, QIC 7, 459 (2007)
+    return 2 * max(
+        0.0,
+        abs(m[0, 3]) - math.sqrt(m[1, 1].real * m[2, 2].real),
+        abs(m[1, 2]) - math.sqrt(m[0, 0].real * m[3, 3].real),
+    )
+
+
+def x_state(diag, outer, inner):
+    """The X state with the given diagonal and |00><11|, |01><10| coherences."""
+    m = np.diag(diag).astype(complex)
+    m[0, 3], m[1, 2] = outer, inner
+    m[3, 0], m[2, 1] = np.conj(outer), np.conj(inner)
+    return m
+
+
+def _bell_diagonal(w):
+    bells = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
+    return sum(wk * np.outer(b, b) for wk, b in zip(w, bells))
+
+
+# Two-qubit states with known concurrence C, as name: (matrix, C).  Their
+# Takagi values are all equal, pairwise equal, two of them zero, or all zero.
+WOOTTERS_CASES = {
+    "identity": (np.eye(4) / 4, 0.0),
+    "bell_diag": (_bell_diagonal([0.4, 0.3, 0.2, 0.1]), 0.0),
+    "bell_diag_entangled": (_bell_diagonal([0.7, 0.1, 0.1, 0.1]), 0.4),
+    "werner_below": (_bell_diagonal([0.475, 0.175, 0.175, 0.175]), 0.0),  # p = 0.3
+    "werner_at": (_bell_diagonal([0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3]), 0.0),  # p = 1/3
+    "werner_above": (_bell_diagonal([0.55, 0.15, 0.15, 0.15]), 0.1),  # p = 0.4
+    "t_zero": (np.diag([0.5, 0.5, 0.0, 0.0]), 0.0),  # T = 0: every sigma is 0
+    "defect_1e-6": (defect_state(1e-6), 1 - 4e-6),
+    "defect_1e-7": (defect_state(1e-7), 1 - 4e-7),
+    "x_state": (x_state([0.3, 0.1, 0.2, 0.4], 0.25j, 0.05), 2 * (0.25 - math.sqrt(0.02))),
+}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ktangle as kt
-from ktangle import cli, core
+from ktangle import cli, core, roof
 
 from conftest import L2, L3, amplitudes_json, mixed_state, real_pure
 
@@ -76,3 +76,30 @@ def test_roof_and_sweep_check_no_density(checks_of, write_state):
     ):
         got = checks_of(argv)
         assert got["_check_density"] == got["_check_hermitian"] == 0, (argv[0], got)
+
+
+def test_two_qubit_global_roof_runs_no_search_and_no_check(checks_of, monkeypatch, write_state):
+    # the exact route evaluates no member and checks nothing the parser has
+    # not checked; the three-qubit k2 roof still searches
+    made = []
+    original = roof._member_value
+
+    def member_value(*args):
+        made.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(roof, "_member_value", member_value)
+    rng = np.random.default_rng(5)
+    for layout, measure, searched in ((L2, "global", False), (L3, "k2", True)):
+        members = [
+            {"p": p, "amplitudes": amplitudes_json(kt.haar_random_pure(layout, rng).amplitudes)}
+            for p in (0.2, 0.3, 0.5)
+        ]
+        dims = list(layout.dims)
+        path = write_state(f"ens{len(dims)}.json", {"dims": dims, "ensemble": members})
+        made.clear()
+        argv = ["roof", path, "--focus", "B", "--measure", measure, "--restarts", "2"]
+        got = checks_of(argv)
+        assert bool(made) is searched
+        if not searched:
+            assert got == {"_check_norm": 3}  # the parser's, one per file member

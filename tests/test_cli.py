@@ -293,10 +293,11 @@ def test_roof_command(write_state, capsys):
     assert rc == 0
     doc = json.loads(out)
     res = doc["result"]
-    assert res["bound"] == "upper"
-    assert res["value"] <= 1e-6
-    assert res["restarts_used"] == 4
-    assert isinstance(res["converged"], bool)
+    # a two-qubit global roof is Wootters' exact decomposition: no search runs
+    assert res["bound"] == "exact"
+    assert res["value"] == 0.0
+    assert res["restarts_used"] == 0
+    assert res["converged"] is True
     assert doc["seeds"] == {"roof": 0}
     probs = [m["p"] for m in res["certificate"]["members"]]
     assert abs(sum(probs) - 1.0) < 1e-9
@@ -383,6 +384,24 @@ def _run_subprocess(argv):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_roof_demo_script():
+    # the script runs, prints the same bytes twice, and each printed squared
+    # pair roof equals the printed Wootters tangle in every digit
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "roof_demo.py")
+    src = os.path.dirname(os.path.dirname(kt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [subprocess.run([sys.executable, script], capture_output=True, text=True, env=env)
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    pairs = [line.split() for line in runs[0].stdout.splitlines() if "roof^2 =" in line]
+    assert len(pairs) == 2
+    for words in pairs:
+        assert words[2] == words[-1]  # "roof^2 = X vs wootters tangle X"
+    assert runs[0].stdout.count("(converged=True, 0 restarts)") == 2  # the exact route ran
 
 
 def test_module_entrypoint_and_determinism(tmp_path):

@@ -56,6 +56,29 @@ def test_density_operator_checks():
         kt.DensityOperator(L2, neg)
 
 
+@pytest.mark.parametrize("defect", [1e-12, 5e-11])
+def test_density_operator_keeps_the_hermitian_part(defect):
+    # a defect the check accepts but a partial transpose would reject: the
+    # constructor stores the Hermitian part, so the report of m is the
+    # report of its symmetrized matrix, bit for bit
+    m = mixed_state(L3, np.random.default_rng(12)).matrix.copy()
+    m[1, 2] += defect
+    sym = (m + m.conj().T) / 2
+    rho = kt.DensityOperator(L3, m)
+    assert np.array_equal(rho.matrix, sym)
+    for p in range(3):
+        got = kt.negativity_report(rho, p)
+        want = kt.negativity_report(kt.DensityOperator(L3, sym), p)
+        pairs = got.negative_eigenpairs, want.negative_eigenpairs
+        got.negative_eigenpairs = want.negative_eigenpairs = None
+        assert got == want
+        for (l1, v1), (l2, v2) in zip(*pairs, strict=True):
+            assert l1 == l2 and np.array_equal(v1, v2)
+    # a matrix within the transposes' tolerance is kept as given
+    near = mixed_state(L3, np.random.default_rng(12)).matrix
+    assert np.array_equal(kt.DensityOperator(L3, near).matrix, near)
+
+
 def test_local_unitary_check():
     with pytest.raises(kt.ValidationError, match="unitarity"):
         kt.LocalUnitary(0, np.array([[1.0, 0.1], [0.0, 1.0]]))

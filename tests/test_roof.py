@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, mixed_state, sequential_roof
-from ktangle.roof import _member_value
+from conftest import L2, L3, WOOTTERS_CASES, mixed_state, sequential_roof
+from ktangle.roof import _member_value, _search, _support
 
 
 def _basis_state(layout, k):
@@ -25,10 +25,16 @@ def _separable_mixture():
 SMALL = kt.RoofBudget(restarts=6, iterations=150, seed=0)
 
 
+def _lockstep(rho, p, measure, budget):
+    """The search itself, which roof_negativity skips for a two-qubit global roof."""
+    lam, vec = _support(rho)
+    return _search(rho.layout, _member_value(measure, p, rho.layout), lam, vec, budget)
+
+
 def test_separable_mixture_has_zero_roof():
     res = kt.roof_negativity(_separable_mixture(), 0, "global", SMALL)
     assert res.value <= 1e-6
-    assert res.bound == "upper"
+    assert res.bound == "exact"
 
 
 def test_roof_beats_eigenbasis_when_it_should():
@@ -83,15 +89,21 @@ def test_certificate_reconstructs_and_averages():
 
 
 def test_determinism_and_restart_monotonicity():
-    rho = mixed_state(L2, np.random.default_rng(2), rank=3)
-    b1 = kt.RoofBudget(restarts=4, iterations=120, seed=7)
-    v1 = kt.roof_negativity(rho, 0, "global", b1).value
-    v2 = kt.roof_negativity(rho, 0, "global", b1).value
-    assert v1 == v2
-    # more restarts extend the same stream, so the value cannot get worse
-    b2 = kt.RoofBudget(restarts=8, iterations=120, seed=7)
-    v3 = kt.roof_negativity(rho, 0, "global", b2).value
-    assert v3 <= v1 + 1e-15
+    # the two-qubit global case runs the search itself; the three-qubit k2
+    # case runs it through the public entry point
+    cases = [
+        (mixed_state(L2, np.random.default_rng(2), rank=3), 0, "global", _lockstep),
+        (mixed_state(L3, np.random.default_rng(4), rank=2), 1, "k2", kt.roof_negativity),
+    ]
+    for rho, p, measure, roof in cases:
+        b1 = kt.RoofBudget(restarts=4, iterations=120, seed=7)
+        v1 = roof(rho, p, measure, b1).value
+        v2 = roof(rho, p, measure, b1).value
+        assert v1 == v2
+        # more restarts extend the same stream, so the value cannot get worse
+        b2 = kt.RoofBudget(restarts=8, iterations=120, seed=7)
+        v3 = roof(rho, p, measure, b2).value
+        assert v3 <= v1 + 1e-15
 
 
 def test_wootters_crosscheck_on_reduced_pair(printed_qstar_state):
@@ -101,7 +113,7 @@ def test_wootters_crosscheck_on_reduced_pair(printed_qstar_state):
     budget = kt.RoofBudget(restarts=14, iterations=500, seed=5)
     roof = kt.roof_negativity(rho2, 0, "global", budget)
     woot = kt.wootters_tangle(rho2)
-    assert abs(roof.value**2 - woot) < 2e-4
+    assert abs(roof.value**2 - woot) < 1e-9
     assert abs(roof.value - 0.643658) < 2e-4
     # the direct (unminimized) reduction value is a different, larger number
     direct = kt.reduced_pair_negativity(printed_qstar_state, (0, 1))
@@ -115,8 +127,51 @@ def test_w_state_pair_roof(w_state):
     assert abs(direct - (math.sqrt(5) - 1) / 3) < 1e-9
     budget = kt.RoofBudget(restarts=10, iterations=400, seed=3)
     roof = kt.roof_negativity(rho2, 0, "global", budget)
-    assert abs(roof.value - 2.0 / 3.0) < 1e-3
+    assert abs(roof.value - 2.0 / 3.0) < 1e-9
     assert roof.value >= direct - 1e-9
+
+
+def _certificate_states():
+    rng = np.random.default_rng(40)
+    states = {name: m for name, (m, _) in WOOTTERS_CASES.items()}
+    for k in range(12):
+        rank = 2 + k % 3
+        states[f"random_rank{rank}_{k}"] = mixed_state(L2, rng, rank=rank, real=k % 4 == 3).matrix
+    return states
+
+
+CERTIFICATE_STATES = _certificate_states()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_STATES))
+def test_two_qubit_global_roof_is_wootters_decomposition(name):
+    rho = kt.DensityOperator(L2, CERTIFICATE_STATES[name])
+    res = kt.roof_negativity(rho, 1, "global", SMALL)
+    c = res.value
+    assert (res.bound, res.converged, res.restarts_used) == ("exact", True, 0)
+    assert c * c == kt.wootters_tangle(rho)
+    if name in WOOTTERS_CASES:
+        assert abs(c - WOOTTERS_CASES[name][1]) <= 1e-12
+    assert np.abs(res.certificate.density().matrix - rho.matrix).max() <= 1e-12
+    for _, psi in res.certificate.members:
+        # each member's global negativity by the public route is C
+        member = kt.negativity_from_pt(kt.global_pt(kt.outer(psi), 0), 2)
+        assert abs(member - c) <= 1e-12
+    # the exact value is a lower bound of every search
+    assert c <= _lockstep(rho, 1, "global", kt.RoofBudget(restarts=2, iterations=60)).value + 1e-12
+
+
+def test_two_qubit_global_roof_ignores_the_budget():
+    rho = mixed_state(L2, np.random.default_rng(6), rank=3)
+    runs = [kt.roof_negativity(rho, p, "global", kt.RoofBudget(restarts=r, seed=s))
+            for p, r, s in ((0, 1, 0), (1, 32, 9), (0, 5, 123))]
+    for res in runs[1:]:
+        assert res.value == runs[0].value
+        for (p1, s1), (p2, s2) in zip(res.certificate.members, runs[0].certificate.members,
+                                      strict=True):
+            assert p1 == p2 and np.array_equal(s1.amplitudes, s2.amplitudes)
+    with pytest.raises(ValueError):
+        kt.roof_negativity(rho, 2, "global")
 
 
 def test_isometry_ensemble_identity_is_eigen():
@@ -225,7 +280,8 @@ def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts):
         rho = mixed_state(layout, rng, rank=rank)
         p = int(rng.integers(layout.n_subsystems))
         budget = kt.RoofBudget(restarts=restarts, iterations=40, seed=seed)
-        got = kt.roof_negativity(rho, p, measure, budget)
+        roof = _lockstep if layout is L2 and measure == "global" else kt.roof_negativity
+        got = roof(rho, p, measure, budget)
         want = sequential_roof(rho, p, measure, budget)
         assert got.value == want.value
         assert got.converged == want.converged

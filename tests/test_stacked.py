@@ -19,7 +19,7 @@ from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
 from ktangle.transpose import _global_pt, _kway_pt
 
-from conftest import L3, L4, mixed_state
+from conftest import L3, L4, mixed_state, sqrt_route_wootters
 
 EPS_EIG = kt.DEFAULT_TOLERANCES.eps_eig
 
@@ -77,26 +77,27 @@ def test_report_arrays_match_batch_of_one(name):
 
 @pytest.mark.parametrize("name", ["haar3", "haar4"])
 def test_tangles_match_batch_of_one(name):
-    layout, M = STACKS[name]()
+    layout, seed = {"haar3": (L3, 1), "haar4": (L4, 2)}[name]
+    rng = np.random.default_rng(seed)
+    psis = [kt.haar_random_pure(layout, rng) for _ in range(6)]
+    amps = np.stack([psi.amplitudes for psi in psis])
     n = layout.n_subsystems
     for focus in range(n):
-        tau_f, pairs = _tangles(M, layout.dims, focus)
+        tau_f, pairs = _tangles(amps, layout.dims, focus)
         assert sorted(pairs) == [q for q in range(n) if q != focus]
-        for b in range(M.shape[0]):
-            rho = kt.DensityOperator(layout, M[b])
-            psi = kt.PureState(layout, np.linalg.eigh(M[b])[1][:, -1])
-            assert abs(tau_f[b] - kt.one_tangle(psi, focus)) <= 1e-14
+        for b, psi in enumerate(psis):
+            rho = kt.outer(psi)
+            assert tau_f[b] == kt.one_tangle(psi, focus)
             for partner, tau in pairs.items():
+                # the amplitude slices against the eigensolved reduction
                 red = kt.partial_trace(rho, [focus, partner])
-                if focus > partner:
-                    m = red.matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-                    red = kt.DensityOperator(red.layout, m)
                 assert abs(tau[b] - kt.wootters_tangle(red)) <= 1e-14
+                assert abs(tau[b] - sqrt_route_wootters(red.matrix)) <= 1e-12
             if n == 3:
                 rep = kt.three_tangle(psi, focus)
-                assert abs(tau_f[b] - rep.tau_focus) <= 1e-14
+                assert tau_f[b] == rep.tau_focus
                 for partner, tau in pairs.items():
-                    assert abs(tau[b] - rep.tau_pairs[partner]) <= 1e-14
+                    assert tau[b] == rep.tau_pairs[partner]
 
 
 def test_wootters_stack_matches_batch_of_one():

@@ -6,7 +6,18 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, random_form
+from conftest import (
+    L2,
+    L3,
+    WOOTTERS_CASES,
+    defect_state,
+    mixed_state,
+    random_form,
+    x_concurrence,
+    x_state,
+    spin_flip,
+    sqrt_route_wootters,
+)
 
 
 def test_wootters_reference_states(bell, w_state):
@@ -31,13 +42,61 @@ def test_spin_flip_is_involution():
     rng = np.random.default_rng(5)
     psi = kt.haar_random_pure(L2, rng)
     rho = kt.outer(psi)
-    flipped = kt.spin_flip(rho)
     # flipping the flip restores the original matrix
-    sy2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
-    again = sy2 @ flipped.conj() @ sy2
-    assert np.abs(again - rho.matrix).max() < 1e-12
-    with pytest.raises(ValueError):
-        kt.spin_flip(kt.DensityOperator(L3, np.eye(8) / 8))
+    assert np.abs(spin_flip(spin_flip(rho.matrix)) - rho.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+def test_small_lambdas_are_kept(eps):
+    # lambda = (1 - 2 eps, eps, eps, 0): tau = (1 - 4 eps)^2.  A clamp on
+    # lambda^2 at 1e-12 drops the eps and errs by up to 4 eps
+    m = defect_state(eps)
+    exact = (1 - 4 * eps) ** 2
+    assert abs(kt.wootters_tangle(kt.DensityOperator(L2, m)) - exact) <= 1e-12
+    assert abs(sqrt_route_wootters(m) - exact) > eps  # the clamped route
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_x_states_match_closed_form(seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.dirichlet(np.ones(4))
+    outer, inner = (
+        math.sqrt(diag[j] * diag[k]) * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        for j, k in ((0, 3), (1, 2))
+    )
+    m = x_state(diag, outer, inner)
+    got = kt.wootters_tangle(kt.DensityOperator(L2, m))
+    assert abs(got - x_concurrence(m) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(WOOTTERS_CASES))
+def test_wootters_acceptance_states(name):
+    m, c = WOOTTERS_CASES[name]
+    assert abs(kt.wootters_tangle(kt.DensityOperator(L2, m)) - c * c) <= 1e-12
+
+
+def test_takagi_factors_t():
+    # T = Q diag(sigma) Q^T with Q unitary, for full-rank, low-rank and
+    # degenerate factors
+    from ktangle.tangle import _SYSY, _factor, _takagi
+
+    rng = np.random.default_rng(3)
+    mats = [mixed_state(L2, rng, rank=r).matrix for r in (1, 2, 3, 4)]
+    mats += [WOOTTERS_CASES[k][0] for k in sorted(WOOTTERS_CASES)]
+    Phi = _factor(np.stack(mats))
+    sigma, Q = _takagi(Phi)
+    T = Phi.swapaxes(-1, -2) @ _SYSY @ Phi
+    assert np.all(np.diff(sigma, axis=-1) <= 0.0) and np.all(sigma >= 0.0)
+    assert np.abs(Q @ (sigma[..., None] * Q.swapaxes(-1, -2)) - T).max() <= 1e-14
+    assert np.abs(Q.conj().swapaxes(-1, -2) @ Q - np.eye(4)).max() <= 1e-14
+    assert np.abs(_takagi(Phi, vectors=False) - sigma).max() <= 1e-15
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_wootters_matches_sqrt_route_on_full_rank_states(seed):
+    # every lambda of a generic rank-4 state sits far above the oracle's clamp
+    rho = mixed_state(L2, np.random.default_rng(seed), rank=4)
+    assert abs(kt.wootters_tangle(rho) - sqrt_route_wootters(rho.matrix)) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2))

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L3, L4, mixed_state, real_pure
+from conftest import L3, L4, mixed_state, real_pure, uncached_kway_pt, uncached_pair_pt
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -34,6 +34,29 @@ def test_label_tables_are_lean_and_cached():
         assert list(dg[r]) == list(kt.multi_index(r, layout))
         for c in range(layout.total_dim):
             assert diff[r, c] == kt.differing_count(r, c, layout)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2)])
+def test_cached_addresses_match_the_uncached_route(dims):
+    # a stack of several complex states: every K-way transpose, and for three
+    # subsystems every pair-restricted one, bit for bit the old mask route
+    from ktangle.transpose import _kway_pt, _pair_pt, _swap_addresses
+
+    layout = kt.SubsystemLayout(dims)
+    rng = np.random.default_rng(len(dims))
+    M = np.stack([mixed_state(layout, rng).matrix for _ in range(3)])
+    for p in range(len(dims)):
+        for K in range(2, len(dims) + 1):
+            for _ in range(2):  # the second call reads the cache
+                assert np.array_equal(_kway_pt(M, dims, K, p), uncached_kway_pt(M, dims, K, p))
+            assert np.array_equal(_kway_pt(M[0], dims, K, p), uncached_kway_pt(M[0], dims, K, p))
+        for partner in range(len(dims)) if len(dims) == 3 else ():
+            if partner != p:
+                got = _pair_pt(M, dims, p, partner)
+                assert np.array_equal(got, uncached_pair_pt(M, dims, p, partner))
+    dst, src = _swap_addresses(dims, 0, 2)
+    assert _swap_addresses(dims, 0, 2)[0] is dst
+    assert not dst.flags.writeable and not src.flags.writeable
 
 
 def test_differing_count():
