@@ -191,29 +191,6 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v[..., None, :].conj()
 
 
-def flat_index(multi, layout: SubsystemLayout) -> int:
-    """Row-major flat index of a basis label, last subsystem fastest."""
-    if len(multi) != layout.n_subsystems:
-        raise IndexError("label length does not match layout")
-    k = 0
-    for i, d in zip(multi, layout.dims):
-        if not 0 <= int(i) < d:
-            raise IndexError(f"component {i} out of range for dimension {d}")
-        k = k * d + int(i)
-    return k
-
-
-def multi_index(k: int, layout: SubsystemLayout) -> tuple:
-    """Inverse of flat_index."""
-    if not 0 <= k < layout.total_dim:
-        raise IndexError(f"flat index {k} out of range")
-    out = []
-    for d in reversed(layout.dims):
-        out.append(k % d)
-        k //= d
-    return tuple(reversed(out))
-
-
 def outer(psi: PureState) -> DensityOperator:
     return _density(psi.layout, _outer(psi.amplitudes))
 

@@ -11,7 +11,8 @@ The global roof of a two-qubit state is known in closed form: it is
 Wootters' concurrence (Lee, Kim, Park & Lee, J. Phys. A 36, 2003), and its
 optimal decomposition comes from the Takagi factorization that also gives
 the tangles (tangle._takagi).  That case is returned exactly (bound
-"exact"), with no search.
+"exact"), with no search, and so is rank-one input of every measure, which
+is its own only decomposition.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class RoofBudget:
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1 or self.m_max < 2:
             raise ValidationError("roof budget must allow at least one restart and iteration")
+        if self.seed < 0:
+            raise ValidationError(f"roof seed {self.seed} must be non-negative")
 
 
 @dataclass
@@ -257,9 +260,10 @@ def roof_negativity(
 ) -> RoofResult:
     """Minimize the ensemble-averaged measure over decompositions of rho.
 
-    A rank-one rho is its only decomposition.  The global roof of a two-qubit
-    state is Wootters' concurrence, returned exactly with its optimal
-    decomposition (_wootters_roof); budget does not enter.  Every other
+    A rank-one rho is its only decomposition, so its value is exact for every
+    measure.  The global roof of a two-qubit state is Wootters' concurrence,
+    returned exactly with its optimal decomposition (_wootters_roof).  The
+    budget enters neither.  Every other
     measure and layout runs the search (_search), whose value is an upper
     bound.
     """
@@ -275,6 +279,7 @@ def roof_negativity(
             certificate=Ensemble(members=((1.0, psi),)),
             restarts_used=0,
             converged=True,
+            bound="exact",
         )
     if measure == "global" and layout.dims == (2, 2):
         _check_focus(p, 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import ktangle as kt
+from ktangle import SubsystemLayout
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -347,11 +348,47 @@ def sqrt_route_wootters(M):
     return c * c
 
 
+def flat_index(multi, layout: SubsystemLayout) -> int:
+    """Row-major flat index of a basis label, last subsystem fastest."""
+    if len(multi) != layout.n_subsystems:
+        raise IndexError("label length does not match layout")
+    k = 0
+    for i, d in zip(multi, layout.dims):
+        if not 0 <= int(i) < d:
+            raise IndexError(f"component {i} out of range for dimension {d}")
+        k = k * d + int(i)
+    return k
+
+
+def multi_index(k: int, layout: SubsystemLayout) -> tuple:
+    """Inverse of flat_index."""
+    if not 0 <= k < layout.total_dim:
+        raise IndexError(f"flat index {k} out of range")
+    out = []
+    for d in reversed(layout.dims):
+        out.append(k % d)
+        k //= d
+    return tuple(reversed(out))
+
+
+def differing_count(r: int, c: int, layout: SubsystemLayout) -> int:
+    """Number of subsystems whose labels differ between bra index r and ket index c."""
+    D = layout.total_dim
+    if not (0 <= r < D and 0 <= c < D):
+        raise IndexError("basis index out of range")
+    n = 0
+    for d in reversed(layout.dims):
+        n += int(r % d != c % d)
+        r //= d
+        c //= d
+    return n
+
+
 def masked_swap(M, dims, p, mask):
-    """Focus-p swap of the elements of a stack where mask[r, c] holds, with
-    the addresses recomputed from the label table on every call.  The
-    suite's oracle for the cached addresses of the K-way and pair-restricted
-    transposes."""
+    """Focus-p swap of the elements of a stack where mask[r, c] holds, by a
+    gather through flat addresses computed from the label table.  The suite's
+    oracle for the select-from-the-swapped-view route of the K-way and
+    pair-restricted transposes."""
     from ktangle.transpose import _label_tables
 
     dg, _ = _label_tables(dims)

@@ -404,6 +404,21 @@ def test_roof_demo_script():
     assert runs[0].stdout.count("(converged=True, 0 restarts)") == 2  # the exact route ran
 
 
+@pytest.mark.parametrize("n_qubits, measure", [(2, "global"), (3, "k2")])
+def test_roof_rejects_a_negative_seed_on_every_route(write_state, capsys, n_qubits, measure):
+    # the two-qubit global roof is exact and never reads the seed; the
+    # three-qubit k2 roof runs the search: both reject the seed up front
+    layout = kt.qubit_layout(n_qubits)
+    rng = np.random.default_rng(3)
+    amps = [amplitudes_json(real_pure(layout, rng).amplitudes) for _ in range(2)]
+    members = [{"p": 0.5, "amplitudes": a} for a in amps]
+    path = write_state("rank2.json", {"dims": list(layout.dims), "ensemble": members})
+    argv = ["roof", path, "--focus", "A", "--measure", measure, "--seed", "-3"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("validation error: roof seed -3")
+
+
 def test_module_entrypoint_and_determinism(tmp_path):
     doc_in = {
         "dims": [2, 2],

@@ -6,28 +6,38 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, L4, jacobi_eigensystem, mixed_state, real_pure, svd_trace_norm
+from conftest import (
+    L2,
+    L3,
+    L4,
+    flat_index,
+    jacobi_eigensystem,
+    mixed_state,
+    multi_index,
+    real_pure,
+    svd_trace_norm,
+)
 
 
 @given(st.integers(0, 15))
 def test_index_roundtrip(k):
     layout = kt.SubsystemLayout((2, 4, 2))
-    assert kt.flat_index(kt.multi_index(k, layout), layout) == k
+    assert flat_index(multi_index(k, layout), layout) == k
 
 
 def test_flat_index_last_subsystem_fastest():
-    assert kt.flat_index((1, 0, 1), L3) == 5
-    assert kt.flat_index((1, 1, 0), L3) == 6
-    assert kt.multi_index(4, L3) == (1, 0, 0)
+    assert flat_index((1, 0, 1), L3) == 5
+    assert flat_index((1, 1, 0), L3) == 6
+    assert multi_index(4, L3) == (1, 0, 0)
 
 
 def test_index_range_errors():
     with pytest.raises(IndexError):
-        kt.flat_index((0, 2, 0), L3)
+        flat_index((0, 2, 0), L3)
     with pytest.raises(IndexError):
-        kt.multi_index(8, L3)
+        multi_index(8, L3)
     with pytest.raises(IndexError):
-        kt.flat_index((0, 0), L3)
+        flat_index((0, 0), L3)
 
 
 def test_layout_validation():

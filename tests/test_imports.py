@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+top-level definition is read somewhere in the package.
 
 No linter ships with the toolchain, so the standard library's ast does the
-check.  __init__.py is exempt: its imports are the public API.
+checks.  __init__.py is exempt from the import check: its imports are the
+public API.
 """
 
 import ast
@@ -37,3 +39,48 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _defined_names(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _dead_private(sources: dict) -> list:
+    """(module, line, name) of each private top-level definition that no other
+    top-level statement of any module reads, by name or as an attribute."""
+    defs, reads = [], []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            for name in _defined_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defs.append((module, node.lineno, name, node))
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+            reads.append((node, names))
+    return sorted(
+        (module, line, name)
+        for module, line, name, owner in defs
+        if not any(name in names for node, names in reads if node is not owner)
+    )
+
+
+def test_the_check_finds_dead_private_code():
+    a = "_K = 1\n_unread = 2\ndef _rec(n):\n    return _rec(n - 1)\ndef f():\n    return _K\n"
+    b = "from .a import _gone\nimport a\nclass _C:\n    pass\nx = a._used\ndef _used():\n    pass\n"
+    # a self-call and an import are no reads; an attribute read is
+    dead = [("a.py", 2, "_unread"), ("a.py", 3, "_rec"), ("b.py", 3, "_C")]
+    assert _dead_private({"a.py": a, "b.py": b}) == dead
+
+
+def test_no_dead_private_code():
+    assert _dead_private({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []

@@ -52,14 +52,20 @@ def test_roof_beats_eigenbasis_when_it_should():
 
 
 def test_pure_state_short_circuits():
-    psi = kt.haar_random_pure(L3, 4)
-    rho = kt.outer(psi)
-    direct = kt.negativity_from_pt(kt.global_pt(rho, 0), 2)
-    res = kt.roof_negativity(rho, 0, "global", SMALL)
-    assert res.restarts_used == 0
-    assert res.converged
-    assert abs(res.value - direct) < 1e-10
-    assert len(res.certificate.members) == 1
+    # a rank-one state is its only decomposition, so its value is exact
+    for layout, measure in ((L2, "global"), (L3, "global"), (L3, "k2")):
+        rho = kt.outer(kt.haar_random_pure(layout, 4))
+        report = kt.negativity_report(rho, 0)
+        res = kt.roof_negativity(rho, 0, measure, SMALL)
+        assert res.bound == "exact"
+        assert res.restarts_used == 0
+        assert res.converged
+        assert len(res.certificate.members) == 1
+        if measure == "k2":
+            # the channel of the state itself, bit for bit
+            assert res.value == report.e_partial[2]
+        else:
+            assert abs(res.value - report.n_global) < 1e-10
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -230,6 +236,8 @@ def test_budget_and_measure_validation():
         kt.RoofBudget(restarts=0)
     with pytest.raises(kt.ValidationError):
         kt.RoofBudget(iterations=0)
+    with pytest.raises(kt.ValidationError, match="seed -1"):
+        kt.RoofBudget(seed=-1)
     rho = _separable_mixture()
     with pytest.raises(kt.ValidationError):
         kt.roof_negativity(rho, 0, "k7", SMALL)
