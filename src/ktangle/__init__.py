@@ -9,26 +9,18 @@ from .config import (
 )
 from .core import (
     DensityOperator,
-    EigenSystem,
     LocalUnitary,
     PureState,
     SubsystemLayout,
     apply_local_unitary,
     haar_random_pure,
-    hermitian_eigensystem,
     outer,
     partial_trace,
     qubit_layout,
     trace_norm,
 )
 from .transpose import global_pt, kway_pt, pair_pt
-from .negativity import (
-    NegativityReport,
-    negative_subspace,
-    negativity_from_pt,
-    negativity_report,
-    partial_kway_negativity,
-)
+from .negativity import NegativityReport, negativity_from_pt, negativity_report
 from .tangle import TangleReport, one_tangle, three_tangle, wootters_tangle
 from .canonical import (
     CanonicalForm3Q,
@@ -44,22 +36,13 @@ from .ghzw import (
     GhzwParams,
     SweepRow,
     build_ghzw,
-    e3_from_amplitudes,
     ghzw_canonical_params,
     sweep_family,
     tau3_closed_form,
     tau3_minus_zero,
     x_parameter,
 )
-from .roof import (
-    Ensemble,
-    RoofBudget,
-    RoofResult,
-    eigen_ensemble,
-    isometry_ensemble,
-    reduced_pair_negativity,
-    roof_negativity,
-)
+from .roof import Ensemble, RoofBudget, RoofResult, roof_negativity
 from .statefile import ParseError, parse_state_file
 
 __version__ = "0.1.0"
@@ -69,7 +52,6 @@ __all__ = [
     "CanonicalizationResult",
     "DEFAULT_TOLERANCES",
     "DensityOperator",
-    "EigenSystem",
     "Ensemble",
     "GhzwParams",
     "LocalUnitary",
@@ -90,26 +72,19 @@ __all__ = [
     "canonical_closed_forms",
     "canonicalize3",
     "coherence_delta",
-    "e3_from_amplitudes",
-    "eigen_ensemble",
     "ghz_rotation_profile",
     "ghzw_canonical_params",
     "global_pt",
     "haar_random_pure",
-    "hermitian_eigensystem",
-    "isometry_ensemble",
     "kway_pt",
-    "negative_subspace",
     "negativity_from_pt",
     "negativity_report",
     "one_tangle",
     "outer",
     "pair_pt",
     "parse_state_file",
-    "partial_kway_negativity",
     "partial_trace",
     "qubit_layout",
-    "reduced_pair_negativity",
     "roof_negativity",
     "sweep_family",
     "tau3_closed_form",

@@ -291,6 +291,13 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
     )
 
 
+def _global_and_delta(psi: PureState):
+    """N_G of focus A and coherence_delta of the state, from one report."""
+    a = _report_arrays(outer(psi).matrix[None], psi.layout.dims, 0)
+    n_global = a.n_global[0]
+    return float(n_global), float(a.e_partial[3][0] * n_global - three_tangle(psi, 0).tau3)
+
+
 def coherence_delta(psi: PureState) -> float:
     """E_3 N_G - tau3 of the state as given (not canonicalized).
 
@@ -298,9 +305,7 @@ def coherence_delta(psi: PureState) -> float:
     orbit it tracks how much three-way coherence has been rotated into or
     out of two-way coherences.
     """
-    a = _report_arrays(outer(psi).matrix[None], psi.layout.dims, 0)
-    tau = three_tangle(psi, 0)
-    return float(a.e_partial[3][0] * a.n_global[0] - tau.tau3)
+    return _global_and_delta(psi)[1]
 
 
 def third_qubit_rotation(alpha: float) -> LocalUnitary:

@@ -63,11 +63,15 @@ def _csv_num(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _tolerances_block() -> dict:
+def _header(command: str, path: str, digest: str, kind: str, dims, seeds: dict) -> dict:
+    """The keys every JSON document starts with, in their printed order."""
     return {
-        "eps_herm": _T.eps_herm,
-        "eps_norm": _T.eps_norm,
-        "eps_eig": _T.eps_eig,
+        "tool": "ktangle",
+        "version": __version__,
+        "command": command,
+        "input": {"path": path, "sha256": digest, "kind": kind, "dims": list(dims)},
+        "tolerances": {"eps_herm": _T.eps_herm, "eps_norm": _T.eps_norm, "eps_eig": _T.eps_eig},
+        "seeds": seeds,
     }
 
 
@@ -179,15 +183,7 @@ def _cmd_analyze(args) -> int:
             entry["delta"] = delta
         reports.append(entry)
 
-    doc = {
-        "tool": "ktangle",
-        "version": __version__,
-        "command": "analyze",
-        "input": {"path": args.file, "sha256": digest, "kind": kind, "dims": list(rho.layout.dims)},
-        "tolerances": _tolerances_block(),
-        "seeds": {},
-        "reports": reports,
-    }
+    doc = {**_header("analyze", args.file, digest, kind, rho.layout.dims, {}), "reports": reports}
     if args.canonical:
         doc["canonical"] = _canonical_block(canonicalize3(obj))
     _emit_json(doc)
@@ -205,14 +201,7 @@ def _cmd_canonicalize(args) -> int:
     obj, kind, digest = _load(args.file)
     if not isinstance(obj, PureState) or obj.layout.dims != (2, 2, 2):
         raise ValidationError("canonicalize requires a three-qubit pure state file")
-    doc = {
-        "tool": "ktangle",
-        "version": __version__,
-        "command": "canonicalize",
-        "input": {"path": args.file, "sha256": digest, "kind": kind, "dims": [2, 2, 2]},
-        "tolerances": _tolerances_block(),
-        "seeds": {},
-    }
+    doc = _header("canonicalize", args.file, digest, kind, obj.layout.dims, {})
     doc.update(_canonical_block(canonicalize3(obj)))
     _emit_json(doc)
     return 0
@@ -251,12 +240,7 @@ def _cmd_roof(args) -> int:
     budget = RoofBudget(restarts=args.restarts, seed=args.seed)
     result = roof_negativity(rho, p, measure=args.measure, budget=budget)
     doc = {
-        "tool": "ktangle",
-        "version": __version__,
-        "command": "roof",
-        "input": {"path": args.file, "sha256": digest, "kind": kind, "dims": list(rho.layout.dims)},
-        "tolerances": _tolerances_block(),
-        "seeds": {"roof": args.seed},
+        **_header("roof", args.file, digest, kind, rho.layout.dims, {"roof": args.seed}),
         "focus": args.focus,
         "measure": args.measure,
         "result": {
@@ -287,6 +271,8 @@ def _cmd_audit(args) -> int:
     n_states = args.random
     if n_states < 1:
         raise ValidationError("audit needs --random >= 1")
+    if args.seed < 0:
+        raise ValidationError(f"audit seed {args.seed} must be non-negative")
     layout = qubit_layout(args.qubits)
     rng = np.random.default_rng(args.seed)
     viol_e2 = viol_e3 = viol_ckw = 0

@@ -78,9 +78,6 @@ ROOF_ACCEPT_MARGIN = 1e-15
 # the best restart's average by less than this.
 ROOF_CONVERGED_DROP = 1e-8
 
-# Largest entry of |W^dagger W - 1| accepted for a decomposition matrix W.
-ROOF_ISOMETRY_EPS = 1e-10
-
 
 class ValidationError(ValueError):
     """An input violates a documented invariant (norm, trace, Hermiticity...)."""

@@ -6,7 +6,7 @@ k = 4*i1 + 2*i2 + i3.
 
 Validation happens once, at the boundary: the state-file parser, the public
 constructors (PureState, DensityOperator, LocalUnitary, Ensemble) and the
-public functions that take a raw array (hermitian_eigensystem, trace_norm)
+public functions that take a raw array (trace_norm, negativity_from_pt)
 check their input.  A DensityOperator whose hermiticity defect passes the
 check but exceeds TRANSPOSE_HERM_EPS, what a partial transpose may carry,
 stores its Hermitian part.  What the package derives from checked objects
@@ -16,11 +16,10 @@ _pure, both unchecked; the other modules call the kernels _eigh and
 _trace_norm, which skip the hermiticity check (_eigh keeps the eigenpair
 residual check).
 
-hermitian_eigensystem, trace_norm and the private checks and kernels also
-take stacks: leading axes index the stack and the last two axes hold each
-matrix.  A check applies to every matrix of the stack and names the first
-one that fails.  A check passes only where "defect <= bound" holds, so NaN
-fails it.
+trace_norm and the private checks and kernels also take stacks: leading
+axes index the stack and the last two axes hold each matrix.  A check
+applies to every matrix of the stack and names the first one that fails.
+A check passes only where "defect <= bound" holds, so NaN fails it.
 """
 
 from __future__ import annotations
@@ -112,14 +111,6 @@ def _density(layout: SubsystemLayout, matrix: np.ndarray) -> DensityOperator:
     rho = object.__new__(DensityOperator)
     rho.layout, rho.matrix = layout, matrix
     return rho
-
-
-@dataclass
-class EigenSystem:
-    """Ascending real spectrum with orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass
@@ -235,13 +226,6 @@ def _eigh(M: np.ndarray):
     _require(resid <= _T.eps_herm, resid, f"eigenpair residual {{}} exceeds {_T.eps_herm}",
              NumericalError)
     return w, V
-
-
-def hermitian_eigensystem(M: np.ndarray) -> EigenSystem:
-    """Full spectrum of a Hermitian matrix (or stack), ascending, residuals checked."""
-    M = np.asarray(M, dtype=complex)
-    _check_hermitian(M)
-    return EigenSystem(*_eigh(M))
 
 
 def _trace_norm(M: np.ndarray) -> np.ndarray:

@@ -17,12 +17,11 @@ import numpy as np
 from .canonical import (
     CanonicalForm3Q,
     CanonicalizationResult,
+    _global_and_delta,
     canonical_closed_forms,
     canonicalize3,
-    coherence_delta,
 )
-from .core import LocalUnitary, PureState, outer, qubit_layout
-from .negativity import _global_negativity
+from .core import LocalUnitary, PureState, qubit_layout
 from .config import GHZW_ROOT_EPS, GHZW_ROOT_RTOL, NumericalError, ValidationError
 
 _L3 = qubit_layout(3)
@@ -157,20 +156,6 @@ def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
     return result
 
 
-def e3_from_amplitudes(a000: float, a111: float) -> float:
-    """Three-way channel value 2 a000 a111^2 / sqrt(1 - a000^2 - a111^2).
-
-    Valid for canonical amplitudes whose remaining weight sits in the b, c, d
-    slots; zero whenever either argument vanishes.
-    """
-    if a000 == 0.0 or a111 == 0.0:
-        return 0.0
-    rest = 1.0 - a000 * a000 - a111 * a111
-    if rest <= 0.0:
-        raise ValueError(f"amplitudes leave no residual weight (1 - a000^2 - a111^2 = {rest})")
-    return 2.0 * a000 * a111 * a111 / math.sqrt(rest)
-
-
 def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
     """SweepRow per grid point: raw-state N_G and delta, canonical-form e2/e3."""
     if not 0.0 <= q_start < q_end <= 1.0:
@@ -180,8 +165,7 @@ def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
     rows = []
     for q in np.linspace(q_start, q_end, steps):
         params = GhzwParams(q=float(q), sign=sign)
-        psi = build_ghzw(params)
-        n_global = float(_global_negativity(outer(psi).matrix, psi.layout.dims, 0))
+        n_global, delta = _global_and_delta(build_ghzw(params))
         form = ghzw_canonical_params(params).forms[0]
         neg_closed, _ = canonical_closed_forms(form)
         e2 = neg_closed.e_partial[2]
@@ -194,7 +178,7 @@ def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
                 e3=e3,
                 tau3_formula=tau3_closed_form(params),
                 e3_times_ng=e3 * n_global,
-                delta=coherence_delta(psi),
+                delta=delta,
             )
         )
     return rows

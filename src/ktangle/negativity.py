@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .core import DensityOperator, _eigh, _trace_norm, hermitian_eigensystem, trace_norm
+from .core import DensityOperator, _eigh, _trace_norm, trace_norm
 from .transpose import _global_pt, _kway_pt, _pair_pt
 
 _T = DEFAULT_TOLERANCES
@@ -112,12 +112,6 @@ def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
     return [(float(lam), vec.copy()) for lam, vec in zip(w, V.T) if lam < -_T.eps_eig]
 
 
-def negative_subspace(M: np.ndarray):
-    """Eigenpairs of a Hermitian matrix with eigenvalue < -eps_eig."""
-    es = hermitian_eigensystem(M)
-    return _negative_pairs(es.eigenvalues, es.eigenvectors)
-
-
 def _trace_with(Vm: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Re Tr(Vm^dagger M Vm) = Re Tr(P_minus M) for each stacked pair, with
     P_minus = Vm Vm^dagger; O(c D^2) for c columns."""
@@ -149,11 +143,6 @@ def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
 def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     """E_K^p of each matrix of a stack, without the rest of the report."""
     return _channel(_negative_vectors(M, dims, p)[1], _kway_pt(M, dims, K, p), dims[p])
-
-
-def partial_kway_negativity(rho: DensityOperator, K: int, p: int) -> float:
-    """E_K^p alone, for callers that need one channel and not the full report."""
-    return float(_kway_channel(rho.matrix[None], rho.layout.dims, K, p)[0])
 
 
 def _kway_pts(M: np.ndarray, dims: tuple, p: int):

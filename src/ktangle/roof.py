@@ -27,12 +27,11 @@ from .config import (
     DEFAULT_TOLERANCES,
     ROOF_ACCEPT_MARGIN,
     ROOF_CONVERGED_DROP,
-    ROOF_ISOMETRY_EPS,
     ROOF_MEMBER_CUTOFF,
     ROOF_RANK_CUTOFF,
     ValidationError,
 )
-from .core import DensityOperator, PureState, _density, _outer, _pure, outer, partial_trace
+from .core import DensityOperator, _density, _outer, _pure
 from .negativity import _global_negativity, _kway_channel
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
@@ -103,28 +102,6 @@ def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
         if q > ROOF_MEMBER_CUTOFF
     ]
     return Ensemble(members=tuple(members))
-
-
-def eigen_ensemble(rho: DensityOperator) -> Ensemble:
-    lam, vec = _support(rho)
-    members = [
-        (float(l), PureState(rho.layout, vec[:, k] / np.linalg.norm(vec[:, k])))
-        for k, l in enumerate(lam)
-    ]
-    return Ensemble(members=tuple(members))
-
-
-def isometry_ensemble(rho: DensityOperator, W: np.ndarray, m: int) -> Ensemble:
-    lam, vec = _support(rho)
-    r = lam.size
-    W = np.asarray(W, dtype=complex)
-    if W.shape != (m, r):
-        raise ValidationError(f"isometry shape {W.shape} does not map rank {r} to {m} members")
-    if m < r or np.abs(W.conj().T @ W - np.eye(r)).max() > ROOF_ISOMETRY_EPS:
-        raise ValidationError("decomposition matrix must have orthonormal columns")
-    base = vec * np.sqrt(lam)
-    phis = W @ base.T
-    return _ensemble(rho.layout, phis, [float(np.vdot(row, row).real) for row in phis])
 
 
 def _stack_measure(measure: str, p: int, layout):
@@ -354,19 +331,3 @@ def _search(layout, value_of, lam: np.ndarray, vec: np.ndarray, budget: RoofBudg
         converged=(at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP,
     )
 
-
-def reduced_pair_negativity(psi: PureState, pair) -> float:
-    """Direct global negativity of the two-qubit reduction onto the given pair.
-
-    The value for the focus-partner reduction of a pure three-qubit state;
-    its square measures pairwise entanglement on top of which the roof
-    minimization can only improve downward.
-    """
-    if psi.layout.dims != (2, 2, 2):
-        raise ValidationError("pair reduction is defined for three-qubit pure states")
-    p, partner = pair
-    if p == partner:
-        raise ValidationError("pair must name two distinct subsystems")
-    keep = sorted((p, partner))
-    rho2 = partial_trace(outer(psi), keep)
-    return float(_global_negativity(rho2.matrix, rho2.layout.dims, keep.index(p)))

@@ -147,6 +147,16 @@ def amplitudes_json(vec):
     return [{"re": float(z.real), "im": float(z.imag)} for z in np.asarray(vec, complex)]
 
 
+def eigen_members(rho):
+    """The eigen-decomposition of rho as (probability, PureState) members,
+    eigenvalues at or below 1e-12 dropped: an upper bound of every roof."""
+    lam, vec = np.linalg.eigh(rho.matrix)
+    return [
+        (float(q), kt.PureState(rho.layout, vec[:, k] / np.linalg.norm(vec[:, k])))
+        for k, q in enumerate(lam) if q > 1e-12
+    ]
+
+
 def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
     """The roof search one restart and one member at a time.
 
@@ -166,7 +176,7 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
         order = int(measure[1:])
 
         def of_rho(r):
-            return kt.partial_kway_negativity(r, order, p)
+            return kt.negativity_report(r, p).e_partial[order]
 
     def value_of(vec):
         return of_rho(kt.DensityOperator(layout, np.outer(vec, vec.conj())))
@@ -248,18 +258,18 @@ def _projector_of(M, dims, p):
     """Global transposes g of a stack, their spectra w, the leading
     eigenvector columns that hold every eigenvalue < -eps_eig, and P_minus
     per matrix, built as a D x D matrix."""
-    from ktangle.core import _outer
+    from ktangle.core import _eigh, _outer
     from ktangle.transpose import _global_pt
 
     g = _global_pt(M, dims, p)
-    es = kt.hermitian_eigensystem(g)
-    neg = es.eigenvalues < -kt.DEFAULT_TOLERANCES.eps_eig
+    w, V = _eigh(g)
+    neg = w < -kt.DEFAULT_TOLERANCES.eps_eig
     c = int(neg.sum(axis=-1).max(initial=0))
-    V = es.eigenvectors[..., :c].copy()
+    V = V[..., :c].copy()
     P = np.zeros(M.shape, dtype=complex)
     for j in range(c):
         P += _outer(V[..., j] * neg[..., j, None])
-    return g, es.eigenvalues, V, P
+    return g, w, V, P
 
 
 def _projector_trace_with(P, M):

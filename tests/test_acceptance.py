@@ -12,7 +12,7 @@ import numpy as np
 import ktangle as kt
 from ktangle.cli import main
 
-from conftest import L3, L4, mixed_state, random_form, real_pure
+from conftest import L3, L4, eigen_members, mixed_state, random_form, real_pure
 
 
 def test_criterion_01_canonical_closed_form_suite():
@@ -205,7 +205,7 @@ def test_criterion_09_convex_roof():
         res = kt.roof_negativity(rho, 0, "global", budget)
         avg = sum(
             p * kt.negativity_from_pt(kt.global_pt(kt.outer(s), 0), 2)
-            for p, s in kt.eigen_ensemble(rho).members
+            for p, s in eigen_members(rho)
         )
         assert res.value <= avg + 1e-9
 

@@ -419,6 +419,12 @@ def test_roof_rejects_a_negative_seed_on_every_route(write_state, capsys, n_qubi
     assert err.startswith("validation error: roof seed -3")
 
 
+def test_audit_rejects_a_negative_seed(capsys):
+    rc, out, err = _run(capsys, ["audit", "--random", "5", "--seed", "-3"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("validation error: audit seed -3")
+
+
 def test_module_entrypoint_and_determinism(tmp_path):
     doc_in = {
         "dims": [2, 2],

@@ -92,26 +92,6 @@ def test_root_check_passes_across_grid():
         kt.ghzw_canonical_params(kt.GhzwParams(q=float(q), sign=1))
 
 
-def test_e3_from_amplitudes_contract():
-    assert kt.e3_from_amplitudes(0.0, 0.5) == 0.0
-    assert kt.e3_from_amplitudes(0.5, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        kt.e3_from_amplitudes(0.8, 0.7)
-    with pytest.raises(ValueError):
-        kt.e3_from_amplitudes(0.9, 0.9)
-
-
-def test_e3_from_amplitudes_on_balanced_forms():
-    # agrees with the canonical-form value exactly when b = f
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        raw = rng.uniform(0.1, 1.0, size=4)  # a, b=f, c, d
-        a, bf, c, d = raw / math.sqrt(raw[0] ** 2 + 2 * raw[1] ** 2 + raw[2] ** 2 + raw[3] ** 2)
-        form = kt.CanonicalForm3Q(a=a, b=bf, c=c, d=d, f=bf, phi=0.0)
-        rep, _ = kt.canonical_closed_forms(form)
-        assert abs(kt.e3_from_amplitudes(a, bf) - rep.e_partial[3]) < 1e-12
-
-
 def test_sweep_rows_and_interior_positivity():
     rows = kt.sweep_family(-1, 0.0, 1.0, 51)
     assert len(rows) == 51

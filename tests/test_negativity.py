@@ -153,4 +153,4 @@ def test_negativity_from_pt_rejects_trivial_focus():
 def test_positive_pt_gives_zero_negativity():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert abs(kt.negativity_from_pt(rho, 2)) < 1e-12
-    assert kt.negative_subspace(rho) == []
+    assert kt.negativity_report(kt.DensityOperator(L2, rho), 0).negative_eigenpairs == []

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, WOOTTERS_CASES, mixed_state, sequential_roof
+from conftest import L2, L3, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
 from ktangle.roof import _member_value, _search, _support
 
 
@@ -42,11 +42,10 @@ def test_roof_beats_eigenbasis_when_it_should():
     # separable, but every eigen-member is maximally entangled: the
     # optimizer must rotate the ensemble to reach ~0
     rho = kt.DensityOperator(L2, np.eye(4) / 4.0)
-    eig = kt.eigen_ensemble(rho)
     res = kt.roof_negativity(rho, 0, "global", SMALL)
     assert res.value <= 1e-6
     avg = sum(
-        p * kt.negativity_from_pt(kt.global_pt(kt.outer(s), 0), 2) for p, s in eig.members
+        p * kt.negativity_from_pt(kt.global_pt(kt.outer(s), 0), 2) for p, s in eigen_members(rho)
     )
     assert res.value < avg or avg <= 1e-9
 
@@ -76,7 +75,7 @@ def test_roof_is_upper_bounded_by_eigen_average(seed):
     res = kt.roof_negativity(rho, 0, "global", budget)
     avg = sum(
         p * kt.negativity_from_pt(kt.global_pt(kt.outer(s), 0), 2)
-        for p, s in kt.eigen_ensemble(rho).members
+        for p, s in eigen_members(rho)
     )
     assert res.value <= avg + 1e-9
 
@@ -122,7 +121,7 @@ def test_wootters_crosscheck_on_reduced_pair(printed_qstar_state):
     assert abs(roof.value**2 - woot) < 1e-9
     assert abs(roof.value - 0.643658) < 2e-4
     # the direct (unminimized) reduction value is a different, larger number
-    direct = kt.reduced_pair_negativity(printed_qstar_state, (0, 1))
+    direct = kt.negativity_from_pt(kt.global_pt(rho2, 0), 2)
     assert abs(direct - 0.402242) < 1e-5
     assert roof.value >= direct - 1e-9
 
@@ -180,45 +179,6 @@ def test_two_qubit_global_roof_ignores_the_budget():
         kt.roof_negativity(rho, 2, "global")
 
 
-def test_isometry_ensemble_identity_is_eigen():
-    rho = mixed_state(L2, np.random.default_rng(1), rank=3)
-    eig = kt.eigen_ensemble(rho)
-    r = len(eig.members)
-    ens = kt.isometry_ensemble(rho, np.eye(r), r)
-    for (p1, s1), (p2, s2) in zip(eig.members, ens.members):
-        assert abs(p1 - p2) < 1e-12
-        # member states agree up to a global phase
-        assert abs(abs(np.vdot(s1.amplitudes, s2.amplitudes)) - 1.0) < 1e-10
-
-
-def test_isometry_ensemble_rotation_splits_evenly():
-    # equal-weight rank-2 state, balanced 2x2 rotation: equal probabilities
-    v0, v1 = np.zeros(4), np.zeros(4)
-    v0[0] = 1.0
-    v1[3] = 1.0
-    rho = kt.DensityOperator(L2, 0.5 * np.outer(v0, v0) + 0.5 * np.outer(v1, v1))
-    c = 1 / math.sqrt(2)
-    W = np.array([[c, c], [c, -c]])
-    ens = kt.isometry_ensemble(rho, W, 2)
-    assert len(ens.members) == 2
-    assert all(abs(p - 0.5) < 1e-12 for p, _ in ens.members)
-    assert np.abs(ens.density().matrix - rho.matrix).max() < 1e-12
-
-
-def test_isometry_ensemble_accepts_tall_w():
-    rho = mixed_state(L2, np.random.default_rng(1), rank=2)
-    ens = kt.isometry_ensemble(rho, np.eye(3)[:, :2], 3)
-    assert np.abs(ens.density().matrix - rho.matrix).max() < 1e-10
-
-
-def test_isometry_ensemble_rejects_bad_w():
-    rho = mixed_state(L2, np.random.default_rng(1), rank=2)
-    with pytest.raises(kt.ValidationError):
-        kt.isometry_ensemble(rho, np.ones((2, 2)), 2)  # not orthonormal
-    with pytest.raises(kt.ValidationError):
-        kt.isometry_ensemble(rho, np.eye(2), 3)  # shape mismatch
-
-
 def test_ensemble_validation():
     psi = _basis_state(L2, 0)
     with pytest.raises(kt.ValidationError):
@@ -261,17 +221,6 @@ def test_two_qubit_ppt_iff_zero_roof():
     assert direct > 0.1
     roof = kt.roof_negativity(rho_npt, 0, "global", SMALL)
     assert roof.value > 0.1
-
-
-def test_reduced_pair_negativity_validation(w_state):
-    with pytest.raises(kt.ValidationError):
-        kt.reduced_pair_negativity(w_state, (1, 1))
-    with pytest.raises(kt.ValidationError):
-        kt.reduced_pair_negativity(kt.haar_random_pure(L2, 0), (0, 1))
-    # order of the pair matters only through the focus
-    a = kt.reduced_pair_negativity(w_state, (0, 1))
-    b = kt.reduced_pair_negativity(w_state, (1, 0))
-    assert abs(a - b) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -322,5 +271,5 @@ def test_stacked_member_value_matches_density_route(layout, measure):
             if measure == "global":
                 want = kt.negativity_from_pt(kt.global_pt(rho, p), layout.dims[p])
             else:
-                want = kt.partial_kway_negativity(rho, int(measure[1:]), p)
+                want = kt.negativity_report(rho, p).e_partial[int(measure[1:])]
             assert np.array_equal(g, want)
