@@ -18,16 +18,14 @@ def main():
     psi = kt.build_ghzw(kt.GhzwParams(q=q, sign=-1))
     print(f"state: minus branch at q = {q:.8f} (three tangle = 0)")
 
-    budget = kt.RoofBudget(restarts=14, iterations=500, seed=5)
     total = 0.0
     for pair in ((0, 1), (0, 2)):
         rho2 = kt.partial_trace(kt.outer(psi), list(pair))
         direct = kt.negativity_from_pt(kt.global_pt(rho2, 0), 2)
-        roof = kt.roof_negativity(rho2, 0, "global", budget)
+        roof = kt.roof_negativity(rho2, 0, "global")
         wtangle = kt.wootters_tangle(rho2)
         total += roof.value**2
-        print(f"pair {pair}: direct = {direct:.6f}  roof = {roof.value:.6f} "
-              f"(converged={roof.converged}, {roof.restarts_used} restarts)")
+        print(f"pair {pair}: direct = {direct:.6f}  roof = {roof.value:.6f} ({roof.bound})")
         print(f"  roof^2 = {roof.value ** 2:.6f} vs wootters tangle {wtangle:.6f}")
 
     tan = kt.three_tangle(psi, 0)

@@ -1,12 +1,7 @@
 """Global, K-way, and pair-restricted negativities, tangles, canonical
 three-qubit forms, the GHZ+W family, and convex-roof negativities."""
 
-from .config import (
-    DEFAULT_TOLERANCES,
-    NumericalError,
-    Tolerances,
-    ValidationError,
-)
+from .config import NumericalError, ValidationError
 from .core import (
     DensityOperator,
     LocalUnitary,
@@ -50,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalForm3Q",
     "CanonicalizationResult",
-    "DEFAULT_TOLERANCES",
     "DensityOperator",
     "Ensemble",
     "GhzwParams",
@@ -64,7 +58,6 @@ __all__ = [
     "SubsystemLayout",
     "SweepRow",
     "TangleReport",
-    "Tolerances",
     "ValidationError",
     "apply_local_unitary",
     "build_canonical_state",

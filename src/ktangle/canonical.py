@@ -31,7 +31,7 @@ from .config import (
     CANONICAL_NEWTON_EPS,
     CANONICAL_RESIDUAL,
     CANONICAL_ROOT_RTOL,
-    DEFAULT_TOLERANCES,
+    EPS_NORM,
     NumericalError,
     ValidationError,
 )
@@ -39,7 +39,6 @@ from .core import LocalUnitary, PureState, outer, qubit_layout
 from .negativity import NegativityReport, _report_arrays
 from .tangle import TangleReport, three_tangle
 
-_T = DEFAULT_TOLERANCES
 _L3 = qubit_layout(3)
 
 
@@ -59,7 +58,7 @@ class CanonicalForm3Q:
                 raise ValidationError(f"amplitude {name} = {v} must be nonnegative")
             object.__setattr__(self, name, max(v, 0.0))
         nrm2 = self.a**2 + self.b**2 + self.c**2 + self.d**2 + self.f**2
-        if abs(nrm2 - 1.0) > _T.eps_norm:
+        if abs(nrm2 - 1.0) > EPS_NORM:
             raise ValidationError(f"squared amplitudes sum to {nrm2}, must be 1")
         object.__setattr__(self, "phi", float(self.phi) % (2 * math.pi))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize3, coherence_delta
-from .config import DEFAULT_TOLERANCES, NumericalError, ValidationError
+from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError, ValidationError
 from .core import DensityOperator, PureState, _haar_amplitudes, _outer, outer, qubit_layout
 from .ghzw import sweep_family
 from .negativity import _report_arrays, negativity_report
@@ -30,7 +30,6 @@ from .roof import Ensemble, RoofBudget, roof_negativity
 from .statefile import ParseError, parse_state_file
 from .tangle import _tangles, three_tangle
 
-_T = DEFAULT_TOLERANCES
 _FOCUS_LETTERS = string.ascii_uppercase
 
 # States per stack in `audit`: large enough that per-call overhead is paid
@@ -70,7 +69,7 @@ def _header(command: str, path: str, digest: str, kind: str, dims, seeds: dict) 
         "version": __version__,
         "command": command,
         "input": {"path": path, "sha256": digest, "kind": kind, "dims": list(dims)},
-        "tolerances": {"eps_herm": _T.eps_herm, "eps_norm": _T.eps_norm, "eps_eig": _T.eps_eig},
+        "tolerances": {"eps_herm": EPS_HERM, "eps_norm": EPS_NORM, "eps_eig": EPS_EIG},
         "seeds": seeds,
     }
 
@@ -187,9 +186,9 @@ def _cmd_analyze(args) -> int:
     if args.canonical:
         doc["canonical"] = _canonical_block(canonicalize3(obj))
     _emit_json(doc)
-    if worst_residual > _T.eps_norm:
+    if worst_residual > EPS_NORM:
         print(
-            f"sum-rule residual {worst_residual:.3e} exceeds {_T.eps_norm} "
+            f"sum-rule residual {worst_residual:.3e} exceeds {EPS_NORM} "
             "(complex coherences outside the decomposition identity)",
             file=sys.stderr,
         )
@@ -283,7 +282,7 @@ def _cmd_audit(args) -> int:
         viol_e2 += int(neg.violates[2].sum())
         viol_e3 += int(neg.violates[3].sum())
         tau_f, pairs = _tangles(v, layout.dims, 0)
-        viol_ckw += int((tau_f + _T.eps_norm < sum(pairs.values())).sum())
+        viol_ckw += int((tau_f + EPS_NORM < sum(pairs.values())).sum())
     print("states,qubits,seed,viol_ng_e2,viol_ng_e3,viol_ckw")
     print(f"{n_states},{args.qubits},{args.seed},{viol_e2},{viol_e3},{viol_ckw}")
     return 0

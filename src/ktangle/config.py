@@ -1,24 +1,16 @@
 """Centralized numerical tolerances and error types."""
 
-from dataclasses import dataclass
+# Hermiticity defect allowed in a matrix input, and eigenpair residual allowed
+# in an eigendecomposition.
+EPS_HERM = 1e-10
 
+# Norm, trace and probability-sum defect allowed in an input; also the slack
+# of the sum-rule and inequality checks.
+EPS_NORM = 1e-9
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Project-wide numerical thresholds.
-
-    eps_herm  bounds acceptable Hermiticity defects of matrix inputs.
-    eps_norm  bounds norm / trace / probability-sum defects.
-    eps_eig   classifies an eigenvalue as genuinely negative; values in
-              [-eps_eig, 0) are treated as zero.
-    """
-
-    eps_herm: float = 1e-10
-    eps_norm: float = 1e-9
-    eps_eig: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# An eigenvalue below -EPS_EIG is genuinely negative; values in
+# [-EPS_EIG, 0) count as zero.
+EPS_EIG = 1e-10
 
 # Discriminant magnitude below which the slice quadratic is treated as a
 # double root (single canonical form returned).
@@ -77,6 +69,10 @@ ROOF_ACCEPT_MARGIN = 1e-15
 # A roof search is reported converged when its last 20% of iterations lowered
 # the best restart's average by less than this.
 ROOF_CONVERGED_DROP = 1e-8
+
+# The roof search decomposes a rank-r state into min(2r, ROOF_MAX_MEMBERS)
+# members, and never into fewer than r.
+ROOF_MAX_MEMBERS = 8
 
 
 class ValidationError(ValueError):

@@ -7,14 +7,16 @@ k = 4*i1 + 2*i2 + i3.
 Validation happens once, at the boundary: the state-file parser, the public
 constructors (PureState, DensityOperator, LocalUnitary, Ensemble) and the
 public functions that take a raw array (trace_norm, negativity_from_pt)
-check their input.  A DensityOperator whose hermiticity defect passes the
-check but exceeds TRANSPOSE_HERM_EPS, what a partial transpose may carry,
-stores its Hermitian part.  What the package derives from checked objects
-is trusted: outer, partial_trace and Ensemble.density build their result
-through _density, and the roof builds its certificate members through
-_pure, both unchecked; the other modules call the kernels _eigh and
-_trace_norm, which skip the hermiticity check (_eigh keeps the eigenpair
-residual check).
+check their input: norm, trace and probability-sum defects within EPS_NORM,
+hermiticity within EPS_HERM, no eigenvalue below -EPS_NORM and unitarity
+within UNITARITY_EPS, all named in config.  A DensityOperator whose
+hermiticity defect passes the check but exceeds TRANSPOSE_HERM_EPS, what a
+partial transpose may carry, stores its Hermitian part.  What the package
+derives from checked objects is trusted: outer, partial_trace and
+Ensemble.density build their result through _density, and the roof builds
+its certificate members through _pure, both unchecked; the other modules
+call the kernels _eigh and _trace_norm, which skip the hermiticity check
+(_eigh keeps the eigenpair residual check).
 
 trace_norm and the private checks and kernels also take stacks: leading
 axes index the stack and the last two axes hold each matrix.  A check
@@ -30,14 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    DEFAULT_TOLERANCES,
+    EPS_HERM,
+    EPS_NORM,
     TRANSPOSE_HERM_EPS,
     UNITARITY_EPS,
     NumericalError,
     ValidationError,
 )
-
-_T = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class DensityOperator:
         if self.matrix.shape != (D, D):
             raise ValidationError(f"matrix shape {self.matrix.shape}, layout needs ({D},{D})")
         if _check_density(self.matrix) > TRANSPOSE_HERM_EPS:
-            # the check allows a hermiticity defect up to eps_herm, but a
+            # the check allows a hermiticity defect up to EPS_HERM, but a
             # partial transpose carries at most TRANSPOSE_HERM_EPS: keep the
             # Hermitian part
             self.matrix = (self.matrix + self.matrix.conj().T) / 2
@@ -146,20 +147,20 @@ def _hermiticity_defect(M: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(M: np.ndarray) -> np.ndarray:
-    """Hermiticity defect <= eps_herm per stacked matrix; returns the defects."""
+    """Hermiticity defect <= EPS_HERM per stacked matrix; returns the defects."""
     defect = _hermiticity_defect(M)
-    _require(defect <= _T.eps_herm, defect, f"hermiticity defect = {{}}, allowed {_T.eps_herm}")
+    _require(defect <= EPS_HERM, defect, f"hermiticity defect = {{}}, allowed {EPS_HERM}")
     return defect
 
 
 def _check_density(M: np.ndarray) -> np.ndarray:
-    """Hermiticity, unit trace and no eigenvalue below -eps_norm, per stacked
+    """Hermiticity, unit trace and no eigenvalue below -EPS_NORM, per stacked
     matrix; returns the hermiticity defects."""
     defect = _check_hermitian(M)
     tr = np.trace(M, axis1=-2, axis2=-1)
-    _require(np.abs(tr - 1.0) <= _T.eps_norm, tr, f"trace = {{}}, must be 1 within {_T.eps_norm}")
+    _require(np.abs(tr - 1.0) <= EPS_NORM, tr, f"trace = {{}}, must be 1 within {EPS_NORM}")
     lo = np.linalg.eigvalsh(M)[..., 0]
-    _require(lo >= -_T.eps_norm, lo, f"smallest eigenvalue = {{}}, must be >= -{_T.eps_norm}")
+    _require(lo >= -EPS_NORM, lo, f"smallest eigenvalue = {{}}, must be >= -{EPS_NORM}")
     return defect
 
 
@@ -171,10 +172,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _check_norm(v: np.ndarray):
-    """|norm^2 - 1| <= eps_norm per stacked vector, as for a trace."""
+    """|norm^2 - 1| <= EPS_NORM per stacked vector, as for a trace."""
     nrm = _norms(v)
-    message = f"state norm = {{}}, its square must be 1 within {_T.eps_norm}"
-    _require(np.abs(nrm * nrm - 1.0) <= _T.eps_norm, nrm, message)
+    message = f"state norm = {{}}, its square must be 1 within {EPS_NORM}"
+    _require(np.abs(nrm * nrm - 1.0) <= EPS_NORM, nrm, message)
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
@@ -223,7 +224,7 @@ def _eigh(M: np.ndarray):
     checked; the hermiticity of M is not."""
     w, V = np.linalg.eigh(M)
     resid = np.abs(M @ V - V * w[..., None, :]).max(axis=(-2, -1))
-    _require(resid <= _T.eps_herm, resid, f"eigenpair residual {{}} exceeds {_T.eps_herm}",
+    _require(resid <= EPS_HERM, resid, f"eigenpair residual {{}} exceeds {EPS_HERM}",
              NumericalError)
     return w, V
 
@@ -237,7 +238,7 @@ def trace_norm(M: np.ndarray):
     """Trace norm of a Hermitian matrix (or stack): the sum of |eigenvalue|.
 
     The input must be Hermitian, as every partial transpose of a density
-    operator is; a hermiticity defect above eps_herm raises ValidationError
+    operator is; a hermiticity defect above EPS_HERM raises ValidationError
     rather than returning the eigenvalue sum of the wrong matrix.  A float
     for one matrix, an array with one entry per matrix for a stack.
     """

@@ -27,8 +27,8 @@ rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho makes
 E_2^{p-q} = (-2 Tr(P_minus rho_2^{T_{p-pq}}) + Tr(P_minus rho))/(d_p - 1)
 the unique symmetric split.
 
-_report_arrays computes every report field but n_kway for a stack of density
-matrices at once; negativity_report is its batch of one and adds n_kway.
+_report_arrays computes every report field for a stack of density matrices at
+once, n_kway only when asked; negativity_report is its batch of one.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import EPS_EIG, EPS_NORM
 from .core import DensityOperator, _eigh, _trace_norm, trace_norm
 from .transpose import _global_pt, _kway_pt, _pair_pt
-
-_T = DEFAULT_TOLERANCES
 
 
 @dataclass
@@ -70,7 +68,7 @@ class _ReportArrays:
     """The NegativityReport fields of a stack but n_kway, one entry per
     stacked matrix.
 
-    violates[K] flags e_partial[K] > n_global + eps_norm where |e0| <= eps_norm.
+    violates[K] flags e_partial[K] > n_global + EPS_NORM where |e0| <= EPS_NORM.
     eigenvalues are the ascending spectra of the global transposes and
     negative_vectors their negative eigenvector columns (see
     _negative_vectors).
@@ -104,12 +102,12 @@ def _global_negativity(M: np.ndarray, dims: tuple, p: int):
 
 
 def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
-    """(eigenvalue, eigenvector) of one spectrum for eigenvalues < -eps_eig.
+    """(eigenvalue, eigenvector) of one spectrum for eigenvalues < -EPS_EIG.
 
     V may hold only the leading columns of the eigenvectors; the negative
     eigenvalues of an ascending spectrum come first.
     """
-    return [(float(lam), vec.copy()) for lam, vec in zip(w, V.T) if lam < -_T.eps_eig]
+    return [(float(lam), vec.copy()) for lam, vec in zip(w, V.T) if lam < -EPS_EIG]
 
 
 def _trace_with(Vm: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -129,12 +127,12 @@ def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
     eigenvector columns Vm.
 
     Vm holds the leading c eigenvector columns, c the largest number of
-    eigenvalues < -eps_eig of any matrix in the stack.  A column whose
-    eigenvalue is not below -eps_eig for its own matrix is zero, so
+    eigenvalues < -EPS_EIG of any matrix in the stack.  A column whose
+    eigenvalue is not below -EPS_EIG for its own matrix is zero, so
     Vm Vm^dagger is P_minus of every matrix.
     """
     w, V = _eigh(_global_pt(M, dims, p))
-    neg = w < -_T.eps_eig
+    neg = w < -EPS_EIG
     c = int(neg.sum(axis=-1).max(initial=0))
     # a new array, so that the full eigenvector array is freed on return
     return w, V[..., :c] * neg[..., None, :c]
@@ -145,19 +143,12 @@ def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     return _channel(_negative_vectors(M, dims, p)[1], _kway_pt(M, dims, K, p), dims[p])
 
 
-def _kway_pts(M: np.ndarray, dims: tuple, p: int):
-    """(K, rho_K^{T_p}) of a stack for K = 2..N, each built when asked for."""
-    for K in range(2, len(dims) + 1):
-        yield K, _kway_pt(M, dims, K, p)
-
-
-def _report_arrays(M: np.ndarray, dims: tuple, p: int, kway_pts=None) -> _ReportArrays:
+def _report_arrays(M: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
     """Every NegativityReport field of focus p but n_kway, for a stack M of
     shape (B, D, D).
 
-    kway_pts yields the (K, rho_K^{T_p}) pairs the channels are taken on,
-    _kway_pts(M, dims, p) when None; negativity_report passes pairs from
-    which it also takes n_kway, so each K-way transpose is built once.
+    Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
+    the stack, from the same rho_K^{T_p} the channel E_K is taken on.
     """
     n, d_p = len(dims), dims[p]
     w, Vm = _negative_vectors(M, dims, p)
@@ -165,8 +156,11 @@ def _report_arrays(M: np.ndarray, dims: tuple, p: int, kway_pts=None) -> _Report
     # the trace norm of each global transpose is the sum of |w|
     n_global = _negativity(np.abs(w).sum(axis=-1), d_p)
     e_partial = {}
-    for K, rk in _kway_pts(M, dims, p) if kway_pts is None else kway_pts:
+    for K in range(2, n + 1):
+        rk = _kway_pt(M, dims, K, p)
         e_partial[K] = _channel(Vm, rk, d_p)
+        if n_kway is not None:
+            n_kway[K] = _negativity(_trace_norm(rk), d_p)
         del rk  # at most one K-way transpose is alive at a time
     t_id = _trace_with(Vm, M)
     e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
@@ -178,31 +172,22 @@ def _report_arrays(M: np.ndarray, dims: tuple, p: int, kway_pts=None) -> _Report
                 t_pair = _trace_with(Vm, _pair_pt(M, dims, p, partner))
                 pair_split[partner] = (-2.0 * t_pair + t_id) / (d_p - 1)
 
-    gate = np.abs(e0) <= _T.eps_norm
+    gate = np.abs(e0) <= EPS_NORM
     return _ReportArrays(
         n_global=n_global,
         e_partial=e_partial,
         e0=e0,
         pair_split=pair_split,
         sum_residual=np.abs(n_global - (sum(e_partial.values()) - e0)),
-        violates={K: gate & (ek > n_global + _T.eps_norm) for K, ek in e_partial.items()},
+        violates={K: gate & (ek > n_global + EPS_NORM) for K, ek in e_partial.items()},
         eigenvalues=w,
         negative_vectors=Vm,
     )
 
 
 def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
-    M, dims = rho.matrix[None], rho.layout.dims
     n_kway = {}
-
-    def kway_pts():
-        # n_kway from each K-way transpose while its channel is taken
-        for K, rk in _kway_pts(M, dims, p):
-            n_kway[K] = float(_negativity(_trace_norm(rk[0]), dims[p]))
-            yield K, rk
-            del rk
-
-    a = _report_arrays(M, dims, p, kway_pts())
+    a = _report_arrays(rho.matrix[None], rho.layout.dims, p, n_kway)
 
     def row(d: dict) -> dict:
         return {k: float(v[0]) for k, v in d.items()}
@@ -212,7 +197,7 @@ def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
     return NegativityReport(
         focus=p,
         n_global=n_global,
-        n_kway=n_kway,
+        n_kway=row(n_kway),
         e_partial=e_partial,
         e0=float(a.e0[0]),
         pair_split=row(a.pair_split),

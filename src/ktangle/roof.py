@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (
-    DEFAULT_TOLERANCES,
+    EPS_NORM,
     ROOF_ACCEPT_MARGIN,
     ROOF_CONVERGED_DROP,
+    ROOF_MAX_MEMBERS,
     ROOF_MEMBER_CUTOFF,
     ROOF_RANK_CUTOFF,
     ValidationError,
@@ -35,8 +36,6 @@ from .core import DensityOperator, _density, _outer, _pure
 from .negativity import _global_negativity, _kway_channel
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
-
-_T = DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,23 @@ class Ensemble:
             if psi.layout.dims != layout.dims:
                 raise ValidationError("ensemble members live on different layouts")
             total += p
-        if not (abs(total - 1.0) <= _T.eps_norm):
+        if not (abs(total - 1.0) <= EPS_NORM):
             raise ValidationError(f"ensemble probabilities sum to {total}, must be 1")
 
     def density(self) -> DensityOperator:
         layout = self.members[0][1].layout
-        m = sum(p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in self.members)
+        m = sum(p * _outer(s.amplitudes) for p, s in self.members)
         return _density(layout, m)
 
 
 @dataclass(frozen=True)
 class RoofBudget:
     restarts: int = 32
-    m_max: int = 8
     iterations: int = 400
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1 or self.m_max < 2:
+        if self.restarts < 1 or self.iterations < 1:
             raise ValidationError("roof budget must allow at least one restart and iteration")
         if self.seed < 0:
             raise ValidationError(f"roof seed {self.seed} must be non-negative")
@@ -276,7 +274,7 @@ def _search(layout, value_of, lam: np.ndarray, vec: np.ndarray, budget: RoofBudg
     """
     r = lam.size
 
-    m = max(r, min(2 * r, budget.m_max))
+    m = max(r, min(2 * r, ROOF_MAX_MEMBERS))
     base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
     iters = budget.iterations
     mark = max(1, int(0.8 * iters))

@@ -40,10 +40,10 @@ def _complex_node(node, where: str) -> complex:
     return complex(re, im)
 
 
-def _vector(nodes, n: int, where: str) -> np.ndarray:
+def _vector(nodes, n: int, where: str) -> list:
     if not isinstance(nodes, list) or len(nodes) != n:
         raise ParseError(f"{where} must be a list of {n} complex entries")
-    return np.array([_complex_node(z, f"{where}[{i}]") for i, z in enumerate(nodes)])
+    return [_complex_node(z, f"{where}[{i}]") for i, z in enumerate(nodes)]
 
 
 def parse_state_file(text: str):
@@ -78,7 +78,7 @@ def parse_state_file(text: str):
         rows = doc["matrix"]
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"matrix must be a list of {n} rows")
-        m = np.array([list(_vector(row, n, f"matrix[{i}]")) for i, row in enumerate(rows)])
+        m = np.array([_vector(row, n, f"matrix[{i}]") for i, row in enumerate(rows)])
         return DensityOperator(layout, m)
 
     members = doc["ensemble"]

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 import ktangle as kt
 from ktangle import SubsystemLayout
+from ktangle.config import EPS_EIG, EPS_NORM, ROOF_MAX_MEMBERS
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -183,7 +184,7 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
 
     lam, vec = _support(rho)
     r = lam.size
-    m = max(r, min(2 * r, budget.m_max))
+    m = max(r, min(2 * r, ROOF_MAX_MEMBERS))
     base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
     iters = budget.iterations
     mark = max(1, int(0.8 * iters))
@@ -256,14 +257,14 @@ def svd_trace_norm(M):
 
 def _projector_of(M, dims, p):
     """Global transposes g of a stack, their spectra w, the leading
-    eigenvector columns that hold every eigenvalue < -eps_eig, and P_minus
+    eigenvector columns that hold every eigenvalue < -EPS_EIG, and P_minus
     per matrix, built as a D x D matrix."""
     from ktangle.core import _eigh, _outer
     from ktangle.transpose import _global_pt
 
     g = _global_pt(M, dims, p)
     w, V = _eigh(g)
-    neg = w < -kt.DEFAULT_TOLERANCES.eps_eig
+    neg = w < -EPS_EIG
     c = int(neg.sum(axis=-1).max(initial=0))
     V = V[..., :c].copy()
     P = np.zeros(M.shape, dtype=complex)
@@ -297,7 +298,6 @@ def projector_report(M, dims, p):
     """
     from ktangle.transpose import _kway_pt, _pair_pt
 
-    eps_norm = kt.DEFAULT_TOLERANCES.eps_norm
     n, d_p = len(dims), dims[p]
     g, w, V, P = _projector_of(M, dims, p)
 
@@ -318,7 +318,7 @@ def projector_report(M, dims, p):
                 t_pair = _projector_trace_with(P, _pair_pt(M, dims, p, partner))
                 pair_split[partner] = (-2.0 * t_pair + t_id) / (d_p - 1)
 
-    gate = np.abs(e0) <= eps_norm
+    gate = np.abs(e0) <= EPS_NORM
     return {
         "n_global": n_global,
         "n_kway": n_kway,
@@ -326,7 +326,7 @@ def projector_report(M, dims, p):
         "e0": e0,
         "pair_split": pair_split,
         "sum_residual": np.abs(n_global - (sum(e_partial.values()) - e0)),
-        "violates": {K: gate & (ek > n_global + eps_norm) for K, ek in e_partial.items()},
+        "violates": {K: gate & (ek > n_global + EPS_NORM) for K, ek in e_partial.items()},
         "eigenvalues": w,
         "negative_vectors": V,
     }

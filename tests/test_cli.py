@@ -264,6 +264,13 @@ def test_sweep_tangle_zero_visible(capsys):
     low = min(rows, key=lambda r: float(r[4]))
     assert abs(float(low[0]) - 0.6268510) < 2e-5
     assert float(low[4]) < 1e-4
+    # a grid starting 1e-12 above the zero, where the reducer returns one
+    # merged form for two closed-form roots that are still apart
+    rc, out, err = _run(
+        capsys, ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "0.626851014851:0.7:3"]
+    )
+    assert rc == 0, err
+    assert len(out.strip().splitlines()) == 4
 
 
 def test_sweep_grid_validation(capsys):
@@ -401,7 +408,8 @@ def test_roof_demo_script():
     assert len(pairs) == 2
     for words in pairs:
         assert words[2] == words[-1]  # "roof^2 = X vs wootters tangle X"
-    assert runs[0].stdout.count("(converged=True, 0 restarts)") == 2  # the exact route ran
+    assert runs[0].stdout.count(" (exact)\n") == 2  # the exact route ran
+    assert runs[0].stdout.endswith("residual three tangle = 0.00e+00\n")  # at the closed-form q*
 
 
 @pytest.mark.parametrize("n_qubits, measure", [(2, "global"), (3, "k2")])

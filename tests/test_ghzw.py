@@ -35,10 +35,27 @@ def test_tau3_reference_values():
 
 def test_minus_branch_zero_location():
     z = kt.tau3_minus_zero()
-    assert abs(z - QSTAR) < 1e-9
+    assert abs(z - QSTAR) <= np.spacing(QSTAR)
     assert kt.tau3_closed_form(kt.GhzwParams(q=z, sign=-1)) < 1e-11
-    with pytest.raises(ValueError):
-        kt.tau3_minus_zero(lo=0.1, hi=0.2)
+    # the Wootters route of the three tangle vanishes at the closed-form q*
+    assert kt.three_tangle(kt.build_ghzw(kt.GhzwParams(q=z, sign=-1))).tau3 <= 1e-15
+    assert abs(kt.x_parameter(kt.GhzwParams(q=z, sign=-1)) ** 3 - 4.0) <= 1e-14
+
+
+@pytest.mark.parametrize("offset", [1e-13, 5.6e-13, 1e-12, 1e-11, 1e-9])
+def test_root_check_accepts_the_merged_double_root(offset):
+    # just above q*, the reducer merges the two rotation roots into one form
+    # while the closed-form roots x^2 (1 +- sqrt(1 - 4/x^3))/2 are still
+    # apart; the merged root lies between them and must not fail the check
+    params = kt.GhzwParams(q=QSTAR + offset, sign=-1)
+    res = kt.ghzw_canonical_params(params)
+    x = kt.x_parameter(params)
+    t = math.sqrt(1.0 - 4.0 / x**3)
+    lo, hi = x * x * (1.0 - t) / 2.0, x * x * (1.0 + t) / 2.0
+    for us in res.unitaries:
+        ratio = abs(us[0].matrix[0, 0]) / abs(us[0].matrix[0, 1])
+        assert lo * (1.0 - 1e-6) <= ratio <= hi * (1.0 + 1e-6)
+    assert res.residual < 1e-8
 
 
 def test_x_parameter_degeneracy_is_the_tangle_zero():

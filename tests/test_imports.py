@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-top-level definition is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+top-level definition is read somewhere in the package, and every small
+float threshold is a named constant of config.py.
 
 No linter ships with the toolchain, so the standard library's ast does the
 checks.  __init__.py is exempt from the import check: its imports are the
@@ -84,3 +85,27 @@ def test_the_check_finds_dead_private_code():
 
 def test_no_dead_private_code():
     assert _dead_private({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def _small_float_literals(text: str) -> list:
+    """(line, value) of each float literal with 0 < |value| < 1e-3: a
+    threshold, which belongs in config.py under a name."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-3
+    )
+
+
+def test_the_check_finds_an_unnamed_threshold():
+    text = "def f(x, tol=1e-12):\n    return x > -2.5e-4 and x < 0.5 and x != 0.0 and x > 1e-3\n"
+    assert _small_float_literals(text) == [(1, 1e-12), (2, 2.5e-4)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "config.py"), ids=lambda p: p.name
+)
+def test_thresholds_are_named_in_config(path):
+    assert _small_float_literals(path.read_text()) == []

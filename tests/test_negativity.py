@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
+from ktangle.config import EPS_EIG
 
 from conftest import L2, L3, L4, jacobi_eigensystem, mixed_state, random_form, real_pure
 
@@ -73,7 +74,7 @@ def test_projector_route_agrees_across_eigensolvers():
     w, V = jacobi_eigensystem(gpt)
     P = np.zeros((8, 8), dtype=complex)
     for lam, vec in zip(w, V.T):
-        if lam < -kt.DEFAULT_TOLERANCES.eps_eig:
+        if lam < -EPS_EIG:
             P += np.outer(vec, vec.conj())
     for K in (2, 3):
         ek = float(-2.0 * np.trace(P @ kt.kway_pt(rho, K, 0)).real)

@@ -12,6 +12,7 @@ import pytest
 
 import ktangle as kt
 from ktangle import cli
+from ktangle.config import EPS_EIG
 from ktangle.core import _outer
 from ktangle.negativity import _kway_channel
 from ktangle.roof import _member_value
@@ -42,7 +43,7 @@ def test_report_matches_projector_oracle(n):
                 for k in want:
                     assert abs(got[k] - want[k][0]) <= TOL, (n, p, name, k)
             w, V = ref["eigenvalues"][0], ref["negative_vectors"][0]
-            neg = [(lam, vec) for lam, vec in zip(w, V.T) if lam < -kt.DEFAULT_TOLERANCES.eps_eig]
+            neg = [(lam, vec) for lam, vec in zip(w, V.T) if lam < -EPS_EIG]
             assert len(rep.negative_eigenpairs) == len(neg)
             for (lam, vec), (lam_ref, vec_ref) in zip(rep.negative_eigenpairs, neg):
                 assert lam == lam_ref and np.array_equal(vec, vec_ref)

@@ -5,7 +5,6 @@ matrix, so these tests compare a stack of several states, row by row, with
 the public result for each state on its own.
 """
 
-import dataclasses
 import io
 import contextlib
 
@@ -14,14 +13,13 @@ import pytest
 
 import ktangle as kt
 from ktangle import cli, negativity
+from ktangle.config import EPS_EIG, EPS_NORM
 from ktangle.core import _check_density, _check_norm, _eigh, _outer, _partial_trace
 from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
 from ktangle.transpose import _global_pt, _kway_pt
 
 from conftest import L3, L4, mixed_state, sqrt_route_wootters
-
-EPS_EIG = kt.DEFAULT_TOLERANCES.eps_eig
 
 
 def _haar_stack(layout, seed, b=6):
@@ -158,7 +156,7 @@ def _audit_line(n_states, qubits, seed):
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_audit_counts_match_state_by_state_loop(offset):
     n = cli._AUDIT_CHUNK + offset
-    assert _audit_line(n, 3, 8) == _reference_audit(n, 3, 8, kt.DEFAULT_TOLERANCES.eps_norm)
+    assert _audit_line(n, 3, 8) == _reference_audit(n, 3, 8, EPS_NORM)
 
 
 @pytest.mark.parametrize("qubits,slack", [(3, -0.1), (4, -0.7)])
@@ -166,9 +164,8 @@ def test_audit_counts_match_with_a_shifted_gate(monkeypatch, qubits, slack):
     # with the default gates every count is 0; a negative slack makes the
     # CKW column count the states whose residual tangle is below -slack, so
     # the stacked counting is compared on nonzero counts
-    shifted = dataclasses.replace(kt.DEFAULT_TOLERANCES, eps_norm=slack)
-    monkeypatch.setattr(cli, "_T", shifted)
-    monkeypatch.setattr(negativity, "_T", shifted)
+    monkeypatch.setattr(cli, "EPS_NORM", slack)
+    monkeypatch.setattr(negativity, "EPS_NORM", slack)
     n = cli._AUDIT_CHUNK + 1
     line = _audit_line(n, qubits, 4)
     assert 0 < int(line.split(",")[-1]) < n
