@@ -35,7 +35,7 @@ from .config import (
     NumericalError,
     ValidationError,
 )
-from .core import LocalUnitary, PureState, outer, qubit_layout
+from .core import LocalUnitary, PureState, qubit_layout
 from .negativity import NegativityReport, _report_arrays
 from .tangle import TangleReport, three_tangle
 
@@ -292,7 +292,7 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
 
 def _global_and_delta(psi: PureState):
     """N_G of focus A and coherence_delta of the state, from one report."""
-    a = _report_arrays(outer(psi).matrix[None], psi.layout.dims, 0)
+    a = _report_arrays(psi.amplitudes[None], psi.layout.dims, 0)
     n_global = a.n_global[0]
     return float(n_global), float(a.e_partial[3][0] * n_global - three_tangle(psi, 0).tau3)
 

@@ -13,6 +13,7 @@ objects, so byte-identical output follows from identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import string
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .canonical import canonicalize3, coherence_delta
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError, ValidationError
-from .core import DensityOperator, PureState, _haar_amplitudes, _outer, outer, qubit_layout
+from .core import DensityOperator, PureState, _haar_amplitudes, outer, qubit_layout
 from .ghzw import sweep_family
 from .negativity import _report_arrays, negativity_report
 from .roof import Ensemble, RoofBudget, roof_negativity
@@ -74,6 +75,21 @@ def _header(command: str, path: str, digest: str, kind: str, dims, seeds: dict) 
     }
 
 
+def _gauged(vec: np.ndarray) -> np.ndarray:
+    """vec times the phase that makes its largest-modulus entry (the first
+    one on exact ties) real and positive.
+
+    Neither eigh nor the SVD fixes the phase of an eigenvector, so the
+    printed negative eigenvectors take this gauge.  A degenerate negative
+    eigenspace has no unique basis, and its printed vectors are one basis
+    of it, not a canonical one.
+    """
+    i = int(np.argmax(np.abs(vec)))
+    out = vec * (np.conj(vec[i]) / abs(vec[i]))
+    out[i] = abs(vec[i])
+    return out
+
+
 def _negativity_block(rep) -> dict:
     return {
         "focus": _FOCUS_LETTERS[rep.focus],
@@ -86,7 +102,7 @@ def _negativity_block(rep) -> dict:
         },
         "sum_residual": _sig12(rep.sum_residual),
         "negative_eigenpairs": [
-            {"eigenvalue": _sig12(lam), "vector": [_cnum(z) for z in vec]}
+            {"eigenvalue": _sig12(lam), "vector": [_cnum(z) for z in _gauged(vec)]}
             for lam, vec in rep.negative_eigenpairs
         ],
         "violations": list(rep.violations),
@@ -163,9 +179,10 @@ def _emit_json(doc: dict):
 
 def _cmd_analyze(args) -> int:
     obj, kind, digest = _load(args.file)
-    rho = _as_density(obj)
-    n = rho.layout.n_subsystems
-    pure3 = isinstance(obj, PureState) and rho.layout.dims == (2, 2, 2)
+    # a pure state keeps its amplitudes for the Schmidt route
+    state = obj.density() if isinstance(obj, Ensemble) else obj
+    n = state.layout.n_subsystems
+    pure3 = isinstance(obj, PureState) and state.layout.dims == (2, 2, 2)
     if args.canonical and not pure3:
         raise ValidationError("--canonical requires a three-qubit pure state")
     foci = [_focus_index(args.focus, n)] if args.focus else list(range(n))
@@ -174,7 +191,7 @@ def _cmd_analyze(args) -> int:
     worst_residual = 0.0
     delta = _sig12(coherence_delta(obj)) if pure3 else None
     for p in foci:
-        rep = negativity_report(rho, p)
+        rep = negativity_report(state, p)
         worst_residual = max(worst_residual, rep.sum_residual)
         entry = {"negativity": _negativity_block(rep)}
         if pure3:
@@ -182,7 +199,7 @@ def _cmd_analyze(args) -> int:
             entry["delta"] = delta
         reports.append(entry)
 
-    doc = {**_header("analyze", args.file, digest, kind, rho.layout.dims, {}), "reports": reports}
+    doc = {**_header("analyze", args.file, digest, kind, state.layout.dims, {}), "reports": reports}
     if args.canonical:
         doc["canonical"] = _canonical_block(canonicalize3(obj))
     _emit_json(doc)
@@ -276,9 +293,8 @@ def _cmd_audit(args) -> int:
     rng = np.random.default_rng(args.seed)
     viol_e2 = viol_e3 = viol_ckw = 0
     for v in _haar_stacks(layout, n_states, rng):
-        # the rows are normalized draws, so their densities are trusted
-        rho = _outer(v)
-        neg = _report_arrays(rho, layout.dims, 0)
+        # the rows are normalized draws, so they are trusted
+        neg = _report_arrays(v, layout.dims, 0)
         viol_e2 += int(neg.violates[2].sum())
         viol_e3 += int(neg.violates[3].sum())
         tau_f, pairs = _tangles(v, layout.dims, 0)
@@ -325,10 +341,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser() once per process: each add_argument reads the terminal
+    size, so building the parser costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,8 @@ derives from checked objects is trusted: outer, partial_trace and
 Ensemble.density build their result through _density, and the roof builds
 its certificate members through _pure, both unchecked; the other modules
 call the kernels _eigh and _trace_norm, which skip the hermiticity check
-(_eigh keeps the eigenpair residual check).
+(_eigh keeps the eigenpair residual check, as the Schmidt route of
+negativity keeps its SVD reconstruction check).
 
 trace_norm and the private checks and kernels also take stacks: leading
 axes index the stack and the last two axes hold each matrix.  A check

@@ -6,13 +6,16 @@ The global negativity of focus p is (|| rho^{T_p} ||_1 - 1)/(d_p - 1), the
 partial K-way negativity E_K^p takes M = rho_K^{T_p}, and
 E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 
-Everything comes from Hermitian spectra.  A trace norm is the sum of
-|eigenvalue| (Vidal & Werner, PRA 65, 032314, 2002); the global one is read
-off the spectrum whose eigenvectors also give the channels.  A channel is
-taken from the c negative eigenvectors V alone, Tr(P_minus M) =
-Tr(V^dagger M V), at O(c D^2) per operator; no D x D projector is built and
-no SVD is run.  The K-way negativities n_kway need one eigvalsh each and are
-computed only by negativity_report.
+Everything comes from the negative eigenpairs of the global transpose, by
+one of two routes chosen once, from the input.  Density input runs one eigh
+of rho^{T_p} (_negative_vectors); the trace norm is the sum of |eigenvalue|
+(Vidal & Werner, PRA 65, 032314, 2002).  Pure input runs one SVD of the
+d_p x D/d_p amplitude matrix (_schmidt_pairs): the Schmidt coefficients give
+the negative eigenpairs and N_G in closed form, with no D x D eigensolve.
+A channel is taken from the c negative eigenvectors V alone,
+Tr(P_minus M) = Tr(V^dagger M V), at O(c D^2) per operator; no D x D
+projector is built.  The K-way negativities n_kway need one eigvalsh each
+and are computed only by negativity_report.
 
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
@@ -27,19 +30,22 @@ rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho makes
 E_2^{p-q} = (-2 Tr(P_minus rho_2^{T_{p-pq}}) + Tr(P_minus rho))/(d_p - 1)
 the unique symmetric split.
 
-_report_arrays computes every report field for a stack of density matrices at
-once, n_kway only when asked; negativity_report is its batch of one.
+_report_arrays computes every report field for a stack of amplitude vectors
+or of density matrices at once, n_kway only when asked; negativity_report is
+its batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS_EIG, EPS_NORM
-from .core import DensityOperator, _eigh, _trace_norm, trace_norm
-from .transpose import _global_pt, _kway_pt, _pair_pt
+from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError
+from .core import DensityOperator, PureState, _eigh, _outer, _require, _trace_norm, trace_norm
+from .transpose import _check_focus, _global_pt, _kway_pt, _pair_pt
 
 
 @dataclass
@@ -66,12 +72,12 @@ class NegativityReport:
 @dataclass
 class _ReportArrays:
     """The NegativityReport fields of a stack but n_kway, one entry per
-    stacked matrix.
+    stacked state.
 
     violates[K] flags e_partial[K] > n_global + EPS_NORM where |e0| <= EPS_NORM.
-    eigenvalues are the ascending spectra of the global transposes and
-    negative_vectors their negative eigenvector columns (see
-    _negative_vectors).
+    eigenvalues are ascending eigenvalues of the global transposes, every one
+    below -EPS_EIG among them and the leading ones paired with the columns of
+    negative_vectors, the negative eigenvectors (see _global_spectrum).
     """
 
     n_global: np.ndarray
@@ -96,9 +102,12 @@ def negativity_from_pt(M: np.ndarray, d_p: int):
     return _negativity(trace_norm(M), d_p)
 
 
-def _global_negativity(M: np.ndarray, dims: tuple, p: int):
-    """N_G^p of each matrix of a stack (or of one matrix), unchecked."""
-    return _negativity(_trace_norm(_global_pt(M, dims, p)), dims[p])
+def _global_negativity(state: np.ndarray, dims: tuple, p: int):
+    """N_G^p of each state of a stack of amplitude vectors (B, D) or density
+    matrices (B, D, D), unchecked."""
+    if state.ndim == 2:
+        return _schmidt(state, dims, p)[0]
+    return _negativity(_trace_norm(_global_pt(state, dims, p)), dims[p])
 
 
 def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
@@ -138,23 +147,119 @@ def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
     return w, V[..., :c] * neg[..., None, :c]
 
 
-def _kway_channel(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
-    """E_K^p of each matrix of a stack, without the rest of the report."""
-    return _channel(_negative_vectors(M, dims, p)[1], _kway_pt(M, dims, K, p), dims[p])
+@functools.lru_cache(maxsize=16)
+def _schmidt_plan(dims: tuple, p: int):
+    """Gather index that lays a flat amplitude vector out focus-first, the
+    shape (A, 1, C) the rest index splits into around the focus, and the
+    Schmidt index pairs (k, l), k < l.
+
+    Cached per (dims, p) and read-only: a roof step evaluates a stack of a
+    few short vectors, where building these per call would cost more than
+    the SVD.
+    """
+    _check_focus(p, len(dims))
+    D, d_p = math.prod(dims), dims[p]
+    gather = np.moveaxis(np.arange(D).reshape(dims), p, 0).reshape(-1)
+    k, l = np.triu_indices(min(d_p, D // d_p), 1)
+    for a in (gather, k, l):
+        a.flags.writeable = False
+    return gather, (math.prod(dims[:p]), 1, math.prod(dims[p + 1 :])), k, l
 
 
-def _report_arrays(M: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
-    """Every NegativityReport field of focus p but n_kway, for a stack M of
-    shape (B, D, D).
+def _schmidt(amps: np.ndarray, dims: tuple, p: int):
+    """N_G^p of each state of a (B, D) stack of normalized amplitude vectors,
+    and the SVD S = U diag(s) W^dagger of each laid out focus-first as the
+    d_p x D/d_p matrix S.
+
+    psi = sum_k s_k |a_k>|b_k>, with a_k column k of U and b_k row k of
+    W^dagger, so ||rho^{T_p}||_1 = (sum_k s_k)^2 (see _schmidt_pairs) and
+    N_G^p = ((sum_k s_k)^2 - 1)/(d_p - 1) (Vidal & Werner, PRA 65, 032314,
+    2002), for every d_p.  The reconstruction residual
+    max|U diag(s) W^dagger - S| must be <= EPS_HERM, or NumericalError.
+    """
+    gather = _schmidt_plan(dims, p)[0]
+    d_p = dims[p]
+    S = amps[..., gather].reshape(amps.shape[:-1] + (d_p, -1))
+    U, s, Wh = np.linalg.svd(S, full_matrices=False)
+    resid = np.abs((U * s[..., None, :]) @ Wh - S).max(axis=(-2, -1))
+    _require(resid <= EPS_HERM, resid, f"Schmidt reconstruction residual {{}} exceeds {EPS_HERM}",
+             NumericalError)
+    return _negativity(s.sum(axis=-1) ** 2, d_p), U, s, Wh
+
+
+def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
+    """N_G^p, the negative eigenvalues and the negative eigenvector columns
+    of the global transposes of a (B, D) stack of pure states, from one SVD
+    each (_schmidt).
+
+    In the orthonormal product basis |a_l* b_k> of the Schmidt vectors,
+
+        rho^{T_p} = sum_{k,l} s_k s_l |a_l* b_k><a_k* b_l|.
+
+    It is s_k^2 on |a_k* b_k>, and on each pair k < l the 2 x 2 block
+    [[0, s_k s_l], [s_k s_l, 0]] with the eigenvalues +-s_k s_l; the rest of
+    the space is its kernel.  So the negative eigenvalues are -s_k s_l,
+    k < l, with the eigenvectors
+
+        V_kl = (|a_k* b_l> - |a_l* b_k>) / sqrt(2),
+
+    and the trace norm is sum_k s_k^2 + 2 sum_{k<l} s_k s_l = (sum_k s_k)^2.
+
+    Returns (n_global, w, Vm) in the layout of _negative_vectors: w holds
+    the pair eigenvalues of each state, ascending, and Vm the leading c
+    eigenvector columns in the flat index order, c the largest number of
+    eigenvalues < -EPS_EIG of any state; a column whose eigenvalue is not
+    below -EPS_EIG for its own state is zero.
+    """
+    _, split, k, l = _schmidt_plan(dims, p)
+    n_global, U, s, Wh = _schmidt(amps, dims, p)
+    lead = amps.shape[:-1]
+    w = -(s[..., k] * s[..., l])
+    # a_k*[i] b_l[a, c] - a_l*[i] b_k[a, c] on axes (a, i, c, pair), where
+    # (a, i, c) is the flat index split around the focus label i
+    Uc = (U.conj() * math.sqrt(0.5))[..., None, :, None, :]
+    Wt = Wh.swapaxes(-1, -2).reshape(lead + split + (-1,))
+    V = (Uc[..., k] * Wt[..., l] - Uc[..., l] * Wt[..., k]).reshape(amps.shape + (k.size,))
+    if k.size > 1:
+        order = np.argsort(w, axis=-1, kind="stable")
+        w = np.take_along_axis(w, order, axis=-1)
+        V = np.take_along_axis(V, order[..., None, :], axis=-1)
+    neg = w < -EPS_EIG
+    c = int(neg.sum(axis=-1).max(initial=0))
+    return n_global, w, V[..., :c] * neg[..., None, :c]
+
+
+def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
+    """The density matrices M of a stack of states, N_G^p of each, and the
+    (w, Vm) of _negative_vectors, with Vm Vm^dagger = P_minus of each.
+
+    A (B, D) stack of amplitude vectors takes the Schmidt route
+    (_schmidt_pairs), a (B, D, D) stack of density matrices the eigh route.
+    """
+    if state.ndim == 2:
+        n_global, w, Vm = _schmidt_pairs(state, dims, p)
+        return _outer(state), n_global, w, Vm
+    w, Vm = _negative_vectors(state, dims, p)
+    # the trace norm of each global transpose is the sum of |w|
+    return state, _negativity(np.abs(w).sum(axis=-1), dims[p]), w, Vm
+
+
+def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
+    """E_K^p of each state of a stack (see _global_spectrum), without the
+    rest of the report."""
+    M, _, _, Vm = _global_spectrum(state, dims, p)
+    return _channel(Vm, _kway_pt(M, dims, K, p), dims[p])
+
+
+def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
+    """Every NegativityReport field of focus p but n_kway, for a stack of
+    amplitude vectors (B, D) or of density matrices (B, D, D).
 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
     the stack, from the same rho_K^{T_p} the channel E_K is taken on.
     """
+    M, n_global, w, Vm = _global_spectrum(state, dims, p)  # checks the focus
     n, d_p = len(dims), dims[p]
-    w, Vm = _negative_vectors(M, dims, p)
-
-    # the trace norm of each global transpose is the sum of |w|
-    n_global = _negativity(np.abs(w).sum(axis=-1), d_p)
     e_partial = {}
     for K in range(2, n + 1):
         rk = _kway_pt(M, dims, K, p)
@@ -185,9 +290,12 @@ def _report_arrays(M: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _
     )
 
 
-def negativity_report(rho: DensityOperator, p: int) -> NegativityReport:
+def negativity_report(state: PureState | DensityOperator, p: int) -> NegativityReport:
+    """Every negativity measure of focus p: a PureState takes the Schmidt
+    route and a DensityOperator the eigh route (see _global_spectrum)."""
     n_kway = {}
-    a = _report_arrays(rho.matrix[None], rho.layout.dims, p, n_kway)
+    arr = state.amplitudes if isinstance(state, PureState) else state.matrix
+    a = _report_arrays(arr[None], state.layout.dims, p, n_kway)
 
     def row(d: dict) -> dict:
         return {k: float(v[0]) for k, v in d.items()}

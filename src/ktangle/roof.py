@@ -103,23 +103,23 @@ def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
 
 
 def _stack_measure(measure: str, p: int, layout):
-    """The named measure of focus p as a function of a (b, D, D) stack of
-    density matrices, one value per matrix."""
+    """The named measure of focus p as a function of a stack of states, one
+    value per state: (b, D) normalized vectors take the Schmidt route and
+    (b, D, D) density matrices the eigh route (negativity._global_spectrum)."""
     dims = layout.dims
     if measure == "global":
-        return lambda M: _global_negativity(M, dims, p)
+        return lambda state: _global_negativity(state, dims, p)
     if measure.startswith("k") and measure[1:].isdigit():
         k = int(measure[1:])
         if not 2 <= k <= layout.n_subsystems:
             raise ValidationError(f"k-way order {k} out of range for {layout.n_subsystems} parts")
-        return lambda M: _kway_channel(M, dims, k, p)
+        return lambda state: _kway_channel(state, dims, k, p)
     raise ValidationError(f"unknown roof measure {measure!r} (use global, k2, k3)")
 
 
 def _member_value(measure: str, p: int, layout):
     """The measure of each member of a (b, D) stack of normalized vectors."""
-    of_stack = _stack_measure(measure, p, layout)
-    return lambda vecs: of_stack(_outer(vecs))
+    return _stack_measure(measure, p, layout)
 
 
 def _rotate(g, theta: float, phis: np.ndarray):

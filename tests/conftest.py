@@ -161,26 +161,17 @@ def eigen_members(rho):
 def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
     """The roof search one restart and one member at a time.
 
-    Each member is evaluated through a validated DensityOperator and the
-    public measure functions.  The suite's oracle for the lockstep search
-    in roof_negativity, which must return the same bits.
+    Each member is evaluated through a validated PureState and the public
+    pure route of negativity_report.  The suite's oracle for the lockstep
+    search in roof_negativity, which must return the same bits.
     """
     from ktangle.roof import RoofResult, _ensemble, _support
 
     layout = rho.layout
-    if measure == "global":
-        d_p = layout.dims[p]
-
-        def of_rho(r):
-            return kt.negativity_from_pt(kt.global_pt(r, p), d_p)
-    else:
-        order = int(measure[1:])
-
-        def of_rho(r):
-            return kt.negativity_report(r, p).e_partial[order]
 
     def value_of(vec):
-        return of_rho(kt.DensityOperator(layout, np.outer(vec, vec.conj())))
+        rep = kt.negativity_report(kt.PureState(layout, vec), p)
+        return rep.n_global if measure == "global" else rep.e_partial[int(measure[1:])]
 
     lam, vec = _support(rho)
     r = lam.size

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
+from ktangle import cli
 from ktangle.cli import main
 
 from conftest import amplitudes_json, mixed_state, real_pure
@@ -381,7 +382,7 @@ def test_parse_errors(write_state, capsys):
     assert "parse error" in err
 
 
-def _run_subprocess(argv):
+def _run_subprocess(argv, **env):
     # the child imports the same ktangle as this process, installed or not
     src = os.path.dirname(os.path.dirname(kt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -389,7 +390,7 @@ def _run_subprocess(argv):
         [sys.executable, "-m", "ktangle", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -464,6 +465,84 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "ktangle" in out
+
+
+def test_the_parser_built_once_behaves_as_a_fresh_one(monkeypatch, capsys):
+    # usage errors, --version and different subcommands back to back
+    argvs = [
+        ["audit", "--random", "3", "--seed", "2"],
+        ["analyze"],
+        ["sweep", "--family", "ghzw", "--sign", "plus", "--q", "0.2:0.8:3"],
+        ["audit", "--random", "2", "--qubits", "5"],
+        ["--version"],
+        ["bogus"],
+        ["sweep", "--family", "ghzw", "--sign", "sideways", "--q", "0:1:3"],
+        ["audit", "--random", "3", "--seed", "2", "--qubits", "4"],
+        ["audit", "--random", "3"],
+        [],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in argvs:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = ("exit", exc.code)
+            captured = capsys.readouterr()
+            got.append((rc, captured.out, captured.err))
+        return got
+
+    once = outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = outcomes()
+    assert once == fresh
+    assert [rc for rc, _, _ in once] == [0, 1, 0, 1, ("exit", 0), 1, 1, 0, 0, 1]
+
+
+def _negative_vectors_printed(out):
+    doc = json.loads(out)
+    return [
+        np.array([complex(z["re"], z["im"]) for z in pair["vector"]])
+        for pair in doc["reports"][0]["negativity"]["negative_eigenpairs"]
+    ]
+
+
+def test_printed_eigenvectors_take_one_gauge_on_both_routes(write_state, capsys):
+    # the amplitude file takes the Schmidt route and the matrix file the eigh
+    # route; neither fixes a phase, the printed gauge does
+    layout = kt.qubit_layout(4)
+    v = kt.haar_random_pure(layout, 11).amplitudes
+    pure = write_state("pure.json", {"dims": [2] * 4, "amplitudes": amplitudes_json(v)})
+    rows = [amplitudes_json(row) for row in np.outer(v, v.conj())]
+    dense = write_state("dense.json", {"dims": [2] * 4, "matrix": rows})
+    printed = []
+    for path in (pure, dense):
+        rc, out, _ = _run(capsys, ["analyze", path, "--focus", "A"])
+        assert rc == 3  # complex coherences: the one-way term is reported
+        printed.append(_negative_vectors_printed(out))
+    assert len(printed[0]) == len(printed[1]) == 1
+    for a, b in zip(*printed):
+        assert np.abs(a - b).max() <= 1e-12
+        top = int(np.argmax(np.abs(a)))
+        assert a[top].imag == 0.0 and a[top].real > 0
+
+
+def test_gauge_takes_the_first_largest_entry():
+    vec = np.array([0.5j, -0.5, 0.5, -0.5j])
+    assert np.array_equal(cli._gauged(vec), np.array([0.5, 0.5j, -0.5j, -0.5]))
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_pure_analyze_bytes_do_not_depend_on_blas_threads(tmp_path, n):
+    v = kt.haar_random_pure(kt.qubit_layout(n), 100 + n).amplitudes
+    path = tmp_path / f"pure{n}.json"
+    path.write_text(json.dumps({"dims": [2] * n, "amplitudes": amplitudes_json(v)}))
+    argv = ["analyze", str(path), "--focus", "A"]
+    runs = [_run_subprocess(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+    assert [r.returncode for r in runs] == [3, 3]
+    assert runs[0].stdout == runs[1].stdout
 
 
 _JUNK_ENTRIES = (

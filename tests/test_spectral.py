@@ -1,8 +1,10 @@
-"""The spectral negativity pipeline against the SVD and D x D projector route.
+"""The negativity pipeline against its oracles.
 
-Trace norms come from Hermitian spectra and channels from the negative
-eigenvectors; conftest keeps the former route (SVD trace norms, P_minus
-built as a D x D matrix) as the oracle these tests compare with.
+Density input: trace norms come from Hermitian spectra and channels from the
+negative eigenvectors; conftest keeps the former route (SVD trace norms,
+P_minus built as a D x D matrix) as the oracle these tests compare with.
+Pure input: the Schmidt route gives the negative eigenpairs from one SVD;
+the eigh route of the same state's density operator is its oracle.
 """
 
 import math
@@ -16,8 +18,17 @@ from ktangle.config import EPS_EIG
 from ktangle.core import _outer
 from ktangle.negativity import _kway_channel
 from ktangle.roof import _member_value
+from ktangle.transpose import _global_pt
 
-from conftest import L2, L3, mixed_state, projector_kway_channel, projector_report, svd_trace_norm
+from conftest import (
+    L2,
+    L3,
+    amplitudes_json,
+    mixed_state,
+    projector_kway_channel,
+    projector_report,
+    svd_trace_norm,
+)
 
 TOL = 1e-13
 
@@ -96,23 +107,169 @@ def test_trace_norm_rejects_non_hermitian():
         kt.trace_norm(h)
 
 
-def test_no_svd_anywhere_in_the_negativity_pipeline(monkeypatch, capsys):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+def _eigensolver_inputs(monkeypatch):
+    """Every array passed to np.linalg.eigh or eigvalsh from now on."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    for n in (2, 3, 4):
-        _, states = _states(n)
-        for rho in states:
-            kt.negativity_report(rho, 0)
-            kt.negativity_from_pt(kt.global_pt(rho, 0), 2)
-    members = _roof_members(L3, seed=1)
-    assert _member_value("global", 0, L3)(members).shape == (len(members),)
-    assert _member_value("k2", 1, L3)(members).shape == (len(members),)
-    two = _roof_members(L2, seed=2, rank=2, m=3)
-    assert _member_value("global", 0, L2)(two).shape == (len(two),)
+        def record(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            seen.append(np.array(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    return seen
+
+
+def _sees(seen, G):
+    """Whether a recorded array holds one of the D x D matrices of G."""
+    D = G.shape[-1]
+    G = G.reshape(1, -1, D, D)
+    for a in seen:
+        if a.shape[-2:] == (D, D):
+            diff = np.abs(a.reshape(-1, 1, D, D) - G).max(axis=(-2, -1))
+            if (diff <= 1e-12).any():
+                return True
+    return False
+
+
+def test_no_eigensolve_sees_a_global_transpose_of_pure_input(monkeypatch, capsys, write_state):
+    seen = _eigensolver_inputs(monkeypatch)
+
+    def transposes(amps, dims, p):
+        return _global_pt(_outer(np.atleast_2d(amps)), dims, p)
+
+    # the check is not vacuous: density input solves its global transpose
+    psi = kt.haar_random_pure(kt.qubit_layout(4), 3)
+    G = transposes(psi.amplitudes, psi.layout.dims, 1)
+    kt.negativity_report(kt.outer(psi), 1)
+    assert _sees(seen, G)
+
+    seen.clear()
+    kt.negativity_report(psi, 1)
+    path = write_state("pure4.json", {"dims": [2] * 4, "amplitudes": amplitudes_json(psi.amplitudes)})
+    assert cli.main(["analyze", path, "--focus", "B"]) == 3
+    assert capsys.readouterr().out.startswith("{")
+    assert seen and not _sees(seen, G)  # the K-way eigvalsh calls still run
+
+    seen.clear()
     assert cli.main(["audit", "--random", "10", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("states,")
+    drawn = np.concatenate(list(cli._haar_stacks(L3, 10, np.random.default_rng(7))))
+    assert not _sees(seen, transposes(drawn, L3.dims, 0))
+
+    seen.clear()
+    psi3 = kt.haar_random_pure(L3, 4)
+    kt.coherence_delta(psi3)
+    assert not _sees(seen, transposes(psi3.amplitudes, L3.dims, 0))
+
+    three, two = _roof_members(L3, seed=1), _roof_members(L2, seed=2, rank=2, m=3)
+    for layout, members, measure, p in (
+        (L3, three, "global", 0), (L3, three, "k2", 1), (L3, three, "k3", 2), (L2, two, "global", 1)
+    ):
+        seen.clear()
+        assert _member_value(measure, p, layout)(members).shape == (len(members),)
+        assert not _sees(seen, transposes(members, layout.dims, p))
+
+
+def _product(dims, rng):
+    v = np.ones(1, dtype=complex)
+    for d in dims:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = np.kron(v, z / np.linalg.norm(z))
+    return v
+
+
+def _ghz(dims):
+    v = np.zeros(math.prod(dims), dtype=complex)
+    v[0] = v[-1] = 1 / math.sqrt(2)  # |0...0> and the all-top-label state
+    return v
+
+
+def _w(dims):
+    v = np.zeros(math.prod(dims), dtype=complex)
+    for m in range(len(dims)):
+        v[math.prod(dims[m + 1 :])] = 1 / math.sqrt(len(dims))  # label 1 on subsystem m
+    return v
+
+
+def _two_term(dims, prod):
+    """cos t |0...0> + sin t |1...1> with cos t sin t = prod: across every
+    cut its one negative eigenvalue is -prod."""
+    t = math.asin(2 * prod) / 2
+    v = np.zeros(math.prod(dims), dtype=complex)
+    v[0] = math.cos(t)
+    v[sum(math.prod(dims[m + 1 :]) for m in range(len(dims)))] = math.sin(t)
+    return v
+
+
+_PURE_LAYOUTS = [(2, 2), (2, 2, 2), (3, 2, 2), (2, 3), (4, 2), (2,) * 5, (2,) * 7]
+
+
+def _pure_cases(dims):
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    layout = kt.SubsystemLayout(dims)
+    return {
+        "haar": kt.haar_random_pure(layout, rng).amplitudes,
+        "product": _product(dims, rng),
+        "ghz": _ghz(dims),
+        "w": _w(dims),
+        "above_eps_eig": _two_term(dims, 2 * EPS_EIG),
+        "below_eps_eig": _two_term(dims, EPS_EIG / 2),
+    }
+
+
+@pytest.mark.parametrize("dims", _PURE_LAYOUTS, ids=lambda d: "x".join(map(str, d)))
+def test_schmidt_route_matches_the_eigh_oracle(dims):
+    layout = kt.SubsystemLayout(dims)
+    for name, amps in _pure_cases(dims).items():
+        psi = kt.PureState(layout, amps)
+        for p in range(len(dims)):
+            got = kt.negativity_report(psi, p)
+            want = kt.negativity_report(kt.outer(psi), p)  # the eigh route
+            where = (name, p)
+            assert abs(got.n_global - want.n_global) <= 1e-13, where
+            assert abs(got.e0 - want.e0) <= 1e-13, where
+            for field in ("e_partial", "pair_split", "n_kway"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert set(g) == set(w), where
+                for k in w:
+                    assert abs(g[k] - w[k]) <= 1e-13, (where, field, k)
+            assert len(got.negative_eigenpairs) == len(want.negative_eigenpairs), where
+            lam_got = [lam for lam, _ in got.negative_eigenpairs]
+            lam_want = [lam for lam, _ in want.negative_eigenpairs]
+            assert np.abs(np.subtract(lam_got, lam_want)).max(initial=0.0) <= 1e-13, where
+
+            def projector(rep):
+                P = np.zeros((layout.total_dim,) * 2, dtype=complex)
+                for _, vec in rep.negative_eigenpairs:
+                    P += np.outer(vec, vec.conj())
+                return P
+
+            assert np.abs(projector(got) - projector(want)).max() <= 1e-12, where
+        if name == "above_eps_eig":
+            assert len(got.negative_eigenpairs) == 1
+        if name in ("product", "below_eps_eig"):
+            assert got.negative_eigenpairs == []
+
+
+def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
+    svd = np.linalg.svd
+
+    def off(a, *args, **kwargs):
+        U, s, Wh = svd(a, *args, **kwargs)
+        return U, s * (1 + 1e-6), Wh
+
+    monkeypatch.setattr(np.linalg, "svd", off)
+    with pytest.raises(kt.NumericalError, match="Schmidt reconstruction residual"):
+        kt.negativity_report(kt.haar_random_pure(L3, 1), 0)
+
+
+def test_both_routes_reject_a_focus_out_of_range():
+    psi = kt.haar_random_pure(L3, 1)
+    for state in (psi, kt.outer(psi)):
+        for p in (-1, 3):
+            with pytest.raises(ValueError, match="focus"):
+                kt.negativity_report(state, p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

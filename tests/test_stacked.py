@@ -14,7 +14,7 @@ import pytest
 import ktangle as kt
 from ktangle import cli, negativity
 from ktangle.config import EPS_EIG, EPS_NORM
-from ktangle.core import _check_density, _check_norm, _eigh, _outer, _partial_trace
+from ktangle.core import _check_density, _check_norm, _eigh, _haar_amplitudes, _outer, _partial_trace
 from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
 from ktangle.transpose import _global_pt, _kway_pt
@@ -71,6 +71,32 @@ def test_report_arrays_match_batch_of_one(name):
             flagged = [K for K in a.violates if a.violates[K][b]]
             named = " ".join(rep.violations)
             assert flagged == [K for K in rep.e_partial if f"e_partial[{K}]" in named]
+
+
+@pytest.mark.parametrize("layout", [L3, L4], ids=["3q", "4q"])
+def test_pure_report_arrays_match_batch_of_one(layout):
+    # amplitude rows take the Schmidt route, as audit's stacks do
+    amps = _haar_amplitudes(layout.total_dim, np.random.default_rng(len(layout.dims)), 6)
+    amps[2] = 0.0
+    amps[2, 0] = 1.0  # a product row: its columns are masked in the stack
+    for p in range(layout.n_subsystems):
+        a = _report_arrays(amps, layout.dims, p)
+        for b in range(amps.shape[0]):
+            rep = kt.negativity_report(kt.PureState(layout, amps[b]), p)
+            # the same SVD of the same matrix: bit for bit
+            assert a.n_global[b] == rep.n_global
+            w = a.eigenvalues[b]
+            assert list(w[w < -EPS_EIG]) == [lam for lam, _ in rep.negative_eigenpairs]
+            vecs = a.negative_vectors[b].T[: len(rep.negative_eigenpairs)]
+            for vec, (_, ref) in zip(vecs, rep.negative_eigenpairs, strict=True):
+                assert np.array_equal(vec, ref)
+            for field in ("e_partial", "pair_split"):
+                row, ref = getattr(a, field), getattr(rep, field)
+                assert set(row) == set(ref)
+                for k in ref:
+                    assert abs(row[k][b] - ref[k]) <= 1e-14, (field, k)
+            assert abs(a.e0[b] - rep.e0) <= 1e-14
+            assert abs(a.sum_residual[b] - rep.sum_residual) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["haar3", "haar4"])
