@@ -37,7 +37,7 @@ from .config import (
 )
 from .core import LocalUnitary, PureState, qubit_layout
 from .negativity import NegativityReport, _report_arrays
-from .tangle import TangleReport, three_tangle
+from .tangle import TangleReport, _tangles
 
 _L3 = qubit_layout(3)
 
@@ -224,6 +224,13 @@ def _phase_gauge(amps: np.ndarray):
     return delta, 0.0, 0.0
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, bit for bit: the same products, without
+    np.kron's general-rank set-up."""
+    (m, n), (k, l) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
+
+
 def canonicalize3(psi: PureState) -> CanonicalizationResult:
     """Reduce a three-qubit pure state to canonical form(s).
 
@@ -247,7 +254,7 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
         W, _, Vh = np.linalg.svd(x * T0 + y * T1)
         UB = W.conj().T
         UC = Vh.conj()
-        amps = np.kron(UA, np.kron(UB, UC)) @ psi.amplitudes
+        amps = _kron(UA, _kron(UB, UC)) @ psi.amplitudes
         delta, beta1, gamma1 = _phase_gauge(amps)
         UA2 = UA.copy()
         UA2[1, :] *= cmath.exp(1j * delta)
@@ -255,7 +262,7 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
         UB2[1, :] *= cmath.exp(1j * beta1)
         UC2 = UC.copy()
         UC2[1, :] *= cmath.exp(1j * gamma1)
-        amps = np.kron(UA2, np.kron(UB2, UC2)) @ psi.amplitudes
+        amps = _kron(UA2, _kron(UB2, UC2)) @ psi.amplitudes
 
         b = abs(amps[4])
         phi = float(np.angle(amps[4])) % (2 * math.pi) if b > CANONICAL_AMP_EPS else 0.0
@@ -290,11 +297,13 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
     )
 
 
-def _global_and_delta(psi: PureState):
-    """N_G of focus A and coherence_delta of the state, from one report."""
-    a = _report_arrays(psi.amplitudes[None], psi.layout.dims, 0)
-    n_global = a.n_global[0]
-    return float(n_global), float(a.e_partial[3][0] * n_global - three_tangle(psi, 0).tau3)
+def _global_and_delta(amps: np.ndarray):
+    """N_G of focus A and coherence_delta of each state of a (B, 8) stack of
+    normalized three-qubit amplitude vectors, from one report and one tangle
+    call for the whole stack."""
+    a = _report_arrays(amps, _L3.dims, 0)
+    tau_f, pairs = _tangles(amps, _L3.dims, 0)
+    return a.n_global, a.e_partial[3] * a.n_global - (tau_f - sum(pairs.values()))
 
 
 def coherence_delta(psi: PureState) -> float:
@@ -304,7 +313,9 @@ def coherence_delta(psi: PureState) -> float:
     orbit it tracks how much three-way coherence has been rotated into or
     out of two-way coherences.
     """
-    return _global_and_delta(psi)[1]
+    if psi.layout.dims != (2, 2, 2):
+        raise ValueError("coherence delta needs a three-qubit pure state")
+    return float(_global_and_delta(psi.amplitudes[None])[1][0])
 
 
 def third_qubit_rotation(alpha: float) -> LocalUnitary:

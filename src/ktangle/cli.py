@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .canonical import canonicalize3, coherence_delta
-from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError, ValidationError
+from .config import EPS_EIG, EPS_HERM, EPS_NORM, STACK_CHUNK, NumericalError, ValidationError
 from .core import DensityOperator, PureState, _haar_amplitudes, outer, qubit_layout
 from .ghzw import sweep_family
 from .negativity import _report_arrays, negativity_report
@@ -32,10 +32,6 @@ from .statefile import ParseError, parse_state_file
 from .tangle import _tangles, three_tangle
 
 _FOCUS_LETTERS = string.ascii_uppercase
-
-# States per stack in `audit`: large enough that per-call overhead is paid
-# once for many states, small enough that memory does not grow with N.
-_AUDIT_CHUNK = 256
 
 
 class _UsageError(Exception):
@@ -277,10 +273,10 @@ def _cmd_roof(args) -> int:
 
 
 def _haar_stacks(layout, n_states: int, rng):
-    """n_states Haar amplitude vectors in stacks of at most _AUDIT_CHUNK rows,
+    """n_states Haar amplitude vectors in stacks of at most STACK_CHUNK rows,
     the states that n_states successive haar_random_pure calls return."""
-    for start in range(0, n_states, _AUDIT_CHUNK):
-        yield _haar_amplitudes(layout.total_dim, rng, min(_AUDIT_CHUNK, n_states - start))
+    for start in range(0, n_states, STACK_CHUNK):
+        yield _haar_amplitudes(layout.total_dim, rng, min(STACK_CHUNK, n_states - start))
 
 
 def _cmd_audit(args) -> int:

@@ -70,6 +70,11 @@ ROOF_ACCEPT_MARGIN = 1e-15
 # the best restart's average by less than this.
 ROOF_CONVERGED_DROP = 1e-8
 
+# States per stack in `audit` and grid points per stack in `sweep`: large
+# enough that per-call overhead is paid once for many states, small enough
+# that memory does not grow with the state count or the grid.
+STACK_CHUNK = 256
+
 # The roof search decomposes a rank-r state into min(2r, ROOF_MAX_MEMBERS)
 # members, and never into fewer than r.
 ROOF_MAX_MEMBERS = 8

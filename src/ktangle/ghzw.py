@@ -5,6 +5,12 @@ with s = +1 or -1.  The three tangle has a closed form in q; the minus branch
 has a unique interior zero.  Canonicalization of the family is delegated to
 the general reducer and cross-checked against the closed-form root of the
 first-qubit rotation where that root is real.
+
+GhzwParams and the q range of sweep_family are the boundary: the family
+states are normalized by construction and built unchecked.  sweep_family
+evaluates its grid in stacks of STACK_CHUNK points, with one negativity
+report and one tangle call per stack (canonical._global_and_delta); only
+the canonicalization, whose root and phase logic is scalar, runs per point.
 """
 
 from __future__ import annotations
@@ -21,8 +27,14 @@ from .canonical import (
     canonical_closed_forms,
     canonicalize3,
 )
-from .core import LocalUnitary, PureState, qubit_layout
-from .config import GHZW_ROOT_EPS, GHZW_ROOT_RTOL, NumericalError, ValidationError
+from .core import LocalUnitary, PureState, _pure, qubit_layout
+from .config import (
+    GHZW_ROOT_EPS,
+    GHZW_ROOT_RTOL,
+    STACK_CHUNK,
+    NumericalError,
+    ValidationError,
+)
 
 _L3 = qubit_layout(3)
 _TAU_COEF = 8.0 * math.sqrt(6.0) / 9.0
@@ -51,11 +63,18 @@ class SweepRow:
     delta: float
 
 
+def _ghzw_amplitudes(q, sign: int) -> np.ndarray:
+    """Amplitudes of the family state at each mixing parameter of q, shape
+    q.shape + (8,), unchecked."""
+    q = np.asarray(q, dtype=float)
+    v = np.zeros(q.shape + (8,), dtype=complex)
+    v[..., 0] = v[..., 7] = np.sqrt(q / 2.0)
+    v[..., 4] = v[..., 2] = v[..., 1] = sign * np.sqrt((1.0 - q) / 3.0)
+    return v
+
+
 def build_ghzw(params: GhzwParams) -> PureState:
-    v = np.zeros(8, dtype=complex)
-    v[0] = v[7] = math.sqrt(params.q / 2.0)
-    v[4] = v[2] = v[1] = params.sign * math.sqrt((1.0 - params.q) / 3.0)
-    return PureState(_L3, v)
+    return _pure(_L3, _ghzw_amplitudes(params.q, params.sign))
 
 
 def tau3_closed_form(params: GhzwParams) -> float:
@@ -158,28 +177,33 @@ def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
 
 
 def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
-    """SweepRow per grid point: raw-state N_G and delta, canonical-form e2/e3."""
+    """SweepRow per grid point: raw-state N_G and delta, canonical-form e2/e3.
+
+    N_G and delta come from one stacked pass per STACK_CHUNK grid points;
+    the canonical forms are reduced point by point.
+    """
     if not 0.0 <= q_start < q_end <= 1.0:
         raise ValidationError(f"bad q range [{q_start}, {q_end}]")
     if steps < 2:
         raise ValidationError("a sweep needs at least 2 grid points")
+    qs = np.linspace(q_start, q_end, steps)
     rows = []
-    for q in np.linspace(q_start, q_end, steps):
-        params = GhzwParams(q=float(q), sign=sign)
-        n_global, delta = _global_and_delta(build_ghzw(params))
-        form = ghzw_canonical_params(params).forms[0]
-        neg_closed, _ = canonical_closed_forms(form)
-        e2 = neg_closed.e_partial[2]
-        e3 = neg_closed.e_partial[3]
-        rows.append(
-            SweepRow(
-                q=float(q),
-                n_global=n_global,
-                e2=e2,
-                e3=e3,
-                tau3_formula=tau3_closed_form(params),
-                e3_times_ng=e3 * n_global,
-                delta=delta,
+    for start in range(0, steps, STACK_CHUNK):
+        chunk = qs[start : start + STACK_CHUNK]
+        grid = [GhzwParams(q=q, sign=sign) for q in chunk.tolist()]
+        n_global, delta = _global_and_delta(_ghzw_amplitudes(chunk, sign))
+        for params, ng, dl in zip(grid, n_global.tolist(), delta.tolist()):
+            neg_closed, _ = canonical_closed_forms(ghzw_canonical_params(params).forms[0])
+            e3 = neg_closed.e_partial[3]
+            rows.append(
+                SweepRow(
+                    q=params.q,
+                    n_global=ng,
+                    e2=neg_closed.e_partial[2],
+                    e3=e3,
+                    tau3_formula=tau3_closed_form(params),
+                    e3_times_ng=e3 * ng,
+                    delta=dl,
+                )
             )
-        )
     return rows

@@ -247,10 +247,10 @@ def roof_negativity(
     lam, vec = _support(rho)
     if lam.size == 1:
         # rank one: the only decomposition is the state itself, so evaluate
-        # the measure on rho as given (bitwise equal to the direct route)
+        # the measure on its amplitudes, by the Schmidt route
         psi = _pure(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
         return RoofResult(
-            value=float(of_stack(rho.matrix[None])[0]),
+            value=float(of_stack(psi.amplitudes[None])[0]),
             certificate=Ensemble(members=((1.0, psi),)),
             restarts_used=0,
             converged=True,

@@ -233,6 +233,40 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
     )
 
 
+def sequential_sweep(sign, q_start, q_end, steps):
+    """The GHZ+W sweep one grid point at a time.
+
+    Each point builds its state from math.sqrt amplitudes as a validated
+    PureState and takes N_G and E_3 from negativity_report and tau3 from
+    three_tangle, each a batch of one.  The suite's oracle for the stacked
+    sweep_family, which must return the same bits.
+    """
+    rows = []
+    for q in np.linspace(q_start, q_end, steps):
+        params = kt.GhzwParams(q=float(q), sign=sign)
+        v = np.zeros(8, dtype=complex)
+        v[0] = v[7] = math.sqrt(params.q / 2.0)
+        v[4] = v[2] = v[1] = sign * math.sqrt((1.0 - params.q) / 3.0)
+        psi = kt.PureState(L3, v)
+        rep = kt.negativity_report(psi, 0)
+        n_global = rep.n_global
+        delta = rep.e_partial[3] * n_global - kt.three_tangle(psi, 0).tau3
+        neg_closed, _ = kt.canonical_closed_forms(kt.ghzw_canonical_params(params).forms[0])
+        e3 = neg_closed.e_partial[3]
+        rows.append(
+            kt.SweepRow(
+                q=float(q),
+                n_global=n_global,
+                e2=neg_closed.e_partial[2],
+                e3=e3,
+                tau3_formula=kt.tau3_closed_form(params),
+                e3_times_ng=e3 * n_global,
+                delta=delta,
+            )
+        )
+    return rows
+
+
 def svd_trace_norm(M):
     """Sum of singular values of a matrix (or stack).
 

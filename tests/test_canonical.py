@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
+from ktangle.canonical import _kron
 
 from conftest import L3, random_form
 
@@ -198,3 +199,17 @@ def test_canonicalize_rejects_other_layouts():
     psi = kt.haar_random_pure(kt.qubit_layout(2), 0)
     with pytest.raises(kt.ValidationError):
         kt.canonicalize3(psi)
+
+
+def _haar_unitary(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_kron_helper_equals_np_kron_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        a, b, c = (_haar_unitary(rng) for _ in range(3))
+        assert _kron(b, c).tobytes() == np.kron(b, c).tobytes()
+        assert _kron(a, _kron(b, c)).tobytes() == np.kron(a, np.kron(b, c)).tobytes()

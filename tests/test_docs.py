@@ -1,5 +1,7 @@
-"""The README and the scripts name only the public API that exists."""
+"""The README and the scripts name only the public API that exists, and
+the committed benchmark trajectory files are complete."""
 
+import json
 import re
 from pathlib import Path
 
@@ -25,3 +27,21 @@ def test_the_boundary_list_names_real_functions():
     assert {"trace_norm", "negativity_from_pt"} <= names
     for name in sorted(names):
         assert name in kt.__all__ and callable(getattr(kt, name)), name
+
+
+def test_every_bench_file_covers_every_workload_and_metric():
+    # each BENCH_<pr>.json records, for every workload BENCHMARK.json names,
+    # the median and quartiles of both sides on every end-to-end metric
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        workloads = json.loads(path.read_text())["workloads"]
+        for w in spec["workloads"]:
+            entry = workloads[w["name"]]
+            for side in ("parent", "change"):
+                for m in metrics:
+                    stats = entry[side][m]
+                    assert set(stats) >= {"median", "q1", "q3"}, (path.name, w["name"], side, m)
+                    assert all(isinstance(stats[k], (int, float)) for k in ("median", "q1", "q3"))

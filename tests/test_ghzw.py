@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
+from ktangle.config import STACK_CHUNK
+from ktangle.ghzw import _ghzw_amplitudes
+
+from conftest import sequential_sweep
 
 QSTAR = 2.0 ** (7.0 / 3.0) / (3.0 + 2.0 ** (7.0 / 3.0))
 
@@ -146,3 +151,51 @@ def test_sweep_validation():
         kt.GhzwParams(q=1.5, sign=1)
     with pytest.raises(kt.ValidationError):
         kt.GhzwParams(q=0.5, sign=2)
+
+
+def _bits(rows):
+    # every SweepRow field as its exact bit pattern (-0.0 and NaN included)
+    return [tuple(float(v).hex() for v in dataclasses.astuple(r)) for r in rows]
+
+
+def _assert_same_bits(sign, q_start, q_end, steps):
+    got = kt.sweep_family(sign, q_start, q_end, steps)
+    want = sequential_sweep(sign, q_start, q_end, steps)
+    assert len(got) == steps
+    for i, (g, w) in enumerate(zip(_bits(got), _bits(want))):
+        assert g == w, (sign, q_start, q_end, steps, i)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (0.0, 1.0, 201),
+        (0.0, 1.0, 101),
+        (0.626851014851, 0.7, 3),
+        (0.3, 0.31, 2),
+        (0.0, 1.0, 2 * STACK_CHUNK + 88),  # three stacks, the last one partial
+    ],
+)
+def test_stacked_sweep_matches_the_per_point_loop(sign, grid):
+    _assert_same_bits(sign, *grid)
+
+
+def test_stacked_sweep_matches_the_per_point_loop_on_random_grids():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+        _assert_same_bits(int(rng.choice([1, -1])), lo, hi, 41)
+
+
+def test_family_stack_matches_the_scalar_amplitudes():
+    qs = np.linspace(0.0, 1.0, 37)
+    for sign in (1, -1):
+        stack = _ghzw_amplitudes(qs, sign)
+        for q, row in zip(qs.tolist(), stack):
+            v = np.zeros(8, dtype=complex)
+            v[0] = v[7] = math.sqrt(q / 2.0)
+            v[4] = v[2] = v[1] = sign * math.sqrt((1.0 - q) / 3.0)
+            assert row.tobytes() == v.tobytes()
+            psi = kt.build_ghzw(kt.GhzwParams(q=q, sign=sign))
+            assert psi.amplitudes.tobytes() == v.tobytes()

@@ -162,6 +162,15 @@ def test_no_eigensolve_sees_a_global_transpose_of_pure_input(monkeypatch, capsys
     kt.coherence_delta(psi3)
     assert not _sees(seen, transposes(psi3.amplitudes, L3.dims, 0))
 
+    # a pure file reaches the roof as a rank-one density operator; its one
+    # member takes the Schmidt route
+    path3 = write_state("pure3.json", {"dims": [2] * 3, "amplitudes": amplitudes_json(psi3.amplitudes)})
+    for measure in ("global", "k2"):
+        seen.clear()
+        assert cli.main(["roof", path3, "--focus", "A", "--measure", measure]) == 0
+        assert '"bound": "exact"' in capsys.readouterr().out
+        assert seen and not _sees(seen, transposes(psi3.amplitudes, L3.dims, 0))
+
     three, two = _roof_members(L3, seed=1), _roof_members(L2, seed=2, rank=2, m=3)
     for layout, members, measure, p in (
         (L3, three, "global", 0), (L3, three, "k2", 1), (L3, three, "k3", 2), (L2, two, "global", 1)

@@ -13,7 +13,7 @@ import pytest
 
 import ktangle as kt
 from ktangle import cli, negativity
-from ktangle.config import EPS_EIG, EPS_NORM
+from ktangle.config import EPS_EIG, EPS_NORM, STACK_CHUNK
 from ktangle.core import _check_density, _check_norm, _eigh, _haar_amplitudes, _outer, _partial_trace
 from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
@@ -144,9 +144,9 @@ def test_partial_trace_stack_matches_per_matrix():
 
 
 def test_haar_stacks_straddle_the_chunk():
-    n = cli._AUDIT_CHUNK + 3
+    n = STACK_CHUNK + 3
     stacks = list(cli._haar_stacks(L3, n, np.random.default_rng(5)))
-    assert [s.shape[0] for s in stacks] == [cli._AUDIT_CHUNK, 3]
+    assert [s.shape[0] for s in stacks] == [STACK_CHUNK, 3]
     rng = np.random.default_rng(5)
     ref = np.stack([kt.haar_random_pure(L3, rng).amplitudes for _ in range(n)])
     assert np.array_equal(np.concatenate(stacks), ref)
@@ -181,7 +181,7 @@ def _audit_line(n_states, qubits, seed):
 
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_audit_counts_match_state_by_state_loop(offset):
-    n = cli._AUDIT_CHUNK + offset
+    n = STACK_CHUNK + offset
     assert _audit_line(n, 3, 8) == _reference_audit(n, 3, 8, EPS_NORM)
 
 
@@ -192,7 +192,7 @@ def test_audit_counts_match_with_a_shifted_gate(monkeypatch, qubits, slack):
     # the stacked counting is compared on nonzero counts
     monkeypatch.setattr(cli, "EPS_NORM", slack)
     monkeypatch.setattr(negativity, "EPS_NORM", slack)
-    n = cli._AUDIT_CHUNK + 1
+    n = STACK_CHUNK + 1
     line = _audit_line(n, qubits, 4)
     assert 0 < int(line.split(",")[-1]) < n
     assert line == _reference_audit(n, qubits, 4, slack)
