@@ -27,6 +27,7 @@ A check passes only where "defect <= bound" holds, so NaN fails it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -186,6 +187,24 @@ def _outer(v: np.ndarray) -> np.ndarray:
 
 def outer(psi: PureState) -> DensityOperator:
     return _density(psi.layout, _outer(psi.amplitudes))
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(dims: tuple, first: tuple) -> np.ndarray:
+    """Flat amplitude indices in the matrix layout of _slices(.., dims, first),
+    cached per (dims, first) and read-only: a roof step lays out a stack of a
+    few short vectors, where building the index per call would cost more than
+    the gather."""
+    t = np.moveaxis(np.arange(math.prod(dims)).reshape(dims), first, range(len(first)))
+    index = t.reshape(math.prod(dims[m] for m in first), -1)
+    index.flags.writeable = False
+    return index
+
+
+def _slices(amps: np.ndarray, dims: tuple, first: tuple) -> np.ndarray:
+    """Amplitude stack (..., D) as matrices: rows index the subsystems in
+    first (in that order), columns the others (in layout order)."""
+    return amps[..., _gather_index(dims, first)]
 
 
 def _keep_list(keep, n: int) -> list:

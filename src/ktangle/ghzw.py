@@ -9,8 +9,9 @@ first-qubit rotation where that root is real.
 GhzwParams and the q range of sweep_family are the boundary: the family
 states are normalized by construction and built unchecked.  sweep_family
 evaluates its grid in stacks of STACK_CHUNK points, with one negativity
-report and one tangle call per stack (canonical._global_and_delta); only
-the canonicalization, whose root and phase logic is scalar, runs per point.
+report and one tangle call per stack (canonical._global_and_delta), and
+yields the rows as it goes; only the canonicalization, whose root and phase
+logic is scalar, runs per point.
 """
 
 from __future__ import annotations
@@ -177,33 +178,31 @@ def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
 
 
 def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
-    """SweepRow per grid point: raw-state N_G and delta, canonical-form e2/e3.
-
-    N_G and delta come from one stacked pass per STACK_CHUNK grid points;
-    the canonical forms are reduced point by point.
+    """SweepRow per grid point, in grid order: raw-state N_G and delta,
+    canonical-form e2/e3.  The range and the step count are checked at the
+    call; the rows are then yielded one stack at a time (module docstring).
     """
     if not 0.0 <= q_start < q_end <= 1.0:
         raise ValidationError(f"bad q range [{q_start}, {q_end}]")
     if steps < 2:
         raise ValidationError("a sweep needs at least 2 grid points")
-    qs = np.linspace(q_start, q_end, steps)
-    rows = []
-    for start in range(0, steps, STACK_CHUNK):
+    return _sweep_rows(sign, np.linspace(q_start, q_end, steps))
+
+
+def _sweep_rows(sign: int, qs: np.ndarray):
+    for start in range(0, qs.size, STACK_CHUNK):
         chunk = qs[start : start + STACK_CHUNK]
         grid = [GhzwParams(q=q, sign=sign) for q in chunk.tolist()]
         n_global, delta = _global_and_delta(_ghzw_amplitudes(chunk, sign))
         for params, ng, dl in zip(grid, n_global.tolist(), delta.tolist()):
             neg_closed, _ = canonical_closed_forms(ghzw_canonical_params(params).forms[0])
             e3 = neg_closed.e_partial[3]
-            rows.append(
-                SweepRow(
-                    q=params.q,
-                    n_global=ng,
-                    e2=neg_closed.e_partial[2],
-                    e3=e3,
-                    tau3_formula=tau3_closed_form(params),
-                    e3_times_ng=e3 * ng,
-                    delta=dl,
-                )
+            yield SweepRow(
+                q=params.q,
+                n_global=ng,
+                e2=neg_closed.e_partial[2],
+                e3=e3,
+                tau3_formula=tau3_closed_form(params),
+                e3_times_ng=e3 * ng,
+                delta=dl,
             )
-    return rows

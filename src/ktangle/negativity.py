@@ -7,11 +7,12 @@ partial K-way negativity E_K^p takes M = rho_K^{T_p}, and
 E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 
 Everything comes from the negative eigenpairs of the global transpose, by
-one of two routes chosen once, from the input.  Density input runs one eigh
-of rho^{T_p} (_negative_vectors); the trace norm is the sum of |eigenvalue|
+one of two routes chosen once, from the input (_global_spectrum).  Density
+input runs one eigh of rho^{T_p}; the trace norm is the sum of |eigenvalue|
 (Vidal & Werner, PRA 65, 032314, 2002).  Pure input runs one SVD of the
 d_p x D/d_p amplitude matrix (_schmidt_pairs): the Schmidt coefficients give
 the negative eigenpairs and N_G in closed form, with no D x D eigensolve.
+Both routes keep the same negative eigenvector columns (_negative_columns).
 A channel is taken from the c negative eigenvectors V alone,
 Tr(P_minus M) = Tr(V^dagger M V), at O(c D^2) per operator; no D x D
 projector is built.  The K-way negativities n_kway need one eigvalsh each
@@ -32,7 +33,8 @@ the unique symmetric split.
 
 _report_arrays computes every report field for a stack of amplitude vectors
 or of density matrices at once, n_kway only when asked; negativity_report is
-its batch of one.
+its batch of one.  The convex roof (roof.py) evaluates its members, pure
+stacks only, through _schmidt (N_G) and _kway_channel (E_K).
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError
-from .core import DensityOperator, PureState, _eigh, _outer, _require, _trace_norm, trace_norm
+from .core import DensityOperator, PureState, _eigh, _outer, _require, _slices, _trace_norm
+from .core import trace_norm
 from .transpose import _check_focus, _global_pt, _kway_pt, _pair_pt
 
 
@@ -75,9 +78,8 @@ class _ReportArrays:
     stacked state.
 
     violates[K] flags e_partial[K] > n_global + EPS_NORM where |e0| <= EPS_NORM.
-    eigenvalues are ascending eigenvalues of the global transposes, every one
-    below -EPS_EIG among them and the leading ones paired with the columns of
-    negative_vectors, the negative eigenvectors (see _global_spectrum).
+    eigenvalues are ascending spectra of the global transposes and
+    negative_vectors their negative eigenvector columns (_negative_columns).
     """
 
     n_global: np.ndarray
@@ -102,14 +104,6 @@ def negativity_from_pt(M: np.ndarray, d_p: int):
     return _negativity(trace_norm(M), d_p)
 
 
-def _global_negativity(state: np.ndarray, dims: tuple, p: int):
-    """N_G^p of each state of a stack of amplitude vectors (B, D) or density
-    matrices (B, D, D), unchecked."""
-    if state.ndim == 2:
-        return _schmidt(state, dims, p)[0]
-    return _negativity(_trace_norm(_global_pt(state, dims, p)), dims[p])
-
-
 def _negative_pairs(w: np.ndarray, V: np.ndarray) -> list:
     """(eigenvalue, eigenvector) of one spectrum for eigenvalues < -EPS_EIG.
 
@@ -131,45 +125,35 @@ def _channel(Vm: np.ndarray, M: np.ndarray, d_p: int) -> np.ndarray:
     return -(2.0 / (d_p - 1)) * _trace_with(Vm, M)
 
 
-def _negative_vectors(M: np.ndarray, dims: tuple, p: int):
-    """Spectra w of the global transposes of a stack and their negative
-    eigenvector columns Vm.
+def _negative_columns(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The negative eigenvector columns Vm of ascending spectra w with
+    eigenvectors V, per stacked matrix.
 
-    Vm holds the leading c eigenvector columns, c the largest number of
-    eigenvalues < -EPS_EIG of any matrix in the stack.  A column whose
-    eigenvalue is not below -EPS_EIG for its own matrix is zero, so
-    Vm Vm^dagger is P_minus of every matrix.
+    Vm holds the leading c columns of V, c the largest number of eigenvalues
+    < -EPS_EIG of any matrix in the stack.  A column whose eigenvalue is not
+    below -EPS_EIG for its own matrix is zero, so Vm Vm^dagger is P_minus of
+    every matrix.  Vm is a new array, so the full V can be freed.
     """
-    w, V = _eigh(_global_pt(M, dims, p))
     neg = w < -EPS_EIG
     c = int(neg.sum(axis=-1).max(initial=0))
-    # a new array, so that the full eigenvector array is freed on return
-    return w, V[..., :c] * neg[..., None, :c]
+    return V[..., :c] * neg[..., None, :c]
 
 
 @functools.lru_cache(maxsize=16)
 def _schmidt_plan(dims: tuple, p: int):
-    """Gather index that lays a flat amplitude vector out focus-first, the
-    shape (A, 1, C) the rest index splits into around the focus, and the
-    Schmidt index pairs (k, l), k < l.
-
-    Cached per (dims, p) and read-only: a roof step evaluates a stack of a
-    few short vectors, where building these per call would cost more than
-    the SVD.
-    """
+    """The shape (A, 1, C) the rest index splits into around the focus, and
+    the Schmidt index pairs (k, l), k < l; cached per (dims, p), read-only."""
     _check_focus(p, len(dims))
-    D, d_p = math.prod(dims), dims[p]
-    gather = np.moveaxis(np.arange(D).reshape(dims), p, 0).reshape(-1)
-    k, l = np.triu_indices(min(d_p, D // d_p), 1)
-    for a in (gather, k, l):
-        a.flags.writeable = False
-    return gather, (math.prod(dims[:p]), 1, math.prod(dims[p + 1 :])), k, l
+    d_p = dims[p]
+    k, l = np.triu_indices(min(d_p, math.prod(dims) // d_p), 1)
+    k.flags.writeable = l.flags.writeable = False
+    return (math.prod(dims[:p]), 1, math.prod(dims[p + 1 :])), k, l
 
 
 def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     """N_G^p of each state of a (B, D) stack of normalized amplitude vectors,
     and the SVD S = U diag(s) W^dagger of each laid out focus-first as the
-    d_p x D/d_p matrix S.
+    d_p x D/d_p matrix S (core._slices); the focus is not checked.
 
     psi = sum_k s_k |a_k>|b_k>, with a_k column k of U and b_k row k of
     W^dagger, so ||rho^{T_p}||_1 = (sum_k s_k)^2 (see _schmidt_pairs) and
@@ -177,20 +161,18 @@ def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     2002), for every d_p.  The reconstruction residual
     max|U diag(s) W^dagger - S| must be <= EPS_HERM, or NumericalError.
     """
-    gather = _schmidt_plan(dims, p)[0]
-    d_p = dims[p]
-    S = amps[..., gather].reshape(amps.shape[:-1] + (d_p, -1))
+    S = _slices(amps, dims, (p,))
     U, s, Wh = np.linalg.svd(S, full_matrices=False)
     resid = np.abs((U * s[..., None, :]) @ Wh - S).max(axis=(-2, -1))
     _require(resid <= EPS_HERM, resid, f"Schmidt reconstruction residual {{}} exceeds {EPS_HERM}",
              NumericalError)
-    return _negativity(s.sum(axis=-1) ** 2, d_p), U, s, Wh
+    return _negativity(s.sum(axis=-1) ** 2, dims[p]), U, s, Wh
 
 
 def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
-    """N_G^p, the negative eigenvalues and the negative eigenvector columns
-    of the global transposes of a (B, D) stack of pure states, from one SVD
-    each (_schmidt).
+    """N_G^p and the pair eigenvalues w, ascending, with their eigenvectors V
+    in the flat index order, of the global transposes of a (B, D) stack of
+    pure states, from one SVD each (_schmidt).
 
     In the orthonormal product basis |a_l* b_k> of the Schmidt vectors,
 
@@ -204,14 +186,8 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
         V_kl = (|a_k* b_l> - |a_l* b_k>) / sqrt(2),
 
     and the trace norm is sum_k s_k^2 + 2 sum_{k<l} s_k s_l = (sum_k s_k)^2.
-
-    Returns (n_global, w, Vm) in the layout of _negative_vectors: w holds
-    the pair eigenvalues of each state, ascending, and Vm the leading c
-    eigenvector columns in the flat index order, c the largest number of
-    eigenvalues < -EPS_EIG of any state; a column whose eigenvalue is not
-    below -EPS_EIG for its own state is zero.
     """
-    _, split, k, l = _schmidt_plan(dims, p)
+    split, k, l = _schmidt_plan(dims, p)  # checks the focus
     n_global, U, s, Wh = _schmidt(amps, dims, p)
     lead = amps.shape[:-1]
     w = -(s[..., k] * s[..., l])
@@ -224,24 +200,25 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
         order = np.argsort(w, axis=-1, kind="stable")
         w = np.take_along_axis(w, order, axis=-1)
         V = np.take_along_axis(V, order[..., None, :], axis=-1)
-    neg = w < -EPS_EIG
-    c = int(neg.sum(axis=-1).max(initial=0))
-    return n_global, w, V[..., :c] * neg[..., None, :c]
+    return n_global, w, V
 
 
 def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
-    """The density matrices M of a stack of states, N_G^p of each, and the
-    (w, Vm) of _negative_vectors, with Vm Vm^dagger = P_minus of each.
+    """The density matrices M of a stack of states, N_G^p of each, the
+    ascending spectra w of the global transposes and their negative
+    eigenvector columns Vm (_negative_columns).
 
     A (B, D) stack of amplitude vectors takes the Schmidt route
     (_schmidt_pairs), a (B, D, D) stack of density matrices the eigh route.
     """
     if state.ndim == 2:
-        n_global, w, Vm = _schmidt_pairs(state, dims, p)
-        return _outer(state), n_global, w, Vm
-    w, Vm = _negative_vectors(state, dims, p)
-    # the trace norm of each global transpose is the sum of |w|
-    return state, _negativity(np.abs(w).sum(axis=-1), dims[p]), w, Vm
+        n_global, w, V = _schmidt_pairs(state, dims, p)
+        M = _outer(state)
+    else:
+        w, V = _eigh(_global_pt(state, dims, p))
+        # the trace norm of each global transpose is the sum of |w|
+        M, n_global = state, _negativity(np.abs(w).sum(axis=-1), dims[p])
+    return M, n_global, w, _negative_columns(w, V)
 
 
 def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:

@@ -13,6 +13,9 @@ optimal decomposition comes from the Takagi factorization that also gives
 the tangles (tangle._takagi).  That case is returned exactly (bound
 "exact"), with no search, and so is rank-one input of every measure, which
 is its own only decomposition.
+
+Every member is pure, so the measures take pure stacks only: N_G and E_K
+come from the Schmidt route of negativity (_member_value).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .config import (
     ValidationError,
 )
 from .core import DensityOperator, _density, _outer, _pure
-from .negativity import _global_negativity, _kway_channel
+from .negativity import _kway_channel, _schmidt
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
 
@@ -102,24 +105,31 @@ def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
     return Ensemble(members=tuple(members))
 
 
-def _stack_measure(measure: str, p: int, layout):
-    """The named measure of focus p as a function of a stack of states, one
-    value per state: (b, D) normalized vectors take the Schmidt route and
-    (b, D, D) density matrices the eigh route (negativity._global_spectrum)."""
+def _member_value(measure: str, p: int, layout):
+    """The named measure of focus p as a function of a (b, D) stack of
+    normalized member vectors, one value each.  Checks the measure and the
+    focus before any member is evaluated."""
     dims = layout.dims
     if measure == "global":
-        return lambda state: _global_negativity(state, dims, p)
-    if measure.startswith("k") and measure[1:].isdigit():
+        value = lambda amps: _schmidt(amps, dims, p)[0]
+    elif measure.startswith("k") and measure[1:].isdigit():
         k = int(measure[1:])
         if not 2 <= k <= layout.n_subsystems:
             raise ValidationError(f"k-way order {k} out of range for {layout.n_subsystems} parts")
-        return lambda state: _kway_channel(state, dims, k, p)
-    raise ValidationError(f"unknown roof measure {measure!r} (use global, k2, k3)")
+        value = lambda amps: _kway_channel(amps, dims, k, p)
+    else:
+        raise ValidationError(f"unknown roof measure {measure!r} (use global, k2, k3)")
+    _check_focus(p, len(dims))
+    return value
 
 
-def _member_value(measure: str, p: int, layout):
-    """The measure of each member of a (b, D) stack of normalized vectors."""
-    return _stack_measure(measure, p, layout)
+def _values(value_of, members) -> list:
+    """value_of each (row, weight) member, evaluated as one stack of the rows
+    over the square roots of their weights; 0.0 for a member of weight <=
+    ROOF_MEMBER_CUTOFF, which is dropped."""
+    live = [row / math.sqrt(q) for row, q in members if q > ROOF_MEMBER_CUTOFF]
+    got = iter(value_of(np.array(live)).tolist() if live else ())
+    return [next(got) if q > ROOF_MEMBER_CUTOFF else 0.0 for _, q in members]
 
 
 def _rotate(g, theta: float, phis: np.ndarray):
@@ -243,14 +253,12 @@ def roof_negativity(
     bound.
     """
     layout = rho.layout
-    of_stack = _stack_measure(measure, p, layout)
     lam, vec = _support(rho)
     if lam.size == 1:
-        # rank one: the only decomposition is the state itself, so evaluate
-        # the measure on its amplitudes, by the Schmidt route
+        # rank one: the only decomposition is the state itself
         psi = _pure(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
         return RoofResult(
-            value=float(of_stack(psi.amplitudes[None])[0]),
+            value=float(_member_value(measure, p, layout)(psi.amplitudes[None])[0]),
             certificate=Ensemble(members=((1.0, psi),)),
             restarts_used=0,
             converged=True,
@@ -292,24 +300,17 @@ def _search(layout, value_of, lam: np.ndarray, vec: np.ndarray, budget: RoofBudg
         phis.append(W @ base)
         probs.append(np.einsum("jd,jd->j", phis[-1], phis[-1].conj()).real)
 
-    live = [(i, j) for i in range(R) for j in range(m) if probs[i][j] > ROOF_MEMBER_CUTOFF]
-    got = value_of(np.array([phis[i][j] / math.sqrt(probs[i][j]) for i, j in live]))
-    vals = [np.zeros(m) for _ in range(R)]
-    for (i, j), v in zip(live, got):
-        vals[i][j] = v
+    got = _values(value_of, [(row, q) for i in range(R) for row, q in zip(phis[i], probs[i])])
+    vals = [np.array(got[i * m : (i + 1) * m]) for i in range(R)]
     cur = [float(probs[i] @ vals[i]) for i in range(R)]
     at_mark = list(cur)
     theta = 0.5
     for it in range(iters):
-        steps, batch = [], []
-        for i in range(R):
-            steps.append(_rotate(gens[i], theta, phis[i]))
-            j, k, nj, nk, pj, pk = steps[-1]
-            batch += [v / math.sqrt(q) for v, q in ((nj, pj), (nk, pk)) if q > ROOF_MEMBER_CUTOFF]
-        got = iter(value_of(np.array(batch)) if batch else ())
+        steps = [_rotate(g, theta, phi) for g, phi in zip(gens, phis)]
+        proposed = [pair for _, _, nj, nk, pj, pk in steps for pair in ((nj, pj), (nk, pk))]
+        got = iter(_values(value_of, proposed))
         for i, (j, k, nj, nk, pj, pk) in enumerate(steps):
-            vj = next(got) if pj > ROOF_MEMBER_CUTOFF else 0.0
-            vk = next(got) if pk > ROOF_MEMBER_CUTOFF else 0.0
+            vj, vk = next(got), next(got)
             P, V = probs[i], vals[i]
             new = cur[i] - P[j] * V[j] - P[k] * V[k] + pj * vj + pk * vk
             if new < cur[i] - ROOF_ACCEPT_MARGIN:

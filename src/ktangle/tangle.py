@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityOperator, PureState, _eigh
+from .core import DensityOperator, PureState, _eigh, _slices
+from .transpose import _check_focus
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY).real  # real: sy x sy = antidiag(-1, 1, 1, -1)
@@ -96,16 +97,6 @@ def wootters_tangle(rho2: DensityOperator) -> float:
     return float(_wootters(rho2.matrix[None])[0])
 
 
-def _slices(amps: np.ndarray, dims: tuple, first: tuple) -> np.ndarray:
-    """Amplitude stack (..., D) as matrices: rows index the subsystems in
-    first (in that order), columns the others."""
-    lead = amps.shape[:-1]
-    t = amps.reshape(lead + dims)
-    t = np.moveaxis(t, [len(lead) + m for m in first], [len(lead) + k for k in range(len(first))])
-    rows = int(np.prod([dims[m] for m in first]))
-    return t.reshape(lead + (rows, -1))
-
-
 def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
     """4 det of the reduced state of qubit p, per stacked amplitude vector."""
     S = _slices(amps, dims, (p,))
@@ -115,6 +106,7 @@ def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
 
 def one_tangle(psi: PureState, p: int) -> float:
     """4 det of the reduced one-qubit state; equals (N_G^p)^2 for pure input."""
+    _check_focus(p, psi.layout.n_subsystems)
     return float(_one_tangle(psi.amplitudes[None], psi.layout.dims, p)[0])
 
 
@@ -137,6 +129,7 @@ def _tangles(amps: np.ndarray, dims: tuple, focus: int):
 def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
     if psi.layout.dims != (2, 2, 2):
         raise ValueError("three tangle needs a three-qubit pure state")
+    _check_focus(focus, 3)
     tau_f, pairs = _tangles(psi.amplitudes[None], psi.layout.dims, focus)
     tau_f = float(tau_f[0])
     tau_pairs = {partner: float(t[0]) for partner, t in pairs.items()}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import given, strategies as st
 import ktangle as kt
 from ktangle import cli
 from ktangle.cli import main
+from ktangle.config import EPS_NORM
 
-from conftest import amplitudes_json, mixed_state, real_pure
+from conftest import L3, amplitudes_json, mixed_state, real_pure
 
 
 def _ghz_doc():
@@ -280,6 +282,58 @@ def test_sweep_grid_validation(capsys):
     assert "start:end:steps" in err
     rc, _, err = _run(capsys, ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "a:b:5"])
     assert rc == 1
+    # range and step errors raise at the sweep_family call, before the header
+    for grid in ("0.5:0.4:10", "0:1:1"):
+        rc, out, err = _run(capsys, ["sweep", "--family", "ghzw", "--sign", "minus", "--q", grid])
+        assert rc == 1 and out == ""
+        assert "validation error" in err
+
+
+class _Sink:
+    """A stdout that discards what it receives."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _sweep_peak(grid):
+    with contextlib.redirect_stdout(_Sink()):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--family", "ghzw", "--sign", "minus", "--q", grid]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # the rows are printed as they are made, so ten times the grid points
+    # keep the traced peak within 0.25 MB; a list of every row would add ~0.85 MB
+    _sweep_peak("0:1:300")  # fills the module caches
+    small, large = _sweep_peak("0:1:300"), _sweep_peak("0:1:3000")
+    assert large - small <= 0.25 * 2**20, (small, large)
+
+
+def test_the_e0_gate_keeps_a_valid_haar_state_out_of_the_audit(capsys):
+    # The 1685th 3-qubit haar_random_pure draw of default_rng(42) has
+    # E_2 > N_G.  Its |e0| > EPS_NORM is all that keeps it out of
+    # violations: an audit without the e0 gate counts this valid state.
+    rng = np.random.default_rng(42)
+    for _ in range(1685):
+        psi = kt.haar_random_pure(L3, rng)
+    rep = kt.negativity_report(psi, 0)
+    assert rep.n_global == pytest.approx(0.749641, abs=1e-6)
+    assert rep.e_partial[2] == pytest.approx(0.751050, abs=1e-6)
+    assert rep.e_partial[3] == pytest.approx(-0.081428, abs=1e-6)
+    assert rep.e0 == pytest.approx(-0.082614, abs=1e-6)
+    assert rep.e_partial[2] > rep.n_global + EPS_NORM and abs(rep.e0) > EPS_NORM
+    assert rep.violations == []
+    rc, out, _ = _run(capsys, ["audit", "--random", "1685", "--seed", "42"])
+    assert rc == 0
+    assert out.splitlines()[1] == "1685,3,42,0,0,0"
 
 
 def test_roof_command(write_state, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
-from ktangle.core import _eigh
+from ktangle.core import _eigh, _gather_index, _slices
 
 from conftest import (
     L2,
@@ -219,3 +219,24 @@ def test_public_names_resolve():
     assert len(kt.__all__) == len(set(kt.__all__))
     for name in kt.__all__:
         assert hasattr(kt, name), name
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2), (3, 2)])
+def test_slices_equal_the_moveaxis_layout_bitwise(dims):
+    # every focus and ordered pair, stacked and single, against np.moveaxis
+    n, D = len(dims), math.prod(dims)
+    rng = np.random.default_rng(len(dims) * D)
+    stack = rng.standard_normal((5, D)) + 1j * rng.standard_normal((5, D))
+    firsts = [(p,) for p in range(n)] + [(p, q) for p in range(n) for q in range(n) if p != q]
+    for first in firsts:
+        for amps in (stack, stack[0]):
+            lead = amps.shape[:-1]
+            at = [len(lead) + m for m in first]
+            t = np.moveaxis(amps.reshape(lead + dims), at, range(len(lead), len(lead) + len(first)))
+            want = t.reshape(lead + (math.prod(dims[m] for m in first), -1))
+            got = _slices(amps, dims, first)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), first
+        index = _gather_index(dims, first)
+        assert index is _gather_index(dims, first)  # cached
+        with pytest.raises(ValueError):
+            index[0] = 0  # read-only

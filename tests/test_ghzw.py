@@ -115,7 +115,7 @@ def test_root_check_passes_across_grid():
 
 
 def test_sweep_rows_and_interior_positivity():
-    rows = kt.sweep_family(-1, 0.0, 1.0, 51)
+    rows = list(kt.sweep_family(-1, 0.0, 1.0, 51))
     assert len(rows) == 51
     assert abs(rows[0].q - 0.0) < 1e-15 and abs(rows[-1].q - 1.0) < 1e-15
     last = rows[-1]
@@ -159,7 +159,7 @@ def _bits(rows):
 
 
 def _assert_same_bits(sign, q_start, q_end, steps):
-    got = kt.sweep_family(sign, q_start, q_end, steps)
+    got = list(kt.sweep_family(sign, q_start, q_end, steps))
     want = sequential_sweep(sign, q_start, q_end, steps)
     assert len(got) == steps
     for i, (g, w) in enumerate(zip(_bits(got), _bits(want))):

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-top-level definition is read somewhere in the package, and every small
-float threshold is a named constant of config.py.
+top-level definition and every top-level function and class is read
+somewhere in the package, and every small float threshold is a named
+constant of config.py.
 
 No linter ships with the toolchain, so the standard library's ast does the
 checks.  __init__.py is exempt from the import check: its imports are the
@@ -52,26 +53,36 @@ def _defined_names(node) -> list:
     return []
 
 
-def _dead_private(sources: dict) -> list:
-    """(module, line, name) of each private top-level definition that no other
-    top-level statement of any module reads, by name or as an attribute."""
-    defs, reads = [], []
+def _top_level(sources: dict) -> list:
+    """(module, node, names it reads) of each top-level statement of each
+    module; a read is a loaded name or an attribute name."""
+    tops = []
     for module, text in sources.items():
         for node in ast.parse(text).body:
-            for name in _defined_names(node):
-                if name.startswith("_") and not name.startswith("__"):
-                    defs.append((module, node.lineno, name, node))
             names = set()
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     names.add(sub.id)
                 elif isinstance(sub, ast.Attribute):
                     names.add(sub.attr)
-            reads.append((node, names))
+            tops.append((module, node, names))
+    return tops
+
+
+def _read_elsewhere(name: str, owner, tops: list) -> bool:
+    return any(name in names for _, node, names in tops if node is not owner)
+
+
+def _dead_private(sources: dict) -> list:
+    """(module, line, name) of each private top-level definition that no other
+    top-level statement of any module reads, by name or as an attribute."""
+    tops = _top_level(sources)
     return sorted(
-        (module, line, name)
-        for module, line, name, owner in defs
-        if not any(name in names for node, names in reads if node is not owner)
+        (module, node.lineno, name)
+        for module, node, _ in tops
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not _read_elsewhere(name, node, tops)
     )
 
 
@@ -85,6 +96,40 @@ def test_the_check_finds_dead_private_code():
 
 def test_no_dead_private_code():
     assert _dead_private({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def _unreferenced(sources: dict) -> list:
+    """(module, line, name) of each top-level function and class that no other
+    top-level statement of any module reads; a public name that __init__.py
+    imports is read through the package."""
+    exported = {
+        a.asname or a.name
+        for node in ast.parse(sources.get("__init__.py", "")).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if not (a.asname or a.name).startswith("_")
+    }
+    tops = _top_level(sources)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, node, _ in tops
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and not _read_elsewhere(node.name, node, tops)
+    )
+
+
+def test_the_check_finds_code_kept_only_for_tests():
+    init = "from .a import api, _hidden\n"
+    a = "def api():\n    return helper()\ndef helper():\n    pass\ndef _hidden():\n    pass\n"
+    b = "class Orphan:\n    pass\ndef lonely(n):\n    return lonely(n - 1)\n"
+    # an __init__ import keeps a public name only; a self-call is no read
+    dead = [("a.py", 5, "_hidden"), ("b.py", 1, "Orphan"), ("b.py", 3, "lonely")]
+    assert _unreferenced({"__init__.py": init, "a.py": a, "b.py": b}) == dead
+
+
+def test_every_function_and_class_is_referenced_in_the_package():
+    assert _unreferenced({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
 
 
 def _small_float_literals(text: str) -> list:

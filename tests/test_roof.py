@@ -201,11 +201,18 @@ def test_budget_and_measure_validation():
         kt.RoofBudget(iterations=0)
     with pytest.raises(kt.ValidationError, match="seed -1"):
         kt.RoofBudget(seed=-1)
-    rho = _separable_mixture()
-    with pytest.raises(kt.ValidationError):
-        kt.roof_negativity(rho, 0, "k7", SMALL)
-    with pytest.raises(kt.ValidationError):
-        kt.roof_negativity(rho, 0, "spectral", SMALL)
+    # two-qubit states of rank 3, 1 and 2 reach the search, the rank-one
+    # route and the exact global route: each checks the measure and the focus
+    rank_one = kt.outer(kt.haar_random_pure(L2, 4))
+    pair = ((0.4, kt.haar_random_pure(L2, 5)), (0.6, kt.haar_random_pure(L2, 6)))
+    rank_two = kt.Ensemble(members=pair).density()
+    for rho in (_separable_mixture(), rank_one, rank_two):
+        for measure in ("k7", "spectral", "k3"):
+            with pytest.raises(kt.ValidationError):
+                kt.roof_negativity(rho, 0, measure, SMALL)
+        for measure in ("global", "k2"):
+            with pytest.raises(ValueError, match="focus 2 out of range"):
+                kt.roof_negativity(rho, 2, measure, SMALL)
 
 
 def test_two_qubit_ppt_iff_zero_roof():

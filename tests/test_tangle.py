@@ -127,6 +127,16 @@ def test_three_tangle_focus_independence():
     assert spread < 1e-8
 
 
+def test_tangles_reject_a_focus_out_of_range():
+    # a negative focus must not index from the end
+    psi = kt.haar_random_pure(L3, 1)
+    for p in (-1, 3):
+        with pytest.raises(ValueError, match=f"focus {p} out of range"):
+            kt.one_tangle(psi, p)
+        with pytest.raises(ValueError, match=f"focus {p} out of range"):
+            kt.three_tangle(psi, focus=p)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_pair_tangles_match_closed_forms(seed):
     # tau_AB = 4 a^2 c^2 and tau_AC = 4 a^2 d^2 hold for every phase
