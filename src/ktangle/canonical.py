@@ -35,7 +35,7 @@ from .config import (
     NumericalError,
     ValidationError,
 )
-from .core import LocalUnitary, PureState, qubit_layout
+from .core import LocalUnitary, PureState, _derived, qubit_layout
 from .negativity import NegativityReport, _report_arrays
 from .tangle import TangleReport, _tangles
 
@@ -88,7 +88,7 @@ def build_canonical_state(form: CanonicalForm3Q) -> PureState:
     v[6] = form.c
     v[5] = form.d
     v[7] = form.f
-    return PureState(_L3, v)
+    return _derived(PureState, layout=_L3, amplitudes=v)
 
 
 def _closed_negative_eigenpair(form: CanonicalForm3Q):
@@ -264,8 +264,9 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
         UC2[1, :] *= cmath.exp(1j * gamma1)
         amps = _kron(UA2, _kron(UB2, UC2)) @ psi.amplitudes
 
-        b = abs(amps[4])
-        phi = float(np.angle(amps[4])) % (2 * math.pi) if b > CANONICAL_AMP_EPS else 0.0
+        b = float(abs(amps[4]))
+        # a phase just below 0 reduces to 2 pi itself, which the second % maps to 0
+        phi = float(np.angle(amps[4])) % math.tau % math.tau if b > CANONICAL_AMP_EPS else 0.0
         resid = max(
             abs(amps[1]),
             abs(amps[2]),
@@ -275,16 +276,11 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
             abs(amps[6].imag),
             abs(amps[7].imag),
         )
-        form = CanonicalForm3Q(
-            a=abs(amps[0]), b=b, c=abs(amps[6]), d=abs(amps[5]), f=abs(amps[7]), phi=phi
-        )
-        entries.append(
-            (
-                form,
-                (LocalUnitary(0, UA2), LocalUnitary(1, UB2), LocalUnitary(2, UC2)),
-                float(resid),
-            )
-        )
+        a, c, d, f = (float(abs(amps[k])) for k in (0, 6, 5, 7))
+        form = _derived(CanonicalForm3Q, a=a, b=b, c=c, d=d, f=f, phi=phi)
+        us = tuple(_derived(LocalUnitary, target=m, matrix=U)
+                   for m, U in enumerate((UA2, UB2, UC2)))
+        entries.append((form, us, float(resid)))
 
     entries.sort(key=lambda e: (-e[0].a, -e[0].f))
     residual = max(e[2] for e in entries)

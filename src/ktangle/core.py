@@ -12,12 +12,13 @@ hermiticity within EPS_HERM, no eigenvalue below -EPS_NORM and unitarity
 within UNITARITY_EPS, all named in config.  A DensityOperator whose
 hermiticity defect passes the check but exceeds TRANSPOSE_HERM_EPS, what a
 partial transpose may carry, stores its Hermitian part.  What the package
-derives from checked objects is trusted: outer, partial_trace and
-Ensemble.density build their result through _density, and the roof builds
-its certificate members through _pure, both unchecked; the other modules
-call the kernels _eigh and _trace_norm, which skip the hermiticity check
-(_eigh keeps the eigenpair residual check, as the Schmidt route of
-negativity keeps its SVD reconstruction check).
+derives from checked objects is trusted and built through _derived, which
+skips __post_init__: the results of outer, partial_trace,
+apply_local_unitary and haar_random_pure, the canonical forms and their
+unitaries, the GHZ+W states and grid parameters, and the roof's members
+and certificate.  The modules call the kernels _eigh and _trace_norm, which
+skip the hermiticity check (_eigh keeps the eigenpair residual check, as
+the Schmidt route of negativity keeps its SVD reconstruction check).
 
 trace_norm and the private checks and kernels also take stacks: leading
 axes index the stack and the last two axes hold each matrix.  A check
@@ -102,18 +103,15 @@ class DensityOperator:
             self.matrix = (self.matrix + self.matrix.conj().T) / 2
 
 
-def _pure(layout: SubsystemLayout, amplitudes: np.ndarray) -> PureState:
-    """A PureState of normalized amplitudes derived from validated input, unchecked."""
-    psi = object.__new__(PureState)
-    psi.layout, psi.amplitudes = layout, amplitudes
-    return psi
-
-
-def _density(layout: SubsystemLayout, matrix: np.ndarray) -> DensityOperator:
-    """A DensityOperator of a matrix derived from validated input, unchecked."""
-    rho = object.__new__(DensityOperator)
-    rho.layout, rho.matrix = layout, matrix
-    return rho
+def _derived(cls, **fields):
+    """An instance of the dataclass cls with the given fields, derived from
+    validated input and so built without its __post_init__ check (frozen
+    classes included).  The fields must already be in the form the check
+    would leave them in."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass
@@ -186,7 +184,7 @@ def _outer(v: np.ndarray) -> np.ndarray:
 
 
 def outer(psi: PureState) -> DensityOperator:
-    return _density(psi.layout, _outer(psi.amplitudes))
+    return _derived(DensityOperator, layout=psi.layout, matrix=_outer(psi.amplitudes))
 
 
 @functools.lru_cache(maxsize=32)
@@ -236,7 +234,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every subsystem not in keep; kept order follows the layout."""
     keep = _keep_list(keep, rho.layout.n_subsystems)
     sub = SubsystemLayout(tuple(rho.layout.dims[m] for m in keep))
-    return _density(sub, _partial_trace(rho.matrix, rho.layout.dims, keep))
+    M = _partial_trace(rho.matrix, rho.layout.dims, keep)
+    return _derived(DensityOperator, layout=sub, matrix=M)
 
 
 def _eigh(M: np.ndarray):
@@ -275,7 +274,7 @@ def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
     t = psi.amplitudes.reshape(dims)
     t = np.tensordot(u.matrix, t, axes=([1], [u.target]))
     t = np.moveaxis(t, 0, u.target)
-    return PureState(psi.layout, t.reshape(psi.layout.total_dim))
+    return _derived(PureState, layout=psi.layout, amplitudes=t.reshape(psi.layout.total_dim))
 
 
 def _haar_amplitudes(D: int, rng: np.random.Generator, b: int) -> np.ndarray:
@@ -292,4 +291,5 @@ def _haar_amplitudes(D: int, rng: np.random.Generator, b: int) -> np.ndarray:
 def haar_random_pure(layout: SubsystemLayout, seed) -> PureState:
     """Complex-normal amplitudes, normalized.  seed: int or numpy Generator."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return PureState(layout, _haar_amplitudes(layout.total_dim, rng, 1)[0])
+    amps = _haar_amplitudes(layout.total_dim, rng, 1)[0]
+    return _derived(PureState, layout=layout, amplitudes=amps)

@@ -6,17 +6,21 @@ has a unique interior zero.  Canonicalization of the family is delegated to
 the general reducer and cross-checked against the closed-form root of the
 first-qubit rotation where that root is real.
 
-GhzwParams and the q range of sweep_family are the boundary: the family
-states are normalized by construction and built unchecked.  sweep_family
-evaluates its grid in stacks of STACK_CHUNK points, with one negativity
-report and one tangle call per stack (canonical._global_and_delta), and
-yields the rows as it goes; only the canonicalization, whose root and phase
-logic is scalar, runs per point.
+GhzwParams and sweep_family's sign, q range and step count are the
+boundary: what is built from them (the family states, the grid points'
+GhzwParams and the exact forms and unitaries at q = 0 and 1) is valid by
+construction and built unchecked through core._derived.  sweep_family
+evaluates its grid in stacks of STACK_CHUNK points, each built from
+np.linspace's own formula so the whole grid is never held, with one
+negativity report and one tangle call per stack
+(canonical._global_and_delta), and yields the rows as it goes; only the
+canonicalization, whose root and phase logic is scalar, runs per point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,7 @@ from .canonical import (
     canonical_closed_forms,
     canonicalize3,
 )
-from .core import LocalUnitary, PureState, _pure, qubit_layout
+from .core import LocalUnitary, PureState, _derived, qubit_layout
 from .config import (
     GHZW_ROOT_EPS,
     GHZW_ROOT_RTOL,
@@ -75,7 +79,7 @@ def _ghzw_amplitudes(q, sign: int) -> np.ndarray:
 
 
 def build_ghzw(params: GhzwParams) -> PureState:
-    return _pure(_L3, _ghzw_amplitudes(params.q, params.sign))
+    return _derived(PureState, layout=_L3, amplitudes=_ghzw_amplitudes(params.q, params.sign))
 
 
 def tau3_closed_form(params: GhzwParams) -> float:
@@ -103,28 +107,18 @@ def x_parameter(params: GhzwParams) -> float:
 def _exact_limit_result(params: GhzwParams) -> CanonicalizationResult:
     # q = 1 is the GHZ state, already canonical; q = 0 is (sign) W, mapped by
     # a first-qubit swap plus sign fixes
-    eye = np.eye(2)
+    eye = np.eye(2, dtype=complex)
     if params.q == 1.0:
-        form = CanonicalForm3Q(
-            a=1 / math.sqrt(2), b=0.0, c=0.0, d=0.0, f=1 / math.sqrt(2), phi=0.0
-        )
-        us = (LocalUnitary(0, eye), LocalUnitary(1, eye), LocalUnitary(2, eye))
-        return CanonicalizationResult(forms=(form,), unitaries=(us,), residual=0.0)
-    r = 1 / math.sqrt(3)
-    form = CanonicalForm3Q(a=r, b=0.0, c=r, d=r, f=0.0, phi=0.0)
-    flip = np.diag([1.0, -1.0])
-    if params.sign == 1:
-        us = (
-            LocalUnitary(0, np.array([[0.0, 1.0], [-1.0, 0.0]])),
-            LocalUnitary(1, flip),
-            LocalUnitary(2, flip),
-        )
+        h = 1 / math.sqrt(2)
+        form = _derived(CanonicalForm3Q, a=h, b=0.0, c=0.0, d=0.0, f=h, phi=0.0)
+        matrices = (eye, eye, eye)
     else:
-        us = (
-            LocalUnitary(0, np.array([[0.0, -1.0], [-1.0, 0.0]])),
-            LocalUnitary(1, eye),
-            LocalUnitary(2, eye),
-        )
+        r = 1 / math.sqrt(3)
+        form = _derived(CanonicalForm3Q, a=r, b=0.0, c=r, d=r, f=0.0, phi=0.0)
+        flip = np.diag([1.0, -1.0]).astype(complex)
+        swap = np.array([[0.0, params.sign], [-1.0, 0.0]], dtype=complex)
+        matrices = (swap, flip, flip) if params.sign == 1 else (swap, eye, eye)
+    us = tuple(_derived(LocalUnitary, target=m, matrix=U) for m, U in enumerate(matrices))
     return CanonicalizationResult(forms=(form,), unitaries=(us,), residual=0.0)
 
 
@@ -178,27 +172,44 @@ def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
 
 
 def sweep_family(sign: int, q_start: float, q_end: float, steps: int):
-    """SweepRow per grid point, in grid order: raw-state N_G and delta,
-    canonical-form e2/e3.  The range and the step count are checked at the
-    call; the rows are then yielded one stack at a time (module docstring).
+    """SweepRow per grid point of np.linspace(q_start, q_end, steps), in grid
+    order: raw-state N_G and delta, canonical-form e2/e3.  The sign, the range
+    and the step count are checked at the call; the rows are then yielded one
+    stack at a time (module docstring).
     """
+    if sign not in (1, -1):
+        raise ValidationError(f"sign must be +1 or -1, got {sign}")
     if not 0.0 <= q_start < q_end <= 1.0:
         raise ValidationError(f"bad q range [{q_start}, {q_end}]")
+    steps = operator.index(steps)  # a TypeError at the call, as np.linspace raises
     if steps < 2:
         raise ValidationError("a sweep needs at least 2 grid points")
-    return _sweep_rows(sign, np.linspace(q_start, q_end, steps))
+    return _sweep_rows(sign, q_start, q_end, steps)
 
 
-def _sweep_rows(sign: int, qs: np.ndarray):
-    for start in range(0, qs.size, STACK_CHUNK):
-        chunk = qs[start : start + STACK_CHUNK]
-        grid = [GhzwParams(q=q, sign=sign) for q in chunk.tolist()]
+def _grid(q_start: float, q_end: float, steps: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1 of np.linspace(q_start, q_end, steps), bit for bit,
+    from its own formula, without the rest of the grid."""
+    div = steps - 1
+    delta = q_end - q_start
+    i = np.arange(lo, hi, dtype=float)
+    # numpy's branch for a step that underflows to 0
+    q = (i / div * delta if delta / div == 0 else i * (delta / div)) + q_start
+    if hi == steps:
+        q[-1] = q_end
+    return q
+
+
+def _sweep_rows(sign: int, q_start: float, q_end: float, steps: int):
+    for start in range(0, steps, STACK_CHUNK):
+        chunk = _grid(q_start, q_end, steps, start, min(start + STACK_CHUNK, steps))
         n_global, delta = _global_and_delta(_ghzw_amplitudes(chunk, sign))
-        for params, ng, dl in zip(grid, n_global.tolist(), delta.tolist()):
+        for q, ng, dl in zip(chunk.tolist(), n_global.tolist(), delta.tolist()):
+            params = _derived(GhzwParams, q=q, sign=sign)
             neg_closed, _ = canonical_closed_forms(ghzw_canonical_params(params).forms[0])
             e3 = neg_closed.e_partial[3]
             yield SweepRow(
-                q=params.q,
+                q=q,
                 n_global=ng,
                 e2=neg_closed.e_partial[2],
                 e3=e3,

@@ -35,7 +35,7 @@ from .config import (
     ROOF_RANK_CUTOFF,
     ValidationError,
 )
-from .core import DensityOperator, _density, _outer, _pure
+from .core import DensityOperator, PureState, _derived, _eigh, _outer
 from .negativity import _kway_channel, _schmidt
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
@@ -62,7 +62,7 @@ class Ensemble:
     def density(self) -> DensityOperator:
         layout = self.members[0][1].layout
         m = sum(p * _outer(s.amplitudes) for p, s in self.members)
-        return _density(layout, m)
+        return _derived(DensityOperator, layout=layout, matrix=m)
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class RoofResult:
 
 def _support(rho: DensityOperator):
     """Eigenvalues above ROOF_RANK_CUTOFF and their eigenvectors."""
-    lam, vec = np.linalg.eigh(rho.matrix)
+    lam, vec = _eigh(rho.matrix)
     keep = lam > ROOF_RANK_CUTOFF
     return lam[keep], vec[:, keep]
 
@@ -97,12 +97,12 @@ def _support(rho: DensityOperator):
 def _ensemble(layout, phis: np.ndarray, probs) -> Ensemble:
     """Members phis[j]/sqrt(probs[j]) with weight probs[j], dropping weights
     <= ROOF_MEMBER_CUTOFF."""
-    members = [
-        (float(q), _pure(layout, row / math.sqrt(q)))
+    members = tuple(
+        (float(q), _derived(PureState, layout=layout, amplitudes=row / math.sqrt(q)))
         for row, q in zip(phis, probs)
         if q > ROOF_MEMBER_CUTOFF
-    ]
-    return Ensemble(members=tuple(members))
+    )
+    return _derived(Ensemble, members=members)
 
 
 def _member_value(measure: str, p: int, layout):
@@ -256,10 +256,10 @@ def roof_negativity(
     lam, vec = _support(rho)
     if lam.size == 1:
         # rank one: the only decomposition is the state itself
-        psi = _pure(layout, vec[:, 0] / np.linalg.norm(vec[:, 0]))
+        psi = _derived(PureState, layout=layout, amplitudes=vec[:, 0] / np.linalg.norm(vec[:, 0]))
         return RoofResult(
             value=float(_member_value(measure, p, layout)(psi.amplitudes[None])[0]),
-            certificate=Ensemble(members=((1.0, psi),)),
+            certificate=_derived(Ensemble, members=((1.0, psi),)),
             restarts_used=0,
             converged=True,
             bound="exact",

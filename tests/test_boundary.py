@@ -2,7 +2,8 @@
 
 The state-file parser and the public constructors check their input; nothing
 the package derives from a checked object is checked again.  The core checks
-are counted at every module that binds them while a command runs.
+are counted at every module that binds them while a command runs, and so is
+every validating __post_init__, by class name.
 """
 
 import contextlib
@@ -14,16 +15,28 @@ import numpy as np
 import pytest
 
 import ktangle as kt
-from ktangle import cli, core, roof
+from ktangle import canonical, cli, core, ghzw, roof
 
 from conftest import L2, L3, amplitudes_json, mixed_state, real_pure
 
 _CHECKS = ("_check_density", "_check_norm", "_check_hermitian")
+# every class whose __post_init__ validates (SubsystemLayout's also sets
+# _total_dim, so every layout runs it)
+_VALIDATED = (
+    core.PureState,
+    core.DensityOperator,
+    core.LocalUnitary,
+    canonical.CanonicalForm3Q,
+    ghzw.GhzwParams,
+    roof.Ensemble,
+    roof.RoofBudget,
+)
 
 
 @pytest.fixture
 def checks_of(monkeypatch):
-    """checks_of(argv): the core check calls, by name, of one command."""
+    """checks_of(argv): the core check calls, by name, and the validating
+    __post_init__ calls, by class name, of one command."""
     counts = Counter()
     for name in _CHECKS:
         original = getattr(core, name)
@@ -35,6 +48,13 @@ def checks_of(monkeypatch):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "ktangle" and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    for cls in _VALIDATED:
+
+        def post_init(self, original=cls.__post_init__):
+            counts[type(self).__name__] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
 
     def run(argv):
         counts.clear()
@@ -51,16 +71,18 @@ def test_audit_checks_nothing_it_drew_itself(checks_of, qubits):
 
 
 def test_analyze_pure_checks_the_norm_once(checks_of, write_state):
+    # the canonical forms and their unitaries are derived, not checked
     psi = real_pure(L3, np.random.default_rng(1))
     path = write_state("pure.json", {"dims": [2, 2, 2], "amplitudes": amplitudes_json(psi.amplitudes)})
-    assert checks_of(["analyze", path, "--canonical"]) == {"_check_norm": 1}
+    for argv in (["analyze", path, "--canonical"], ["canonicalize", path]):
+        assert checks_of(argv) == {"_check_norm": 1, "PureState": 1}
 
 
 def test_analyze_matrix_checks_the_density_once(checks_of, write_state):
     rho = mixed_state(L3, np.random.default_rng(2), real=True)
     doc = {"dims": [2, 2, 2], "matrix": [amplitudes_json(row) for row in rho.matrix]}
     got = checks_of(["analyze", write_state("mixed.json", doc)])
-    assert got == {"_check_density": 1, "_check_hermitian": 1}
+    assert got == {"_check_density": 1, "_check_hermitian": 1, "DensityOperator": 1}
 
 
 def test_roof_and_sweep_check_no_density(checks_of, write_state):
@@ -72,8 +94,12 @@ def test_roof_and_sweep_check_no_density(checks_of, write_state):
     path = write_state("ens.json", {"dims": [2, 2], "ensemble": members})
     got = checks_of(["roof", path, "--focus", "A", "--measure", "global", "--restarts", "2"])
     assert got["_check_density"] == got["_check_hermitian"] == 0, got
-    # GhzwParams and the q range are the sweep's boundary: the grid states
-    # are normalized by construction, and nothing derived is checked
+    # the parser's members and ensemble and the CLI's budget; the density,
+    # the members and the certificate the roof derives are not checked
+    assert got == {"_check_norm": 2, "PureState": 2, "Ensemble": 1, "RoofBudget": 1}
+    # the sign, the q range and the step count are the sweep's boundary: the
+    # grid's parameters, states, forms and unitaries (the exact q = 0, 1
+    # limits included) are built by construction, and nothing derived is checked
     for sign in ("minus", "plus"):
         assert checks_of(["sweep", "--family", "ghzw", "--sign", sign, "--q", "0:1:11"]) == {}
 
@@ -102,4 +128,5 @@ def test_two_qubit_global_roof_runs_no_search_and_no_check(checks_of, monkeypatc
         got = checks_of(argv)
         assert bool(made) is searched
         if not searched:
-            assert got == {"_check_norm": 3}  # the parser's, one per file member
+            # the parser's, one per file member, and the CLI's budget
+            assert got == {"_check_norm": 3, "PureState": 3, "Ensemble": 1, "RoofBudget": 1}

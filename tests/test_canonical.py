@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import ktangle as kt
 from ktangle.canonical import _kron
 
-from conftest import L3, random_form
+from conftest import L3, random_form, real_pure
 
 
 def _random_lu_triple(rng):
@@ -184,6 +184,18 @@ def test_rotation_profile_domain():
         kt.ghz_rotation_profile(0.0, 0.1)
     with pytest.raises(ValueError):
         kt.ghz_rotation_profile(1.0, 0.1)
+    # the rotation is a public constructor: its unitarity check rejects NaN
+    with pytest.raises(kt.ValidationError):
+        kt.third_qubit_rotation(math.nan)
+
+
+def test_canonical_phase_stays_below_two_pi():
+    # canonicalize3 builds its forms unchecked; a b phase just below 0
+    # reduces to 2 pi itself under one %, which real states hit often
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        for form in kt.canonicalize3(real_pure(L3, rng)).forms:
+            assert 0.0 <= form.phi < 2 * math.pi, form
 
 
 def test_form_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 from ktangle.config import STACK_CHUNK
-from ktangle.ghzw import _ghzw_amplitudes
+from ktangle.ghzw import _ghzw_amplitudes, _grid
 
 from conftest import sequential_sweep
 
@@ -147,10 +148,49 @@ def test_sweep_validation():
         kt.sweep_family(-1, 0.5, 0.4, 10)
     with pytest.raises(kt.ValidationError):
         kt.sweep_family(-1, 0.0, 1.0, 1)
+    # the sign is checked at the call, not at the first row: the grid's
+    # parameters are built unchecked
+    for sign in (2, 0):
+        with pytest.raises(kt.ValidationError, match="sign"):
+            kt.sweep_family(sign, 0.0, 1.0, 11)
+    with pytest.raises(TypeError):
+        kt.sweep_family(-1, 0.0, 1.0, 11.0)
     with pytest.raises(kt.ValidationError):
         kt.GhzwParams(q=1.5, sign=1)
     with pytest.raises(kt.ValidationError):
         kt.GhzwParams(q=0.5, sign=2)
+
+
+def _first_row_peak(steps):
+    """tracemalloc peak, in bytes, up to the first row of a minus-branch sweep."""
+    tracemalloc.start()
+    try:
+        next(kt.sweep_family(-1, 0.0, 1.0, steps))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_grid_memory_does_not_grow_with_steps():
+    # both grids evaluate one full stack before the first row; a grid built
+    # whole up front would add 8 MB at 10**6 points
+    _first_row_peak(3)  # first-call caches stay out of the peaks
+    assert _first_row_peak(10**6) <= _first_row_peak(STACK_CHUNK) + 2**16
+
+
+def test_sweep_grid_is_linspace_bit_for_bit():
+    # the stacked sweep's rows carry these points (its q bits are compared
+    # with the per-point loop's np.linspace below)
+    rng = np.random.default_rng(4)
+    grids = [(0.0, 5e-324, 3)]  # the step underflows to 0: numpy's denormal branch
+    for steps in rng.integers(2, 6 * STACK_CHUNK, 40).tolist():
+        grids.append((*sorted(rng.uniform(0.0, 1.0, 2).tolist()), steps))
+    for lo, hi, steps in grids:
+        stacks = [_grid(lo, hi, steps, i, min(i + STACK_CHUNK, steps))
+                  for i in range(0, steps, STACK_CHUNK)]
+        got = np.concatenate(stacks).tolist()
+        want = np.linspace(lo, hi, steps).tolist()
+        assert [q.hex() for q in got] == [q.hex() for q in want], (lo, hi, steps)
 
 
 def _bits(rows):
