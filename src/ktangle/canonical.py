@@ -42,6 +42,12 @@ from .tangle import TangleReport, _tangles
 _L3 = qubit_layout(3)
 
 
+def _phase(phi) -> float:
+    """phi reduced to [0, 2 pi).  A phase just below 0 reduces to 2 pi itself
+    under one %, which the second maps to 0."""
+    return float(phi) % math.tau % math.tau
+
+
 @dataclass(frozen=True)
 class CanonicalForm3Q:
     a: float
@@ -60,7 +66,7 @@ class CanonicalForm3Q:
         nrm2 = self.a**2 + self.b**2 + self.c**2 + self.d**2 + self.f**2
         if abs(nrm2 - 1.0) > EPS_NORM:
             raise ValidationError(f"squared amplitudes sum to {nrm2}, must be 1")
-        object.__setattr__(self, "phi", float(self.phi) % (2 * math.pi))
+        object.__setattr__(self, "phi", _phase(self.phi))
 
     @property
     def g(self) -> float:
@@ -265,8 +271,7 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
         amps = _kron(UA2, _kron(UB2, UC2)) @ psi.amplitudes
 
         b = float(abs(amps[4]))
-        # a phase just below 0 reduces to 2 pi itself, which the second % maps to 0
-        phi = float(np.angle(amps[4])) % math.tau % math.tau if b > CANONICAL_AMP_EPS else 0.0
+        phi = _phase(np.angle(amps[4])) if b > CANONICAL_AMP_EPS else 0.0
         resid = max(
             abs(amps[1]),
             abs(amps[2]),

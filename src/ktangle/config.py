@@ -75,6 +75,10 @@ ROOF_CONVERGED_DROP = 1e-8
 # that memory does not grow with the state count or the grid.
 STACK_CHUNK = 256
 
+# Proposed member rows per round of the roof search: with R restarts a round
+# prefetches ROOF_ROUND_ROWS // 2R rotation steps of each (at least one).
+ROOF_ROUND_ROWS = 32
+
 # The roof search decomposes a rank-r state into min(2r, ROOF_MAX_MEMBERS)
 # members, and never into fewer than r.
 ROOF_MAX_MEMBERS = 8

@@ -6,6 +6,11 @@ are parameterized by m x r matrices with orthonormal columns acting on the
 weighted eigenvectors, so the search runs over that isometry manifold with
 random restarts and accept-if-better two-member rotations under a cooling
 schedule.  Its values are upper bounds on the true roof (bound "upper").
+The proposal draws do not depend on the search state, so the search
+prefetches them (Brockwell, J. Comput. Graph. Stat. 15, 246, 2006): each
+round evaluates several steps of every restart as one member stack,
+speculating that they are rejected, and replays the accept rule in draw
+order (_descend).
 
 The global roof of a two-qubit state is known in closed form: it is
 Wootters' concurrence (Lee, Kim, Park & Lee, J. Phys. A 36, 2003), and its
@@ -33,6 +38,8 @@ from .config import (
     ROOF_MAX_MEMBERS,
     ROOF_MEMBER_CUTOFF,
     ROOF_RANK_CUTOFF,
+    ROOF_ROUND_ROWS,
+    STACK_CHUNK,
     ValidationError,
 )
 from .core import DensityOperator, PureState, _derived, _eigh, _outer
@@ -123,28 +130,26 @@ def _member_value(measure: str, p: int, layout):
     return value
 
 
-def _values(value_of, members) -> list:
-    """value_of each (row, weight) member, evaluated as one stack of the rows
-    over the square roots of their weights; 0.0 for a member of weight <=
-    ROOF_MEMBER_CUTOFF, which is dropped."""
-    live = [row / math.sqrt(q) for row, q in members if q > ROOF_MEMBER_CUTOFF]
-    got = iter(value_of(np.array(live)).tolist() if live else ())
-    return [next(got) if q > ROOF_MEMBER_CUTOFF else 0.0 for _, q in members]
+def _values(value_of, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """value_of each row of a (b, D) stack of weight probs, evaluated as one
+    stack of the rows over the square roots of their weights; 0.0 for a row
+    of weight <= ROOF_MEMBER_CUTOFF, which is dropped."""
+    live = probs > ROOF_MEMBER_CUTOFF
+    out = np.zeros(len(probs))
+    if live.any():
+        out[live] = value_of(rows[live] / np.sqrt(probs[live])[:, None])
+    return out
 
 
-def _rotate(g, theta: float, phis: np.ndarray):
-    """Draw a two-member rotation from g and apply it to rows j, k of phis.
-
-    Returns j, k, the rotated rows and their weights.
-    """
-    j, k = g.choice(len(phis), size=2, replace=False)
+def _draw(g, m: int, theta: float) -> tuple:
+    """A two-member rotation drawn from g: members j != k and the coefficients
+    of new j = c j + se k and new k = sc j + c k."""
+    j, k = g.choice(m, size=2, replace=False)
     t = g.uniform(-theta, theta)
     ph = g.uniform(0.0, 2.0 * math.pi)
     c, s = math.cos(t), math.sin(t)
     ei = cmath.exp(1j * ph)
-    nj = c * phis[j] + s * ei * phis[k]
-    nk = -s * np.conj(ei) * phis[j] + c * phis[k]
-    return j, k, nj, nk, float(np.vdot(nj, nj).real), float(np.vdot(nk, nk).real)
+    return int(j), int(k), c, s * ei, -s * np.conj(ei)
 
 
 def _zero_diagonal(M: np.ndarray) -> np.ndarray:
@@ -274,59 +279,116 @@ def _search(layout, value_of, lam: np.ndarray, vec: np.ndarray, budget: RoofBudg
     """The decomposition search over a support (lam, vec) of rank >= 2, with
     value_of the member measure (_member_value).
 
-    The restarts run in lockstep: each iteration evaluates the proposed
-    members of every restart as one stack.  Restart i draws only from its own
-    generator, a prefix-stable spawn of budget.seed, so the result equals a
-    sequential search and is deterministic and monotone nonincreasing in
-    restarts.
+    Restart i draws only from its own generator, child i of a prefix-stable
+    spawn of budget.seed, so the result equals, bit for bit, a search that
+    runs the restarts and their steps one at a time, and is deterministic and
+    monotone nonincreasing in restarts.  The restarts run in groups of at most
+    STACK_CHUNK // m (_descend), so memory does not grow with restarts; the
+    first strict minimum over the groups is the first of equal values.
     """
     r = lam.size
-
     m = max(r, min(2 * r, ROOF_MAX_MEMBERS))
     base = (vec * np.sqrt(lam)).T  # row k = sqrt(lam_k) e_k
-    iters = budget.iterations
-    mark = max(1, int(0.8 * iters))
-    R = budget.restarts
-    gens, phis, probs = [], [], []
-    for ridx, child in enumerate(np.random.SeedSequence(budget.seed).spawn(R)):
-        g = np.random.default_rng(child)
-        if ridx == 0:
+    seeds = np.random.SeedSequence(budget.seed)
+    size = STACK_CHUNK // m
+    best = None
+    for first in range(0, budget.restarts, size):
+        children = seeds.spawn(min(size, budget.restarts - first))
+        got = _descend(value_of, base, m, children, first == 0, budget.iterations)
+        if best is None or got[0] < best[0]:
+            best = got
+    value, phis, probs, converged = best
+    return RoofResult(
+        value=float(value),
+        certificate=_ensemble(layout, phis, probs),
+        restarts_used=budget.restarts,
+        converged=converged,
+    )
+
+
+def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool, iters: int):
+    """Search one group of restarts, one per SeedSequence in children, for
+    iters accept-if-better two-member rotations each; restart 0 starts from
+    the identity isometry if identity_first.  Returns the value, member rows,
+    weights and converged flag of the first best restart.
+
+    The group shares one (G, m, D) array of member rows and runs in rounds
+    that prefetch the rotation draws.  A round takes the next depth draws of
+    every restart (depth = ROOF_ROUND_ROWS // 2G, at least 1), builds every
+    proposed pair of rows as if all earlier steps of the round were rejected,
+    and evaluates them all as one stack.  The accept rule then replays each
+    restart's proposals in draw order and stops at the first one that reads
+    a row an accepted step of the round changed; that draw and the later
+    ones are kept and rebuilt from the updated rows next round.  Most steps
+    are rejected, so a round advances each restart by several steps.
+    """
+    r, D = base.shape
+    gens = [np.random.default_rng(c) for c in children]
+    G = len(gens)
+    phis = np.empty((G, m, D), dtype=complex)
+    # the weights are the real part of a complex array, as in the sequential
+    # search: BLAS sums the strided probs @ vals in another order than a
+    # contiguous one
+    probs = np.empty((G, m), dtype=complex)
+    for i, g in enumerate(gens):
+        if i == 0 and identity_first:
             W = np.zeros((m, r), dtype=complex)
             W[:r, :r] = np.eye(r)
         else:
             Z = g.standard_normal((m, r)) + 1j * g.standard_normal((m, r))
             W, _ = np.linalg.qr(Z)
-        gens.append(g)
-        phis.append(W @ base)
-        probs.append(np.einsum("jd,jd->j", phis[-1], phis[-1].conj()).real)
-
-    got = _values(value_of, [(row, q) for i in range(R) for row, q in zip(phis[i], probs[i])])
-    vals = [np.array(got[i * m : (i + 1) * m]) for i in range(R)]
-    cur = [float(probs[i] @ vals[i]) for i in range(R)]
+        phis[i] = W @ base
+        probs[i] = np.einsum("jd,jd->j", phis[i], phis[i].conj())
+    probs = probs.real
+    vals = _values(value_of, phis.reshape(-1, D), probs.ravel()).reshape(G, m)
+    cur = [float(P @ V) for P, V in zip(probs, vals)]
     at_mark = list(cur)
-    theta = 0.5
-    for it in range(iters):
-        steps = [_rotate(g, theta, phi) for g, phi in zip(gens, phis)]
-        proposed = [pair for _, _, nj, nk, pj, pk in steps for pair in ((nj, pj), (nk, pk))]
-        got = iter(_values(value_of, proposed))
-        for i, (j, k, nj, nk, pj, pk) in enumerate(steps):
-            vj, vk = next(got), next(got)
-            P, V = probs[i], vals[i]
-            new = cur[i] - P[j] * V[j] - P[k] * V[k] + pj * vj + pk * vk
-            if new < cur[i] - ROOF_ACCEPT_MARGIN:
-                cur[i] = new
-                phis[i][j], phis[i][k] = nj, nk
-                P[j], P[k] = pj, pk
-                V[j], V[k] = vj, vk
-        theta *= 0.995
-        if it == mark - 1:
-            at_mark = list(cur)
+    mark = max(1, int(0.8 * iters))
+    depth = max(1, ROOF_ROUND_ROWS // (2 * G))
+    done = [0] * G  # steps replayed per restart
+    theta = [0.5] * G  # the rotation bound of each restart's next draw
+    queued = [[] for _ in gens]  # drawn, not yet replayed: (i, j, k, c, se, sc)
+    while min(done) < iters:
+        for i, (g, q) in enumerate(zip(gens, queued)):
+            while len(q) < depth and done[i] + len(q) < iters:
+                q.append((i, *_draw(g, m, theta[i])))
+                theta[i] *= 0.995
+        steps = [step for q in queued for step in q]
+        at = np.array([step[:3] for step in steps])
+        coef = np.array([step[3:] for step in steps])
+        pair = phis[at[:, :1], at[:, 1:]]  # rows j and k of each step's restart
+        a, b = pair[:, 0], pair[:, 1]
+        c = coef[:, :1]
+        rows = np.stack((c * a + coef[:, 1:2] * b, coef[:, 2:] * a + c * b), axis=1)
+        rows = rows.reshape(-1, D)
+        w = np.array([np.vdot(x, x).real for x in rows])
+        v = _values(value_of, rows, w)
+        # each replayed step reads rows unchanged since the round began
+        old = (probs * vals)[at[:, :1], at[:, 1:]].tolist()
+        gain = (w * v).tolist()
+        w, v = w.tolist(), v.tolist()
+        n = 0  # the restart's first step of the round
+        for i, q in enumerate(queued):
+            moved = set()
+            used = 0
+            for _, j, k, *_ in q:
+                if j in moved or k in moved:
+                    break
+                x = n + used
+                new = cur[i] - old[x][0] - old[x][1] + gain[2 * x] + gain[2 * x + 1]
+                if new < cur[i] - ROOF_ACCEPT_MARGIN:
+                    cur[i] = new
+                    phis[i, j], phis[i, k] = rows[2 * x], rows[2 * x + 1]
+                    probs[i, j], probs[i, k] = w[2 * x], w[2 * x + 1]
+                    vals[i, j], vals[i, k] = v[2 * x], v[2 * x + 1]
+                    moved.update((j, k))
+                used += 1
+                done[i] += 1
+                if done[i] == mark:
+                    at_mark[i] = cur[i]
+            n += len(q)
+            del q[:used]
 
-    best = min(range(R), key=cur.__getitem__)  # the first of equal values
-    return RoofResult(
-        value=float(cur[best]),
-        certificate=_ensemble(layout, phis[best], probs[best]),
-        restarts_used=R,
-        converged=(at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP,
-    )
-
+    best = min(range(G), key=cur.__getitem__)  # the first of equal values
+    converged = (at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP
+    return cur[best], phis[best].copy(), probs[best].copy(), converged

@@ -162,7 +162,7 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
     """The roof search one restart and one member at a time.
 
     Each member is evaluated through a validated PureState and the public
-    pure route of negativity_report.  The suite's oracle for the lockstep
+    pure route of negativity_report.  The suite's oracle for the prefetching
     search in roof_negativity, which must return the same bits.
     """
     from ktangle.roof import RoofResult, _ensemble, _support

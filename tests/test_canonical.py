@@ -207,6 +207,13 @@ def test_form_validation():
     assert abs(form.phi - math.pi) < 1e-15
 
 
+@pytest.mark.parametrize("phi", [-1e-17, -5e-324, -0.0, 0.0, 2 * math.pi, 4 * math.pi, -2 * math.pi])
+def test_form_phase_lands_in_half_open_range(phi):
+    # one % maps a phase just below 0 to 2 pi itself, outside [0, 2 pi)
+    form = kt.CanonicalForm3Q(a=1.0, b=0.0, c=0.0, d=0.0, f=0.0, phi=phi)
+    assert 0.0 <= form.phi < 2 * math.pi
+
+
 def test_canonicalize_rejects_other_layouts():
     psi = kt.haar_random_pure(kt.qubit_layout(2), 0)
     with pytest.raises(kt.ValidationError):

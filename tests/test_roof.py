@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,13 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
+from conftest import L2, L3, L4, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
+from ktangle.config import ROOF_ROUND_ROWS, STACK_CHUNK
 from ktangle.roof import _member_value, _search, _support
+
+# the most restarts whose rounds still prefetch two steps each; one more
+# restart makes every round a single lockstep step
+TWO_STEP_RESTARTS = ROOF_ROUND_ROWS // 4
 
 
 def _basis_state(layout, k):
@@ -236,17 +242,24 @@ def test_two_qubit_ppt_iff_zero_roof():
 @pytest.mark.parametrize(
     "layout, measure, rank",
     [(L2, "global", 2), (L2, "global", 3), (L2, "global", 4),
-     (L3, "k2", 2), (L3, "k2", 3), (L3, "k3", 2), (L3, "k3", 3)],
+     (L3, "k2", 2), (L3, "k2", 3), (L3, "k3", 2), (L3, "k3", 3), (L4, "k2", 2)],
 )
-@pytest.mark.parametrize("restarts", [1, 2, 5])
-def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts):
+@pytest.mark.parametrize(
+    "restarts, iterations",
+    [pytest.param(r, i, id=str(r) if i == 40 else f"{r}-{i}")
+     for r, i in ((1, 40), (2, 40), (5, 40), (2, 400), (3, 400),
+                  (TWO_STEP_RESTARTS, 40), (TWO_STEP_RESTARTS + 1, 40))],
+)
+def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts, iterations):
     # restart 0 starts from the identity isometry, whose rows past the rank
-    # have zero weight, so the member cutoff branch runs in every case
-    for seed in (0, 11, 2024):
+    # have zero weight, so the member cutoff branch runs in every case; the
+    # default budget of 400 iterations runs the rounds as the CLI does, and
+    # the restart counts straddle the depth rule
+    for seed in (0, 11, 2024) if iterations < 400 else (2024,):
         rng = np.random.default_rng(1000 * rank + seed)
         rho = mixed_state(layout, rng, rank=rank)
         p = int(rng.integers(layout.n_subsystems))
-        budget = kt.RoofBudget(restarts=restarts, iterations=40, seed=seed)
+        budget = kt.RoofBudget(restarts=restarts, iterations=iterations, seed=seed)
         roof = _lockstep if layout is L2 and measure == "global" else kt.roof_negativity
         got = roof(rho, p, measure, budget)
         want = sequential_roof(rho, p, measure, budget)
@@ -257,6 +270,44 @@ def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts):
         for (p1, s1), (p2, s2) in zip(got.certificate.members, want.certificate.members):
             assert np.array_equal(p1, p2)
             assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+
+def test_prefetching_rounds_evaluate_several_steps_per_stack():
+    # at the default budget of two restarts a round must advance the search
+    # by more than two steps on average; one stack per step makes 401
+    rho = mixed_state(L3, np.random.default_rng(4), rank=2)
+    lam, vec = _support(rho)
+    value_of = _member_value("k2", 1, L3)
+    stacks = []
+
+    def counted(amps):
+        stacks.append(len(amps))
+        return value_of(amps)
+
+    budget = kt.RoofBudget(restarts=2, seed=3)
+    got = _search(L3, counted, lam, vec, budget)
+    assert len(stacks) < budget.iterations / 2
+    assert max(stacks) <= max(ROOF_ROUND_ROWS, 2 * 4)  # the first stack holds 2 x m members
+    assert got.value == sequential_roof(rho, 1, "k2", budget).value
+
+
+def test_roof_memory_does_not_grow_with_restarts():
+    # the restarts run in groups of STACK_CHUNK // m, so eight groups peak
+    # where one does
+    rho = mixed_state(L3, np.random.default_rng(4), rank=2)  # m = 4 members
+    group = STACK_CHUNK // 4
+
+    def peak(restarts):
+        tracemalloc.start()
+        try:
+            kt.roof_negativity(rho, 0, "k2", kt.RoofBudget(restarts=restarts, iterations=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm the caches
+    one, eight = peak(group), peak(8 * group)
+    assert eight <= 1.1 * one, (one, eight)
 
 
 def _member_stack(layout, rng, b):
