@@ -47,8 +47,9 @@ GHZW_ROOT_RTOL = 1e-6
 # |x^3 - 4| below it marks the degenerate (double-root) point of the family.
 GHZW_ROOT_EPS = 1e-9
 
-# Hermiticity defect allowed in a partial-transpose output; the transposes
-# only move elements, so a larger defect signals an index bug.
+# Hermiticity defect allowed in the input of the public partial transposes,
+# and kept by a DensityOperator without symmetrizing; the transposes only
+# move elements, so the output carries no larger defect.
 TRANSPOSE_HERM_EPS = 1e-14
 
 # Largest entry of |U^dagger U - 1| accepted for a local unitary.

@@ -9,10 +9,11 @@ constructors (PureState, DensityOperator, LocalUnitary, Ensemble) and the
 public functions that take a raw array (trace_norm, negativity_from_pt)
 check their input: norm, trace and probability-sum defects within EPS_NORM,
 hermiticity within EPS_HERM, no eigenvalue below -EPS_NORM and unitarity
-within UNITARITY_EPS, all named in config.  A DensityOperator whose
-hermiticity defect passes the check but exceeds TRANSPOSE_HERM_EPS, what a
-partial transpose may carry, stores its Hermitian part.  What the package
-derives from checked objects is trusted and built through _derived, which
+within UNITARITY_EPS, all named in config, and a square local unitary with
+a nonnegative target.  A DensityOperator whose hermiticity defect passes the
+check but exceeds TRANSPOSE_HERM_EPS, what the public partial transposes
+accept, stores its Hermitian part.  What the package derives from checked
+objects is trusted and built through _derived, which
 skips __post_init__: the results of outer, partial_trace,
 apply_local_unitary and haar_random_pure, the canonical forms and their
 unitaries, the GHZ+W states and grid parameters, and the roof's members
@@ -120,7 +121,11 @@ class LocalUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.target < 0:
+            raise ValidationError(f"target {self.target} must be a nonnegative subsystem index")
         self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValidationError(f"local unitary has shape {self.matrix.shape}, must be square")
         d = self.matrix.shape[0]
         defect = float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(d)).max())
         if not (defect <= UNITARITY_EPS):
@@ -271,6 +276,13 @@ def trace_norm(M: np.ndarray):
 
 def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
     dims = psi.layout.dims
+    if u.target >= len(dims):
+        raise ValueError(f"target {u.target} out of range for {len(dims)} subsystems")
+    if u.matrix.shape[0] != dims[u.target]:
+        raise ValueError(
+            f"local unitary of dimension {u.matrix.shape[0]} on subsystem {u.target} "
+            f"of dimension {dims[u.target]}"
+        )
     t = psi.amplitudes.reshape(dims)
     t = np.tensordot(u.matrix, t, axes=([1], [u.target]))
     t = np.moveaxis(t, 0, u.target)

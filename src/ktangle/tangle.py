@@ -94,6 +94,8 @@ def _wootters(M: np.ndarray) -> np.ndarray:
 
 def wootters_tangle(rho2: DensityOperator) -> float:
     """Squared concurrence of a two-qubit state (see _wootters)."""
+    if rho2.layout.dims != (2, 2):
+        raise ValueError(f"Wootters tangle needs a two-qubit state, got dims {rho2.layout.dims}")
     return float(_wootters(rho2.matrix[None])[0])
 
 
@@ -107,6 +109,9 @@ def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
 def one_tangle(psi: PureState, p: int) -> float:
     """4 det of the reduced one-qubit state; equals (N_G^p)^2 for pure input."""
     _check_focus(p, psi.layout.n_subsystems)
+    d_p = psi.layout.dims[p]
+    if d_p != 2:
+        raise ValueError(f"one tangle needs a qubit focus; subsystem {p} has dimension {d_p}")
     return float(_one_tangle(psi.amplitudes[None], psi.layout.dims, p)[0])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ktangle as kt
-from ktangle import canonical, cli, core, ghzw, roof
+from ktangle import canonical, cli, core, ghzw, negativity, roof
 
 from conftest import L2, L3, amplitudes_json, mixed_state, real_pure
 
@@ -130,3 +130,31 @@ def test_two_qubit_global_roof_runs_no_search_and_no_check(checks_of, monkeypatc
         if not searched:
             # the parser's, one per file member, and the CLI's budget
             assert got == {"_check_norm": 3, "PureState": 3, "Ensemble": 1, "RoofBudget": 1}
+
+
+def test_reports_and_roof_members_run_no_hermiticity_pass(monkeypatch):
+    # the transposes only move entries: neither the report of a pure or a
+    # density stack nor a k2 roof member measures a hermiticity defect
+    rng = np.random.default_rng(13)
+    amps = np.stack([kt.haar_random_pure(L3, rng).amplitudes for _ in range(4)])
+    rho = mixed_state(L3, rng)
+    dens = np.stack([rho.matrix, mixed_state(L3, rng).matrix])
+    shapes = []
+    name = "_hermiticity_defect"
+    original = getattr(core, name)
+
+    def counted(M):
+        shapes.append(M.shape)
+        return original(M)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ktangle" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    for state in (amps, dens):
+        for p in range(3):
+            negativity._report_arrays(state, L3.dims, p, {})
+    roof._member_value("k2", 1, L3)(amps)
+    assert shapes == []
+    # the count sees the public transpose's check of its input
+    kt.global_pt(rho, 0)
+    assert shapes == [(8, 8)]

@@ -128,7 +128,7 @@ def test_pure_norm_is_checked_squared_at_the_parser(
 
 def test_analyze_matrix_within_the_hermiticity_bound(write_state, capsys):
     # a 1e-12 defect passes the parser (eps_herm = 1e-10), which keeps the
-    # Hermitian part, so the transposes' 1e-14 output check passes too
+    # Hermitian part, so every transpose the report takes is Hermitian
     m = mixed_state(kt.qubit_layout(3), np.random.default_rng(8), real=True).matrix.copy()
     m[1, 2] += 1e-12
     doc_in = {"dims": [2, 2, 2], "matrix": [amplitudes_json(row) for row in m]}

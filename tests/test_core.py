@@ -153,6 +153,21 @@ def test_partial_trace_rejects_bad_keep():
         kt.partial_trace(rho, [3])
 
 
+def test_local_unitary_boundary():
+    # a negative target would index from the end, and a matrix that is not
+    # square has no unitarity to check
+    with pytest.raises(kt.ValidationError, match="target -1"):
+        kt.LocalUnitary(-1, np.eye(2))
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(kt.ValidationError, match="must be square"):
+            kt.LocalUnitary(0, np.ones(shape))
+    psi = kt.haar_random_pure(L3, 0)
+    with pytest.raises(ValueError, match="target 5 out of range for 3 subsystems"):
+        kt.apply_local_unitary(psi, kt.LocalUnitary(5, np.eye(2)))
+    with pytest.raises(ValueError, match="dimension 3 on subsystem 1 of dimension 2"):
+        kt.apply_local_unitary(psi, kt.LocalUnitary(1, np.eye(3)))
+
+
 def test_apply_local_unitary_matches_kron():
     rng = np.random.default_rng(7)
     psi = kt.haar_random_pure(L3, rng)

@@ -17,7 +17,7 @@ from ktangle.config import EPS_EIG, EPS_NORM, STACK_CHUNK
 from ktangle.core import _check_density, _check_norm, _eigh, _haar_amplitudes, _outer, _partial_trace
 from ktangle.negativity import _report_arrays
 from ktangle.tangle import _tangles, _wootters
-from ktangle.transpose import _global_pt, _kway_pt
+from ktangle.transpose import _kway_pt
 
 from conftest import L3, L4, mixed_state, sqrt_route_wootters
 
@@ -232,9 +232,12 @@ def test_stacked_checks_cover_every_matrix():
     M = _corrupt("hermiticity")
     with pytest.raises(kt.ValidationError, match="stack index 3"):
         kt.trace_norm(M)
-    # the transpose output check sees the one broken matrix of the stack
-    with pytest.raises(kt.ValidationError, match="transpose output"):
-        _global_pt(M, L3.dims, 0)
+    # the transposes only move entries; the public one checks its input,
+    # here the broken matrix set after construction
+    rho = kt.DensityOperator(L3, _valid_stack()[3])
+    rho.matrix = M[3]
+    with pytest.raises(kt.ValidationError, match="hermiticity defect"):
+        kt.global_pt(rho, 0)
     v = np.stack([kt.haar_random_pure(L3, s).amplitudes for s in range(4)])
     _check_norm(v)
     v[2, 0] = np.nan

@@ -154,3 +154,18 @@ def test_three_tangle_rejects_other_layouts():
     psi = kt.haar_random_pure(L2, 0)
     with pytest.raises(ValueError):
         kt.three_tangle(psi)
+
+
+def test_one_tangle_rejects_a_non_qubit_focus():
+    # 4 det of a 3 x 3 reduced state's leading minor is no one-tangle
+    psi = kt.haar_random_pure(kt.SubsystemLayout((3, 2)), 0)
+    with pytest.raises(ValueError, match="subsystem 0 has dimension 3"):
+        kt.one_tangle(psi, 0)
+    assert 0.0 <= kt.one_tangle(psi, 1) <= 1.0
+
+
+def test_wootters_tangle_rejects_other_layouts():
+    for dims in ((2, 3), (2, 2, 2)):
+        rho = mixed_state(kt.SubsystemLayout(dims), np.random.default_rng(1))
+        with pytest.raises(ValueError, match="two-qubit state"):
+            kt.wootters_tangle(rho)

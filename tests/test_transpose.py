@@ -131,3 +131,117 @@ def test_pair_pt_argument_errors():
         kt.pair_pt(rho, 0, 0)
     with pytest.raises(ValueError):
         kt.pair_pt(mixed_state(L4, np.random.default_rng(0)), 0, 1)
+
+
+@pytest.fixture
+def fresh_tables():
+    """The table verdicts forgotten before and after the test, so that its
+    tables are checked afresh and no verdict it leaves is reused."""
+    from ktangle.transpose import _check_table
+
+    _check_table.cache_clear()
+    yield _check_table
+    _check_table.cache_clear()
+
+
+def test_each_table_is_checked_once(fresh_tables):
+    from ktangle.transpose import _global_pt, _kway_pt, _pair_pt
+
+    M = mixed_state(L3, np.random.default_rng(3)).matrix
+    for _ in range(3):
+        _global_pt(M, L3.dims, 0)
+        _kway_pt(M[None], L3.dims, 2, 0)
+        _kway_pt(M, L3.dims, 3, 0)
+        _pair_pt(M, L3.dims, 0, 1)
+        _pair_pt(M, L3.dims, 0, 2)
+    info = fresh_tables.cache_info()
+    assert (info.misses, info.hits) == (5, 10)
+
+
+def _flipped_diff(dims, p, K, focus_differs):
+    # label tables whose diff has one entry (r, c) of count 2 set to K, where
+    # the focus labels of r and c differ (or agree); (c, r) keeps its count
+    from ktangle.transpose import _label_tables
+
+    dg, diff = _label_tables(dims)
+    rows, cols = np.nonzero((diff == 2) & ((dg[:, None, p] != dg[None, :, p]) == focus_differs))
+    r, c = rows[0], cols[0]
+    bad = diff.copy()
+    bad[r, c] = K
+    return (dg, bad), (r, c)
+
+
+@pytest.mark.parametrize("K", [0, 3])
+def test_seeded_table_bug_fails_when_the_table_is_built(fresh_tables, monkeypatch, K):
+    # the flipped entry leaves the 2-way mask (K = 0: it drops out) or the
+    # 3-way mask (K = 3: it comes in) asymmetric; for K = 0 also the pair
+    # mask of the partner whose label differs there
+    from ktangle import transpose
+
+    M = mixed_state(L3, np.random.default_rng(4)).matrix
+    tables, (r, c) = _flipped_diff(L3.dims, 0, K, focus_differs=True)
+    monkeypatch.setattr(transpose, "_label_tables", lambda dims: tables)
+    with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
+        transpose._kway_pt(M, L3.dims, K or 2, 0)
+    if K == 0:
+        dg = tables[0]
+        partner = next(m for m in (1, 2) if dg[r, m] != dg[c, m])
+        with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
+            transpose._pair_pt(M, L3.dims, 0, partner)
+
+
+def test_flip_where_the_focus_labels_agree_is_harmless(fresh_tables, monkeypatch):
+    # the swap fixes such an entry, so the table still maps Hermitian to
+    # Hermitian, and the transpose is unchanged bit for bit
+    from ktangle import transpose
+
+    M = mixed_state(L3, np.random.default_rng(5)).matrix
+    want = transpose._kway_pt(M, L3.dims, 2, 0)
+    fresh_tables.cache_clear()
+    tables, _ = _flipped_diff(L3.dims, 0, 0, focus_differs=False)
+    monkeypatch.setattr(transpose, "_label_tables", lambda dims: tables)
+    assert np.array_equal(transpose._kway_pt(M, L3.dims, 2, 0), want)
+
+
+def test_swap_of_the_wrong_axes_fails_when_the_table_is_built(fresh_tables, monkeypatch):
+    from ktangle import transpose
+
+    def wrong_swap(M, dims, p, mask):
+        # the row label of p exchanged with the column label of the next subsystem
+        n, lead = len(dims), M.shape[:-2]
+        t = M.reshape(lead + dims + dims)
+        return np.swapaxes(t, len(lead) + p, len(lead) + n + (p + 1) % n).reshape(M.shape)
+
+    monkeypatch.setattr(transpose, "_swap", wrong_swap)
+    with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
+        transpose._global_pt(mixed_state(L3, np.random.default_rng(6)).matrix, L3.dims, 1)
+
+
+def test_public_transposes_keep_a_defect_within_the_bound():
+    # a DensityOperator keeps a matrix within TRANSPOSE_HERM_EPS bit for bit;
+    # each output entry is an input entry, so the output defect is no larger
+    from ktangle.config import TRANSPOSE_HERM_EPS
+
+    m = mixed_state(L3, np.random.default_rng(9)).matrix.copy()
+    m[1, 6] = m[6, 1].conjugate() + 1e-14
+    defect = np.abs(m - m.conj().T).max()
+    assert 0.5e-14 < defect <= TRANSPOSE_HERM_EPS
+    rho = kt.DensityOperator(L3, m)
+    assert np.array_equal(rho.matrix, m)
+    for pt in (kt.global_pt(rho, 1), kt.kway_pt(rho, 2, 1), kt.kway_pt(rho, 3, 1),
+               kt.pair_pt(rho, 1, 0), kt.pair_pt(rho, 1, 2)):
+        assert 0.0 < np.abs(pt - pt.conj().T).max() <= TRANSPOSE_HERM_EPS
+
+
+@pytest.mark.parametrize("entry", [1e-12, np.nan])
+def test_public_transposes_check_a_reassigned_matrix(entry):
+    # DensityOperator is mutable: a matrix set after construction is checked
+    # when it is transposed, NaN included
+    rho = mixed_state(L3, np.random.default_rng(10))
+    m = rho.matrix.copy()
+    m[2, 5] += entry
+    rho.matrix = m
+    for transpose in (lambda: kt.global_pt(rho, 0), lambda: kt.kway_pt(rho, 2, 0),
+                      lambda: kt.pair_pt(rho, 0, 2)):
+        with pytest.raises(kt.ValidationError, match="hermiticity defect"):
+            transpose()
