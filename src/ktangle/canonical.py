@@ -7,7 +7,14 @@ the first slice of the amplitude tensor singular (a scalar quadratic
 condition), diagonalizes that slice with singular-value rotations of the
 other two qubits, and then fixes the remaining phase freedom.  The quadratic
 generically has two roots, so two inequivalent-looking representatives of the
-same orbit are returned.
+same orbit are returned; its discriminant test is the one rule that merges
+them into one form near a double root.
+
+Each root is reduced in one pass: the quadratic's coefficients are closed
+2x2 determinants, its roots are projective points (nothing is divided), the
+phase gauge reads the 2x2 second slice, and one contraction of the phased
+rotations with the tensor gives the amplitudes.  The scalar work runs on
+Python complex values, which are faster than numpy scalars at this size.
 
 Phase range note: phi is stored in [0, 2*pi).  When all five amplitudes are
 nonzero the phase is rigid modulo 2*pi along the local-unitary orbit (the
@@ -27,10 +34,7 @@ from .config import (
     CANONICAL_AMP_EPS,
     CANONICAL_COEF_EPS,
     CANONICAL_DISC_EPS,
-    CANONICAL_DIVISOR_EPS,
-    CANONICAL_NEWTON_EPS,
     CANONICAL_RESIDUAL,
-    CANONICAL_ROOT_RTOL,
     EPS_NORM,
     NumericalError,
     ValidationError,
@@ -156,85 +160,57 @@ def canonical_closed_forms(form: CanonicalForm3Q):
 
 
 def _quadratic_roots(a0: complex, b0: complex, c0: complex):
-    """Projective roots (x, y) of a0 mu^2 + b0 mu + c0 with mu = y/x.
+    """Projective roots (x, y) of a0 mu^2 + b0 mu + c0 with mu = y/x,
+    unnormalized, with nothing divided out.
 
-    Returns a single chart point on a near-double root.  Root extraction is
-    sign-stabilized (the sqrt branch is chosen to avoid cancellation in q).
+    Distinct roots are (a0, q) and (q, c0), with the sign-stabilized
+    q = -(b0 + sqrt(disc))/2 (the sqrt branch that avoids cancellation), so
+    a root at infinity is (0, q) and a zero root is (q, 0).  A near-double
+    root is the one point (2 a0, -b0), or (-b0, 2 c0) where |c0| > |a0|; the
+    zero quadratic, which every rotation solves, gives (1, 0).
     """
-    scale = max(abs(a0), abs(b0), abs(c0))
-    if scale < CANONICAL_COEF_EPS:
-        return [(1.0 + 0j, 0.0 + 0j)]
+    if max(abs(a0), abs(b0), abs(c0)) < CANONICAL_COEF_EPS:
+        return [(1.0, 0.0)]
     disc = b0 * b0 - 4 * a0 * c0
     if abs(disc) < CANONICAL_DISC_EPS:
-        if abs(a0) >= abs(c0):
-            if abs(a0) > CANONICAL_COEF_EPS:
-                return [(1.0 + 0j, -b0 / (2 * a0))]
-            return [(0.0 + 0j, 1.0 + 0j)]
-        return [(-b0 / (2 * c0), 1.0 + 0j)]
+        return [(2 * a0, -b0) if abs(a0) >= abs(c0) else (-b0, 2 * c0)]
     sq = cmath.sqrt(disc)
     if (b0.conjugate() * sq).real < 0:
         sq = -sq
-    qq = -0.5 * (b0 + sq)
-    r1 = (
-        (1.0 + 0j, qq / a0)
-        if abs(a0) > abs(qq) * CANONICAL_ROOT_RTOL and abs(a0) > CANONICAL_DIVISOR_EPS
-        else (0.0 + 0j, 1.0 + 0j)
-    )
-    r2 = (1.0 + 0j, c0 / qq) if abs(qq) > CANONICAL_DIVISOR_EPS else (1.0 + 0j, 0.0 + 0j)
-    return [r1, r2]
+    q = -0.5 * (b0 + sq)
+    return [(a0, q), (q, c0)]
 
 
-def _polish(root, a0, b0, c0):
-    # one Newton step in the better-conditioned affine chart
-    x, y = root
-    if x != 0 and abs(y / x) <= 1.0:
-        mu = y / x
-        der = 2 * a0 * mu + b0
-        if abs(der) > CANONICAL_NEWTON_EPS:
-            mu = mu - (a0 * mu * mu + b0 * mu + c0) / der
-        return (1.0 + 0j, mu)
-    nu = x / y if y != 0 else 0.0 + 0j
-    der = 2 * c0 * nu + b0
-    if abs(der) > CANONICAL_NEWTON_EPS:
-        nu = nu - (c0 * nu * nu + b0 * nu + a0) / der
-    return (nu, 1.0 + 0j)
+def _unit_root(x: complex, y: complex):
+    """(x, y) scaled to unit norm with its larger component real and
+    positive, so that an exact zero stays exact in the rotation."""
+    n = math.hypot(abs(x), abs(y))
+    if abs(x) >= abs(y):
+        return abs(x) / n, y * (x.conjugate() / abs(x)) / n
+    return x * (y.conjugate() / abs(y)) / n, abs(y) / n
 
 
-def _phase_gauge(amps: np.ndarray):
-    """Z-phase angles (delta, beta1, gamma1) that zero the c, d, f phases.
+def _phase_gauge(b: complex, c: complex, d: complex, f: complex):
+    """Z-phase angles (delta, beta1, gamma1) of the second rows of the A, B
+    and C rotations that make c, d and f real and nonnegative.
 
-    When one or more of c, d, f vanish the leftover freedom is spent on the
-    b phase instead, so the form degrades gracefully to a real state.
+    The second slice [[b, d], [c, f]] picks up e^{i delta} on every entry,
+    e^{i beta1} on c and f and e^{i gamma1} on d and f.  Three rules:
+    delta cancels arg f - arg c - arg d when c, d and f are all nonzero, and
+    otherwise the b phase (so that a form with a vanishing c, d or f is
+    real); beta1 then comes from c, or else from f when d is nonzero; gamma1
+    comes from d, or else from f.
     """
-    bt, dt, ct, ft = amps[4], amps[5], amps[6], amps[7]
-    tb, tc, td, tf = (float(np.angle(z)) for z in (bt, ct, dt, ft))
-    zc, zd, zf = (abs(z) < CANONICAL_AMP_EPS for z in (ct, dt, ft))
-    if not (zc or zd or zf):
+    tb, tc, td, tf = (cmath.phase(z) for z in (b, c, d, f))
+    zc, zd, zf = (abs(z) < CANONICAL_AMP_EPS for z in (c, d, f))
+    if zc or zd or zf:
+        delta = -tb if abs(b) > CANONICAL_AMP_EPS else 0.0
+    else:
         delta = tf - tc - td
-        return delta, -tc - delta, -td - delta
-    delta = -tb if abs(bt) > CANONICAL_AMP_EPS else 0.0
-    if not zc and not zd:
-        return delta, -tc - delta, -td - delta
-    if not zc and not zf:
-        beta1 = -tc - delta
-        return delta, beta1, -tf - delta - beta1
-    if not zd and not zf:
-        gamma1 = -td - delta
-        return delta, -tf - delta - gamma1, gamma1
-    if not zc:
-        return delta, -tc - delta, 0.0
-    if not zd:
-        return delta, 0.0, -td - delta
-    if not zf:
-        return delta, 0.0, -tf - delta
-    return delta, 0.0, 0.0
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, bit for bit: the same products, without
-    np.kron's general-rank set-up."""
-    (m, n), (k, l) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)
+    from_d = -td - delta
+    beta1 = -tc - delta if not zc else (-tf - delta - from_d if not (zd or zf) else 0.0)
+    gamma1 = from_d if not zd else (-tf - delta - beta1 if not zf else 0.0)
+    return delta, beta1, gamma1
 
 
 def canonicalize3(psi: PureState) -> CanonicalizationResult:
@@ -246,46 +222,35 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
     if psi.layout.dims != (2, 2, 2):
         raise ValidationError("canonicalization needs a three-qubit pure state")
     T = psi.amplitudes.reshape(2, 2, 2)
-    T0, T1 = T[0], T[1]
-    c0 = complex(np.linalg.det(T0))
-    a0 = complex(np.linalg.det(T1))
-    b0 = complex(np.linalg.det(T0 + T1)) - c0 - a0
+    t000, t001, t010, t011, t100, t101, t110, t111 = psi.amplitudes.tolist()
+    # det(x T0 + y T1) = c0 x^2 + b0 x y + a0 y^2
+    c0 = t000 * t011 - t001 * t010
+    a0 = t100 * t111 - t101 * t110
+    b0 = t000 * t111 + t100 * t011 - t001 * t110 - t101 * t010
 
     entries = []
     for root in _quadratic_roots(a0, b0, c0):
-        x, y = _polish(root, a0, b0, c0)
-        nrm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
-        x, y = x / nrm, y / nrm
-        UA = np.array([[x, y], [-np.conj(y), np.conj(x)]])
-        W, _, Vh = np.linalg.svd(x * T0 + y * T1)
+        x, y = _unit_root(*root)
+        UA = np.array([[x, y], [-y.conjugate(), x.conjugate()]], dtype=complex)
+        # the SVD rotations take the singular first slice x T0 + y T1 to diag(a, 0)
+        W, _, Vh = np.linalg.svd(x * T[0] + y * T[1])
         UB = W.conj().T
         UC = Vh.conj()
-        amps = _kron(UA, _kron(UB, UC)) @ psi.amplitudes
-        delta, beta1, gamma1 = _phase_gauge(amps)
-        UA2 = UA.copy()
-        UA2[1, :] *= cmath.exp(1j * delta)
-        UB2 = UB.copy()
-        UB2[1, :] *= cmath.exp(1j * beta1)
-        UC2 = UC.copy()
-        UC2[1, :] *= cmath.exp(1j * gamma1)
-        amps = _kron(UA2, _kron(UB2, UC2)) @ psi.amplitudes
+        # the second slice [[b, d], [c, f]] before the phase gauge
+        (b, d), (c, f) = (UB @ (UA[1, 0] * T[0] + UA[1, 1] * T[1]) @ UC.T).tolist()
+        for U, angle in zip((UA, UB, UC), _phase_gauge(b, c, d, f)):
+            U[1] *= cmath.exp(1j * angle)
+        amps = np.einsum("ai,bj,ck,ijk->abc", UA, UB, UC, T).ravel().tolist()
 
-        b = float(abs(amps[4]))
-        phi = _phase(np.angle(amps[4])) if b > CANONICAL_AMP_EPS else 0.0
-        resid = max(
-            abs(amps[1]),
-            abs(amps[2]),
-            abs(amps[3]),
-            abs(amps[0].imag),
-            abs(amps[5].imag),
-            abs(amps[6].imag),
-            abs(amps[7].imag),
-        )
-        a, c, d, f = (float(abs(amps[k])) for k in (0, 6, 5, 7))
+        b = abs(amps[4])
+        phi = _phase(cmath.phase(amps[4])) if b > CANONICAL_AMP_EPS else 0.0
+        resid = max(*(abs(amps[k]) for k in (1, 2, 3)),
+                    *(abs(amps[k].imag) for k in (0, 5, 6, 7)))
+        a, c, d, f = (abs(amps[k]) for k in (0, 6, 5, 7))
         form = _derived(CanonicalForm3Q, a=a, b=b, c=c, d=d, f=f, phi=phi)
         us = tuple(_derived(LocalUnitary, target=m, matrix=U)
-                   for m, U in enumerate((UA2, UB2, UC2)))
-        entries.append((form, us, float(resid)))
+                   for m, U in enumerate((UA, UB, UC)))
+        entries.append((form, us, resid))
 
     entries.sort(key=lambda e: (-e[0].a, -e[0].f))
     residual = max(e[2] for e in entries)

@@ -17,19 +17,8 @@ EPS_EIG = 1e-10
 CANONICAL_DISC_EPS = 1e-12
 
 # Slice-quadratic coefficients below this vanish: all three below it make the
-# quadratic identically zero (any rotation works), and a leading coefficient
-# below it at a double root puts the root at infinity.
+# quadratic identically zero, and any rotation of the first qubit solves it.
 CANONICAL_COEF_EPS = 1e-15
-
-# A quadratic root q/a is taken only where |a| exceeds this multiple of |q|;
-# below it the root sits at infinity in the affine chart.
-CANONICAL_ROOT_RTOL = 1e-14
-
-# Divisors at or below this are treated as zero in the root formulas.
-CANONICAL_DIVISOR_EPS = 1e-300
-
-# The Newton polish of a root is skipped where the derivative is this small.
-CANONICAL_NEWTON_EPS = 1e-13
 
 # Maximum allowed leakage outside the canonical support after reduction.
 CANONICAL_RESIDUAL = 1e-8
@@ -43,8 +32,7 @@ CANONICAL_AMP_EPS = 1e-12
 # first-qubit rotation ratio within this relative tolerance.
 GHZW_ROOT_RTOL = 1e-6
 
-# Rotation entries below this are too small to form that ratio from, and
-# |x^3 - 4| below it marks the degenerate (double-root) point of the family.
+# Rotation entries below this are too small to form that ratio from.
 GHZW_ROOT_EPS = 1e-9
 
 # Hermiticity defect allowed in the input of the public partial transposes,

@@ -3,7 +3,8 @@
 State: sqrt(q) (|000>+|111>)/sqrt(2) + s sqrt(1-q) (|100>+|010>+|001>)/sqrt(3)
 with s = +1 or -1.  The three tangle has a closed form in q; the minus branch
 has a unique interior zero.  Canonicalization of the family is delegated to
-the general reducer and cross-checked against the closed-form root of the
+the general reducer, whose discriminant test also decides where the two
+forms merge into one, and cross-checked against the closed-form root of the
 first-qubit rotation where that root is real.
 
 GhzwParams and sweep_family's sign, q range and step count are the
@@ -156,18 +157,12 @@ def _closed_form_root_check(result: CanonicalizationResult, x: float):
 
 
 def ghzw_canonical_params(params: GhzwParams) -> CanonicalizationResult:
-    """Canonical form(s) of the family state, single form at the degenerate point."""
+    """Canonical form(s) of the family state: canonicalize3's, which merges
+    the two forms into one where its discriminant vanishes (near q*)."""
     if params.q in (0.0, 1.0):
         return _exact_limit_result(params)
     result = canonicalize3(build_ghzw(params))
-    x = x_parameter(params)
-    _closed_form_root_check(result, x)
-    if abs(x**3 - 4.0) < GHZW_ROOT_EPS and len(result.forms) > 1:
-        result = CanonicalizationResult(
-            forms=result.forms[:1],
-            unitaries=result.unitaries[:1],
-            residual=result.residual,
-        )
+    _closed_form_root_check(result, x_parameter(params))
     return result
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
-from ktangle.canonical import _kron
 
 from conftest import L3, random_form, real_pure
 
@@ -218,17 +218,63 @@ def test_canonicalize_rejects_other_layouts():
     psi = kt.haar_random_pure(kt.qubit_layout(2), 0)
     with pytest.raises(kt.ValidationError):
         kt.canonicalize3(psi)
+    with pytest.raises(ValueError, match="three-qubit"):
+        kt.coherence_delta(psi)
 
 
-def _haar_unitary(rng):
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def _pattern_form(rng, pattern):
+    """Random form whose b, c, d, f vanish where pattern holds a 0, with a
+    random phi."""
+    amps = rng.uniform(0.2, 1.0, size=5) * np.array((1, *pattern))
+    amps /= np.linalg.norm(amps)
+    a, b, c, d, f = amps.tolist()
+    return kt.CanonicalForm3Q(a=a, b=b, c=c, d=d, f=f, phi=float(rng.uniform(0.0, 2 * math.pi)))
 
 
-def test_kron_helper_equals_np_kron_bitwise():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        a, b, c = (_haar_unitary(rng) for _ in range(3))
-        assert _kron(b, c).tobytes() == np.kron(b, c).tobytes()
-        assert _kron(a, _kron(b, c)).tobytes() == np.kron(a, np.kron(b, c)).tobytes()
+def _invariants(form):
+    """N_G, tau3 and E2 N_G of a form: local-unitary invariants."""
+    rep, tan = kt.canonical_closed_forms(form)
+    return np.array([rep.n_global, tan.tau3, rep.e_partial[2] * rep.n_global])
+
+
+def _assert_round_trip(psi, res, source):
+    for form, us in zip(res.forms, res.unitaries):
+        out = _apply_triple(psi, us).amplitudes
+        assert np.abs(out - kt.build_canonical_state(form).amplitudes).max() <= 1e-12
+    ref = _invariants(source)
+    assert min(np.abs(_invariants(f) - ref).max() for f in res.forms) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pattern", list(itertools.product((0, 1), repeat=4)),
+    ids=lambda p: "bcdf=" + "".join(map(str, p)),
+)
+def test_sparse_forms_round_trip(pattern):
+    # every zero pattern of (b, c, d, f) takes its own branch of the root
+    # and phase gauge steps; a scrambled form must come back exactly
+    rng = np.random.default_rng(int("".join(map(str, pattern)), 2))
+    for _ in range(5):
+        form = _pattern_form(rng, pattern)
+        psi = _apply_triple(kt.build_canonical_state(form), _random_lu_triple(rng))
+        _assert_round_trip(psi, kt.canonicalize3(psi), form)
+
+
+def test_product_state_takes_the_zero_quadratic():
+    # |000> has three vanishing slice determinants: any rotation is a root
+    v = np.zeros(8)
+    v[0] = 1.0
+    psi = kt.PureState(L3, v)
+    res = kt.canonicalize3(psi)
+    source = kt.CanonicalForm3Q(a=1.0, b=0.0, c=0.0, d=0.0, f=0.0, phi=0.0)
+    assert res.forms == (source,) and res.residual == 0.0
+    _assert_round_trip(psi, res, source)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_closed_negative_eigenpair_matches_the_report(seed):
+    form = random_form(np.random.default_rng(seed))
+    ((lam, vec),) = kt.canonical_closed_forms(form)[0].negative_eigenpairs
+    rep = kt.negativity_report(kt.outer(kt.build_canonical_state(form)), 0)
+    ((lam_n, vec_n),) = rep.negative_eigenpairs
+    assert abs(lam - lam_n) <= 1e-14
+    assert abs(abs(np.vdot(vec, vec_n)) - 1.0) <= 1e-12

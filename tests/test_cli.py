@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ktangle as kt
-from ktangle import cli
+from ktangle import cli, ghzw
 from ktangle.cli import main
 from ktangle.config import EPS_NORM
 
@@ -486,6 +486,35 @@ def test_audit_rejects_a_negative_seed(capsys):
     rc, out, err = _run(capsys, ["audit", "--random", "5", "--seed", "-3"])
     assert (rc, out) == (1, "")
     assert err.startswith("validation error: audit seed -3")
+
+
+def test_audit_rejects_zero_states(capsys):
+    rc, out, err = _run(capsys, ["audit", "--random", "0"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("validation error: audit needs --random >= 1")
+
+
+def test_numerical_failure_exits_2_after_the_rows_already_printed(capsys, monkeypatch):
+    # a sweep prints each row as it makes it, so a numerical failure at grid
+    # point k + 1 leaves the header and the first k rows on stdout
+    argv = ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "0.1:0.9:9"]
+    rc, clean, _ = _run(capsys, argv)
+    assert rc == 0
+    k = 4
+    check = ghzw._closed_form_root_check
+    calls = []
+
+    def fail_after_k(result, x):
+        calls.append(x)
+        if len(calls) > k:
+            raise kt.NumericalError("seeded root-check failure")
+        check(result, x)
+
+    monkeypatch.setattr(ghzw, "_closed_form_root_check", fail_after_k)
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("numerical failure: seeded root-check failure")
+    assert out.splitlines() == clean.splitlines()[: 1 + k]
 
 
 def test_module_entrypoint_and_determinism(tmp_path):

@@ -64,6 +64,14 @@ def test_root_check_accepts_the_merged_double_root(offset):
     assert res.residual < 1e-8
 
 
+@pytest.mark.parametrize("offset", [-1e-10, -1e-11, -5e-12, -1e-13, 1e-13, 5e-12, 1e-11, 1e-10])
+def test_family_and_reducer_agree_on_the_form_count(offset):
+    # one rule decides whether the two forms have merged near q*
+    params = kt.GhzwParams(q=QSTAR + offset, sign=-1)
+    family = kt.ghzw_canonical_params(params)
+    assert len(family.forms) == len(kt.canonicalize3(kt.build_ghzw(params)).forms)
+
+
 def test_x_parameter_degeneracy_is_the_tangle_zero():
     # x^3 = 4 on the minus branch happens exactly where tau3 vanishes
     x = kt.x_parameter(kt.GhzwParams(q=QSTAR, sign=-1))

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 top-level definition and every top-level function and class is read
-somewhere in the package, and every small float threshold is a named
-constant of config.py.
+somewhere in the package, every small float threshold is a named
+constant of config.py, and every constant of config.py is read by another
+module.
 
 No linter ships with the toolchain, so the standard library's ast does the
 checks.  __init__.py is exempt from the import check: its imports are the
@@ -154,3 +155,27 @@ def test_the_check_finds_an_unnamed_threshold():
 )
 def test_thresholds_are_named_in_config(path):
     assert _small_float_literals(path.read_text()) == []
+
+
+def _unread_constants(config_text: str, sources: dict) -> list:
+    """(line, name) of each name that config.py assigns at the top level and
+    no statement of the other modules reads; an import alone is no read."""
+    tops = _top_level(sources)
+    return sorted(
+        (node.lineno, name)
+        for node in ast.parse(config_text).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in _defined_names(node)
+        if not any(name in names for _, _, names in tops)
+    )
+
+
+def test_the_check_finds_an_unread_constant():
+    config = "A_EPS = 1e-9\nB_EPS = 1e-12\nC: int = 3\nclass Err(ValueError):\n    pass\n"
+    module = "from .config import A_EPS, B_EPS\nimport config\nx = A_EPS + config.C\n"
+    assert _unread_constants(config, {"m.py": module}) == [(2, "B_EPS")]
+
+
+def test_every_config_constant_is_read():
+    others = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "config.py"}
+    assert _unread_constants((SRC / "config.py").read_text(), others) == []

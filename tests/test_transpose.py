@@ -131,6 +131,8 @@ def test_pair_pt_argument_errors():
         kt.pair_pt(rho, 0, 0)
     with pytest.raises(ValueError):
         kt.pair_pt(mixed_state(L4, np.random.default_rng(0)), 0, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        kt.pair_pt(rho, 0, 3)
 
 
 @pytest.fixture
