@@ -75,10 +75,10 @@ def _gauged(vec: np.ndarray) -> np.ndarray:
     """vec times the phase that makes its largest-modulus entry (the first
     one on exact ties) real and positive.
 
-    Neither eigh nor the SVD fixes the phase of an eigenvector, so the
-    printed negative eigenvectors take this gauge.  A degenerate negative
-    eigenspace has no unique basis, and its printed vectors are one basis
-    of it, not a canonical one.
+    Neither eigh nor the Schmidt step fixes the phase of an eigenvector, so
+    the printed negative eigenvectors take this gauge.  A degenerate
+    negative eigenspace has no unique basis, and its printed vectors are
+    one basis of it, not a canonical one.
     """
     i = int(np.argmax(np.abs(vec)))
     out = vec * (np.conj(vec[i]) / abs(vec[i]))

@@ -19,7 +19,7 @@ apply_local_unitary and haar_random_pure, the canonical forms and their
 unitaries, the GHZ+W states and grid parameters, and the roof's members
 and certificate.  The modules call the kernels _eigh and _trace_norm, which
 skip the hermiticity check (_eigh keeps the eigenpair residual check, as
-the Schmidt route of negativity keeps its SVD reconstruction check).
+the Schmidt route of negativity keeps its reconstruction check).
 
 trace_norm and the private checks and kernels also take stacks: leading
 axes index the stack and the last two axes hold each matrix.  A check
@@ -206,8 +206,13 @@ def _gather_index(dims: tuple, first: tuple) -> np.ndarray:
 
 def _slices(amps: np.ndarray, dims: tuple, first: tuple) -> np.ndarray:
     """Amplitude stack (..., D) as matrices: rows index the subsystems in
-    first (in that order), columns the others (in layout order)."""
-    return amps[..., _gather_index(dims, first)]
+    first (in that order), columns the others (in layout order).
+
+    The gather lays a stack out with its stack index fastest; the copy to C
+    order makes each matrix contiguous, so a row sum adds its terms in the
+    same order in a stack of any size.
+    """
+    return np.ascontiguousarray(amps[..., _gather_index(dims, first)])
 
 
 def _keep_list(keep, n: int) -> list:

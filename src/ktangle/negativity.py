@@ -9,9 +9,13 @@ E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 Everything comes from the negative eigenpairs of the global transpose, by
 one of two routes chosen once, from the input (_global_spectrum).  Density
 input runs one eigh of rho^{T_p}; the trace norm is the sum of |eigenvalue|
-(Vidal & Werner, PRA 65, 032314, 2002).  Pure input runs one SVD of the
-d_p x D/d_p amplitude matrix (_schmidt_pairs): the Schmidt coefficients give
-the negative eigenpairs and N_G in closed form, with no D x D eigensolve.
+(Vidal & Werner, PRA 65, 032314, 2002).  Pure input takes the Schmidt
+decomposition of the d_p x D/d_p amplitude matrix (_schmidt_pairs): the
+Schmidt coefficients give the negative eigenpairs and N_G in closed form,
+with no D x D eigensolve.  For a qubit focus the decomposition itself is
+closed form, one Jacobi rotation of the 2 x 2 Gram matrix (_qubit_schmidt),
+so a pure report on qubits makes no LAPACK call; a larger focus runs one
+SVD.
 Both routes keep the same negative eigenvector columns (_negative_columns).
 A channel is taken from the c negative eigenvectors V alone,
 Tr(P_minus M) = Tr(V^dagger M V), at O(c D^2) per operator; no D x D
@@ -150,29 +154,66 @@ def _schmidt_plan(dims: tuple, p: int):
     return (math.prod(dims[:p]), 1, math.prod(dims[p + 1 :])), k, l
 
 
+def _qubit_schmidt(S: np.ndarray):
+    """The SVD S = U diag(s) W^dagger of each stacked 2 x m matrix S with
+    rows a and b, not all zero, in closed form.
+
+    One Jacobi rotation U diagonalizes the Gram matrix
+    G = S S^dagger = [[|a|^2, g], [g*, |b|^2]], so the rows of U^dagger S
+    are orthogonal: s holds their norms and W^dagger = diag(1/s) U^dagger S,
+    with the row of a zero s_1 set to zero.  The rotated rows carry an
+    absolute error of O(eps), so s_0 s_1 = sqrt(det G) does too, down to
+    product states, where |a|^2 |b|^2 - |g|^2 cancels to O(eps) in det G
+    and so to O(sqrt(eps)) in s_0 s_1.
+    """
+    flat = S.view(np.float64)  # the last axis is contiguous (core._slices)
+    n2 = np.einsum("...i,...i->...", flat, flat)
+    g = np.einsum("...i,...i->...", S[..., 0, :], S[..., 1, :].conj())
+    # G = D [[|a|^2, |g|], [|g|, |b|^2]] D^dagger with D = diag(1, ph),
+    # ph = g*/|g| (1 where g = 0, and real for real g); the real matrix turns
+    # by theta, and theta = 0 where G is a multiple of 1 (arctan2(0, 0) = 0)
+    ag = np.abs(g)
+    ph = np.divide(g.conj(), ag, out=np.ones_like(g), where=ag > 0.0)
+    theta = np.arctan2(2.0 * ag, n2[..., 0] - n2[..., 1]) / 2
+    c, sn = np.cos(theta), np.sin(theta)
+    U = np.empty(g.shape + (2, 2), dtype=complex)
+    U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = c, -sn, sn * ph, c * ph
+    Uc = U.conj()
+    R = Uc[..., 0, :, None] * S[..., None, 0, :] + Uc[..., 1, :, None] * S[..., None, 1, :]
+    Rf = R.view(np.float64)
+    s = np.sqrt(np.einsum("...i,...i->...", Rf, Rf))
+    return U, s, R * (1.0 / np.where(s > 0.0, s, np.inf))[..., None]  # 1/inf = 0
+
+
 def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     """N_G^p of each state of a (B, D) stack of normalized amplitude vectors,
     and the SVD S = U diag(s) W^dagger of each laid out focus-first as the
-    d_p x D/d_p matrix S (core._slices); the focus is not checked.
+    d_p x D/d_p matrix S (core._slices).
 
     psi = sum_k s_k |a_k>|b_k>, with a_k column k of U and b_k row k of
     W^dagger, so ||rho^{T_p}||_1 = (sum_k s_k)^2 (see _schmidt_pairs) and
     N_G^p = ((sum_k s_k)^2 - 1)/(d_p - 1) (Vidal & Werner, PRA 65, 032314,
-    2002), for every d_p.  The reconstruction residual
+    2002), for every d_p.  It is taken as 2 sum_{k<l} s_k s_l/(d_p - 1),
+    which has no cancellation near product states and is exactly 0 on a
+    product cut.  A qubit focus takes the closed-form SVD (_qubit_schmidt),
+    a larger focus one stacked SVD.  The reconstruction residual
     max|U diag(s) W^dagger - S| must be <= EPS_HERM, or NumericalError.
     """
+    _, k, l = _schmidt_plan(dims, p)  # checks the focus
     S = _slices(amps, dims, (p,))
-    U, s, Wh = np.linalg.svd(S, full_matrices=False)
-    resid = np.abs((U * s[..., None, :]) @ Wh - S).max(axis=(-2, -1))
+    U, s, Wh = _qubit_schmidt(S) if dims[p] == 2 else np.linalg.svd(S, full_matrices=False)
+    Us = U * s[..., None, :]
+    rec = sum(Us[..., :, j, None] * Wh[..., None, j, :] for j in range(s.shape[-1]))
+    resid = np.abs(rec - S).max(axis=(-2, -1))
     _require(resid <= EPS_HERM, resid, f"Schmidt reconstruction residual {{}} exceeds {EPS_HERM}",
              NumericalError)
-    return _negativity(s.sum(axis=-1) ** 2, dims[p]), U, s, Wh
+    return 2.0 * (s[..., k] * s[..., l]).sum(axis=-1) / (dims[p] - 1), U, s, Wh
 
 
 def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
     """N_G^p and the pair eigenvalues w, ascending, with their eigenvectors V
     in the flat index order, of the global transposes of a (B, D) stack of
-    pure states, from one SVD each (_schmidt).
+    pure states, from their Schmidt decompositions (_schmidt).
 
     In the orthonormal product basis |a_l* b_k> of the Schmidt vectors,
 

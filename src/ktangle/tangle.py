@@ -1,15 +1,20 @@
 """One-tangle, Wootters two-qubit tangle and the three tangle.
 
-Every Wootters quantity comes from one Takagi factorization (Wootters, PRL
-80, 2245, 1998).  For any factor rho = Phi Phi^dagger of a two-qubit state,
-the complex symmetric matrix T = Phi^T (sy x sy) Phi has singular values
+Wootters' concurrence (PRL 80, 2245, 1998) comes from the Takagi values of
+one complex symmetric matrix.  For any factor rho = Phi Phi^dagger of a
+two-qubit state, T = Phi^T (sy x sy) Phi has the singular values
 lambda_1 >= ... >= lambda_4, the square roots of the spectrum of
 rho rho_tilde, and C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
 Nothing is squared and then square-rooted, so low-rank inputs need no clamp.
-A mixed state takes Phi = V sqrt(Lambda) from one eigensolve; the pair
-reduction of a pure state takes the amplitude slices over the other
-subsystems as Phi, with no eigensolve and no partial trace.  The Takagi
-vectors also give Wootters' optimal decomposition (roof.roof_negativity).
+A mixed state takes Phi = V sqrt(Lambda) from one eigensolve and the lambdas
+from one SVD of T.  The pair reduction of a pure state takes the amplitude
+slices over the other subsystems as Phi, with no eigensolve and no partial
+trace.  At three qubits that Phi is 4 x 2, so T is 2 x 2 and
+C^2 = ||T||_F^2 - 2|det T| in closed form; with the one-tangle from the
+closed-form Schmidt coefficients of the focus (negativity._qubit_schmidt),
+the tangles of a pure three-qubit stack call no LAPACK routine.  The Takagi
+vectors, from a real symmetric embedding, give Wootters' optimal
+decomposition (roof.roof_negativity).
 
 The private functions work on stacks (leading axes index the stack); the
 public ones are their batches of one.
@@ -22,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityOperator, PureState, _eigh, _slices
+from .negativity import _qubit_schmidt
 from .transpose import _check_focus
 
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SYSY = np.kron(_SY, _SY).real  # real: sy x sy = antidiag(-1, 1, 1, -1)
+# sy x sy = antidiag(-1, 1, 1, -1): it reverses the rows with these signs
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 @dataclass
@@ -35,31 +41,44 @@ class TangleReport:
     tau3: float
 
 
+def _flipped(Phi: np.ndarray) -> np.ndarray:
+    """T = Phi^T (sy x sy) Phi for each stacked (4, r) factor Phi, with
+    sy x sy applied as a signed reversal of Phi's rows.
+
+    ((sy x sy) Phi)^T Phi adds the products in the order of
+    Phi^T (sy x sy) Phi; the other order transposes the roundoff of T, and
+    the Takagi vectors of a degenerate T, from which the roof builds its
+    certificates, follow that roundoff.
+    """
+    return (Phi[..., ::-1, :] * _FLIP_SIGNS).swapaxes(-1, -2) @ Phi
+
+
 def _takagi(Phi: np.ndarray, vectors: bool = True):
     """Takagi factorization T = Q diag(sigma) Q^T of T = Phi^T (sy x sy) Phi
     for each stacked (4, r) factor Phi.
 
     Returns sigma (the min(r, 4) leading values, descending, padded with
     zeros to 4) and, if vectors, the unitary Q (r x r), whose columns q
-    satisfy T conj(q) = sigma q.  With T = A + iB, the real symmetric
-    embedding [[A, B], [B, -A]] has the eigenpairs (+-sigma, [x; y]) and
-    (-+sigma, [-y; x]) for q = x + iy, so its ascending spectrum holds sigma
-    and the eigenvectors of its r largest eigenvalues hold Q.  A QR step
-    with the phases of R's diagonal makes Q exactly unitary: it moves q by
-    O(eps sigma_1 / sigma), so T = Q Sigma Q^T keeps an O(eps sigma_1)
-    residual, and columns of zero (or roundoff) sigma, whose embedding
-    eigenvectors may pair q with iq, are completed to an orthonormal basis
-    of the conjugated null space of T.
+    satisfy T conj(q) = sigma q.  The Takagi values of a complex symmetric
+    T are its singular values, so sigma alone takes one SVD.  With
+    T = A + iB, the real symmetric embedding [[A, B], [B, -A]] has the
+    eigenpairs (+-sigma, [x; y]) and (-+sigma, [-y; x]) for q = x + iy, so
+    its ascending spectrum holds sigma and the eigenvectors of its r largest
+    eigenvalues hold Q.  A QR step with the phases of R's diagonal makes Q
+    exactly unitary: it moves q by O(eps sigma_1 / sigma), so
+    T = Q Sigma Q^T keeps an O(eps sigma_1) residual, and columns of zero
+    (or roundoff) sigma, whose embedding eigenvectors may pair q with iq,
+    are completed to an orthonormal basis of the conjugated null space of T.
     """
-    T = Phi.swapaxes(-1, -2) @ _SYSY @ Phi
-    A, B = T.real, T.imag
-    H = np.block([[A, B], [B, -A]])
+    T = _flipped(Phi)
     r = T.shape[-1]
     if vectors:
-        w, U = np.linalg.eigh(H)
+        A, B = T.real, T.imag
+        w, U = np.linalg.eigh(np.block([[A, B], [B, -A]]))
+        sigma = np.clip(w[..., r:][..., ::-1], 0.0, None)
     else:
-        w = np.linalg.eigvalsh(H)
-    sigma = np.clip(w[..., r:][..., ::-1][..., :4], 0.0, None)
+        sigma = np.linalg.svd(T, compute_uv=False)
+    sigma = sigma[..., :4]
     if r < 4:
         sigma = np.concatenate([sigma, np.zeros(sigma.shape[:-1] + (4 - r,))], axis=-1)
     if not vectors:
@@ -100,10 +119,11 @@ def wootters_tangle(rho2: DensityOperator) -> float:
 
 
 def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
-    """4 det of the reduced state of qubit p, per stacked amplitude vector."""
-    S = _slices(amps, dims, (p,))
-    r = S @ S.conj().swapaxes(-1, -2)
-    return 4.0 * (r[..., 0, 0] * r[..., 1, 1] - r[..., 0, 1] * r[..., 1, 0]).real
+    """4 det of the reduced state of qubit p, per stacked amplitude vector:
+    the reduced state is S S^dagger for the amplitude slice S, so its
+    determinant is (s_0 s_1)^2 (_qubit_schmidt)."""
+    s = _qubit_schmidt(_slices(amps, dims, (p,)))[1]
+    return 4.0 * (s[..., 0] * s[..., 1]) ** 2
 
 
 def one_tangle(psi: PureState, p: int) -> float:
@@ -115,19 +135,34 @@ def one_tangle(psi: PureState, p: int) -> float:
     return float(_one_tangle(psi.amplitudes[None], psi.layout.dims, p)[0])
 
 
+def _pair_tangle(Phi: np.ndarray) -> np.ndarray:
+    """Squared concurrence of Phi Phi^dagger for each stacked (4, r) factor.
+
+    At r = 2 (a pair of three qubits) T is 2 x 2 with the Takagi values
+    sigma_1 >= sigma_2, so C^2 = (sigma_1 - sigma_2)^2 = ||T||_F^2 - 2|det T|,
+    with no factorization; wider factors take the Takagi values (_takagi).
+    """
+    if Phi.shape[-1] != 2:
+        c = _concurrence(_takagi(Phi, vectors=False))
+        return c * c
+    T = _flipped(Phi)
+    det = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
+    frob = (T.real**2 + T.imag**2).sum(axis=(-2, -1))
+    return np.maximum(frob - 2.0 * np.abs(det), 0.0)
+
+
 def _tangles(amps: np.ndarray, dims: tuple, focus: int):
     """One-tangle of the focus and the pair tangles tau_{focus,partner} of a
     stack of pure qubit states (..., D), as (array, {partner: array}).
 
     The pair reduction onto (focus, partner) is Phi Phi^dagger for the
-    amplitude slice Phi with rows (focus, partner), so Phi enters the Takagi
-    factorization directly.
+    amplitude slice Phi with rows (focus, partner), so Phi enters
+    _pair_tangle directly.
     """
     pairs = {}
     for partner in range(len(dims)):
         if partner != focus:
-            c = _concurrence(_takagi(_slices(amps, dims, (focus, partner)), vectors=False))
-            pairs[partner] = c * c
+            pairs[partner] = _pair_tangle(_slices(amps, dims, (focus, partner)))
     return _one_tangle(amps, dims, focus), pairs
 
 

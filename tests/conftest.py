@@ -357,12 +357,12 @@ def projector_report(M, dims, p):
     }
 
 
-_SYSY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+SYSY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
 def spin_flip(M):
     """Wootters' spin flip (sy x sy) M* (sy x sy) of a two-qubit matrix (or stack)."""
-    return _SYSY @ np.conj(M) @ _SYSY
+    return SYSY @ np.conj(M) @ SYSY
 
 
 def sqrt_route_wootters(M):

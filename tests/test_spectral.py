@@ -3,8 +3,9 @@
 Density input: trace norms come from Hermitian spectra and channels from the
 negative eigenvectors; conftest keeps the former route (SVD trace norms,
 P_minus built as a D x D matrix) as the oracle these tests compare with.
-Pure input: the Schmidt route gives the negative eigenpairs from one SVD;
-the eigh route of the same state's density operator is its oracle.
+Pure input: the Schmidt route gives the negative eigenpairs in closed form
+for a qubit focus and from one SVD for a larger one; the eigh route of the
+same state's density operator is its oracle.
 """
 
 import math
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 
 import ktangle as kt
-from ktangle import cli
+from ktangle import cli, negativity
 from ktangle.config import EPS_EIG
 from ktangle.core import _outer
-from ktangle.negativity import _kway_channel
+from ktangle.negativity import _kway_channel, _report_arrays
 from ktangle.roof import _member_value
+from ktangle.tangle import _tangles
 from ktangle.transpose import _global_pt
 
 from conftest import (
@@ -201,6 +203,14 @@ def _w(dims):
     return v
 
 
+def _zero_bell(dims):
+    """|0...0> on all but the last two subsystems, times (|00> + |11>)/sqrt(2)
+    on those: the first focus of three or more has s_1 = 0 exactly."""
+    v = np.zeros(math.prod(dims), dtype=complex)
+    v[0] = v[dims[-1] + 1] = 1 / math.sqrt(2)
+    return v
+
+
 def _two_term(dims, prod):
     """cos t |0...0> + sin t |1...1> with cos t sin t = prod: across every
     cut its one negative eigenvalue is -prod."""
@@ -220,6 +230,8 @@ def _pure_cases(dims):
     return {
         "haar": kt.haar_random_pure(layout, rng).amplitudes,
         "product": _product(dims, rng),
+        "zero": np.eye(1, math.prod(dims), dtype=complex)[0],
+        "zero_bell": _zero_bell(dims),
         "ghz": _ghz(dims),
         "w": _w(dims),
         "above_eps_eig": _two_term(dims, 2 * EPS_EIG),
@@ -261,7 +273,83 @@ def test_schmidt_route_matches_the_eigh_oracle(dims):
             assert got.negative_eigenpairs == []
 
 
+@pytest.mark.parametrize("n", [4, 9])
+def test_qubit_route_edge_cases_match_the_eigh_oracle(n):
+    # the cases of _pure_cases: s_1 = 0 exactly (zero; zero_bell but at its
+    # last two foci), G = 1/2 (ghz) and s_0 s_1 on either side of EPS_EIG.
+    # Three qubits run them in test_schmidt_route_matches_the_eigh_oracle;
+    # at 9 qubits the first and last focus, without the K-way eigensolves
+    dims = (2,) * n
+    counts = {"zero": 0, "product": 0, "below_eps_eig": 0, "ghz": 1, "above_eps_eig": 1}
+    for name, amps in _pure_cases(dims).items():
+        for p in range(n) if n < 9 else (0, n - 1):
+            got = _report_arrays(amps[None], dims, p)
+            want = _report_arrays(_outer(amps[None]), dims, p)  # the eigh route
+            where = (name, p)
+            for field in ("n_global", "e0", "sum_residual"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert np.isfinite(g).all() and abs(g[0] - w[0]) <= 1e-13, (where, field)
+            for field in ("e_partial", "pair_split"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert set(g) == set(w), where
+                for k in w:
+                    assert np.isfinite(g[k]).all() and abs(g[k][0] - w[k][0]) <= 1e-13, (where, k)
+            assert np.isfinite(got.eigenvalues).all() and np.isfinite(got.negative_vectors).all()
+            neg_got = got.eigenvalues[0][got.eigenvalues[0] < -EPS_EIG]
+            neg_want = want.eigenvalues[0][want.eigenvalues[0] < -EPS_EIG]
+            assert len(neg_got) == len(neg_want), where
+            assert len(neg_got) == counts.get(name, int(name != "zero_bell" or p >= n - 2)), where
+            assert np.abs(neg_got - neg_want).max(initial=0.0) <= 1e-13, where
+            Vg, Vw = got.negative_vectors[0], want.negative_vectors[0]
+            P = Vg @ Vg.conj().T - Vw @ Vw.conj().T
+            assert np.abs(P).max(initial=0.0) <= 1e-12, where
+    # local unitaries make the rows of the near-product amplitude matrices
+    # overlap, where |a|^2 |b|^2 - |<a, b>|^2 would cancel to an N_G error of
+    # about 1e-8; N_G = 2 prod is invariant
+    rng = np.random.default_rng(n)
+    for prod in (2 * EPS_EIG, EPS_EIG / 2):
+        psi = kt.PureState(kt.SubsystemLayout(dims), _two_term(dims, prod))
+        for m in range(n):
+            u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            psi = kt.apply_local_unitary(psi, kt.LocalUnitary(m, u))
+        for p in range(n) if n < 9 else (0, n - 1):
+            n_global = _report_arrays(psi.amplitudes[None], dims, p).n_global[0]
+            assert abs(n_global - 2 * prod) <= 1e-14, (prod, p)
+
+
+def _linalg_calls(monkeypatch):
+    """The names of the np.linalg factorizations called from now on."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+
+        def record(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def test_three_qubit_pure_stacks_call_no_factorization(monkeypatch):
+    rng = np.random.default_rng(18)
+    three = np.stack([kt.haar_random_pure(L3, rng).amplitudes for _ in range(50)])
+    four = np.stack([kt.haar_random_pure(kt.qubit_layout(4), rng).amplitudes for _ in range(5)])
+    qutrit = kt.haar_random_pure(kt.SubsystemLayout((3, 2, 2)), rng).amplitudes[None]
+    calls = _linalg_calls(monkeypatch)
+    for p in range(3):
+        _report_arrays(three, L3.dims, p)
+        _tangles(three, L3.dims, p)
+    assert calls == []
+    # the counter sees the routes that keep a factorization
+    _tangles(four, (2,) * 4, 0)
+    assert calls == ["svd"] * 3
+    calls.clear()
+    _report_arrays(qutrit, (3, 2, 2), 0)
+    assert calls == ["svd"]
+
+
 def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
+    # a qutrit focus runs the SVD
     svd = np.linalg.svd
 
     def off(a, *args, **kwargs):
@@ -269,6 +357,18 @@ def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
         return U, s * (1 + 1e-6), Wh
 
     monkeypatch.setattr(np.linalg, "svd", off)
+    with pytest.raises(kt.NumericalError, match="Schmidt reconstruction residual"):
+        kt.negativity_report(kt.haar_random_pure(kt.SubsystemLayout((3, 2, 2)), 1), 0)
+
+
+def test_qubit_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
+    closed = negativity._qubit_schmidt
+
+    def off(S):
+        U, s, Wh = closed(S)
+        return U, s * (1 + 1e-6), Wh
+
+    monkeypatch.setattr(negativity, "_qubit_schmidt", off)
     with pytest.raises(kt.NumericalError, match="Schmidt reconstruction residual"):
         kt.negativity_report(kt.haar_random_pure(L3, 1), 0)
 

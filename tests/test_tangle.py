@@ -9,6 +9,7 @@ import ktangle as kt
 from conftest import (
     L2,
     L3,
+    SYSY,
     WOOTTERS_CASES,
     defect_state,
     mixed_state,
@@ -78,14 +79,14 @@ def test_wootters_acceptance_states(name):
 def test_takagi_factors_t():
     # T = Q diag(sigma) Q^T with Q unitary, for full-rank, low-rank and
     # degenerate factors
-    from ktangle.tangle import _SYSY, _factor, _takagi
+    from ktangle.tangle import _factor, _takagi
 
     rng = np.random.default_rng(3)
     mats = [mixed_state(L2, rng, rank=r).matrix for r in (1, 2, 3, 4)]
     mats += [WOOTTERS_CASES[k][0] for k in sorted(WOOTTERS_CASES)]
     Phi = _factor(np.stack(mats))
     sigma, Q = _takagi(Phi)
-    T = Phi.swapaxes(-1, -2) @ _SYSY @ Phi
+    T = Phi.swapaxes(-1, -2) @ SYSY @ Phi
     assert np.all(np.diff(sigma, axis=-1) <= 0.0) and np.all(sigma >= 0.0)
     assert np.abs(Q @ (sigma[..., None] * Q.swapaxes(-1, -2)) - T).max() <= 1e-14
     assert np.abs(Q.conj().swapaxes(-1, -2) @ Q - np.eye(4)).max() <= 1e-14
