@@ -17,10 +17,19 @@ closed form, one Jacobi rotation of the 2 x 2 Gram matrix (_qubit_schmidt),
 so a pure report on qubits makes no LAPACK call; a larger focus runs one
 SVD.
 Both routes keep the same negative eigenvector columns (_negative_columns).
-A channel is taken from the c negative eigenvectors V alone,
-Tr(P_minus M) = Tr(V^dagger M V), at O(c D^2) per operator; no D x D
-projector is built.  The K-way negativities n_kway need one eigvalsh each
-and are computed only by negativity_report.
+
+Every channel comes from one contraction (_channels), with no restricted
+transpose built.  rho_K^{T_p} differs from rho only by
+Delta = rho^{T_p} - rho on the elements of differing count K, and Delta is
+zero wherever the focus labels agree.  So
+Tr(P_minus rho_K^{T_p}) = Tr(P_minus rho) + sum of Re(Delta o Q) over the
+elements of count K, with Q = conj(V) V^T for the c negative eigenvectors V
+(Tr(P_minus M) = sum(M o Q)).  One pass over the off-diagonal focus blocks
+sums Re(Delta o Q) by a cached label table (_channel_plan), and every
+E_K, the pair split and E_0 read one row of those sums.  A pure state builds
+the blocks from its amplitudes, so its report holds no D x D matrix.  The
+K-way negativities n_kway need rho_K^{T_p} itself, one eigvalsh each, and
+are computed only by negativity_report.
 
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
@@ -38,7 +47,8 @@ the unique symmetric split.
 _report_arrays computes every report field for a stack of amplitude vectors
 or of density matrices at once, n_kway only when asked; negativity_report is
 its batch of one.  The convex roof (roof.py) evaluates its members, pure
-stacks only, through _schmidt (N_G) and _kway_channel (E_K).
+stacks only, through _schmidt (N_G) and _kway_channel (E_K), the same
+contraction read at one K.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ import numpy as np
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError
 from .core import DensityOperator, PureState, _eigh, _outer, _require, _slices, _trace_norm
 from .core import trace_norm
-from .transpose import _check_focus, _global_pt, _kway_pt, _pair_pt
+from .transpose import _check_focus, _global_pt, _kway_pt, _label_tables
 
 
 @dataclass
@@ -123,10 +133,9 @@ def _trace_with(Vm: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (Vm.conj() * (M @ Vm)).sum(axis=(-2, -1)).real
 
 
-def _channel(Vm: np.ndarray, M: np.ndarray, d_p: int) -> np.ndarray:
-    """Weight -(2/(d_p - 1)) Tr(P_minus M) of the operator M on the negative
-    eigenvectors Vm."""
-    return -(2.0 / (d_p - 1)) * _trace_with(Vm, M)
+def _channel(t: np.ndarray, d_p: int) -> np.ndarray:
+    """Weight -(2/(d_p - 1)) t of an operator M with t = Re Tr(P_minus M)."""
+    return -(2.0 / (d_p - 1)) * t
 
 
 def _negative_columns(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -245,28 +254,120 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
 
 
 def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
-    """The density matrices M of a stack of states, N_G^p of each, the
-    ascending spectra w of the global transposes and their negative
-    eigenvector columns Vm (_negative_columns).
+    """N_G^p of each state of a stack, the ascending spectra w of the global
+    transposes and their negative eigenvector columns Vm (_negative_columns).
 
     A (B, D) stack of amplitude vectors takes the Schmidt route
     (_schmidt_pairs), a (B, D, D) stack of density matrices the eigh route.
     """
     if state.ndim == 2:
         n_global, w, V = _schmidt_pairs(state, dims, p)
-        M = _outer(state)
     else:
         w, V = _eigh(_global_pt(state, dims, p))
         # the trace norm of each global transpose is the sum of |w|
-        M, n_global = state, _negativity(np.abs(w).sum(axis=-1), dims[p])
-    return M, n_global, w, _negative_columns(w, V)
+        n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
+    return n_global, w, _negative_columns(w, V)
+
+
+@functools.lru_cache(maxsize=16)
+def _channel_plan(dims: tuple, p: int):
+    """The shape (A, d_p, C) the flat index splits into around the focus,
+    and the class table of the off-diagonal focus blocks; cached per
+    (dims, p), read-only.
+
+    Inside a block of focus labels a != b, the entry (r, c) of the rest
+    indices lies in class 1 + (number of other subsystems whose labels
+    differ), its differing count.  At three subsystems the entries of
+    differing count 2 whose other differing subsystem is the second of the
+    two partners move to class 4, so the classes 2 and 4 hold the elements
+    that the pair transposes of the first and the second partner swap.  The
+    table is uint8, (D/d_p)^2 bytes.
+    """
+    _check_focus(p, len(dims))
+    rest = dims[:p] + dims[p + 1 :]
+    dg, diff = _label_tables(rest)
+    labels = diff + np.uint8(1)
+    if len(dims) == 3:
+        labels[(diff == 1) & (dg[:, None, 1] != dg[None, :, 1])] = 4
+    labels.flags.writeable = False
+    return (math.prod(dims[:p]), dims[p], math.prod(dims[p + 1 :])), labels
+
+
+def _channels(state: np.ndarray, dims: tuple, p: int, Vm: np.ndarray):
+    """t_id = Re Tr(P_minus rho), t_kway[K] = Re Tr(P_minus rho_K^{T_p}) for
+    K = 2..n and, at three subsystems, t_pair[q] =
+    Re Tr(P_minus rho_2^{T_{p-pq}}) per partner q, of each state of a stack
+    (see _global_spectrum), with P_minus = Vm Vm^dagger.
+
+    rho_K^{T_p} differs from rho only by Delta = rho^{T_p} - rho on the
+    entries of differing count K, and Delta is zero wherever the focus
+    labels agree.  So Re Tr(P_minus rho_K^{T_p}) = t_id + s[..., K], with
+    s[..., L] the sum of Re(Delta o Q) over class L of the off-diagonal
+    focus blocks (_channel_plan) and Q = conj(Vm) Vm^T, Tr(P_minus M) =
+    sum(M o Q).  Delta and Q are Hermitian, so Re(Delta o Q) is symmetric
+    and the blocks a < b are summed and counted twice.  A pure state
+    builds the block of Delta o Q from its amplitude slices, with no D x D
+    matrix, and t_id from its overlaps with Vm.  The class sums take one
+    bincount with an offset per state, so each state's sums are added in a
+    fixed order, whatever the stack size.  rho_2^{T_p} swaps the elements of
+    both pair transposes, classes 2 and 4 at three subsystems.
+    """
+    (A, d_p, C), labels = _channel_plan(dims, p)
+    pure = state.ndim == 2
+    lead = state.shape[:-1] if pure else state.shape[:-2]
+    B, width = math.prod(lead), A * C
+
+    def blocks(X):
+        # the rows of each focus label of a (..., D, c) stack, (d_p, B, width, c)
+        return X.reshape(B, A, d_p, C, -1).transpose(2, 0, 1, 3, 4).reshape(d_p, B, width, -1)
+
+    V = blocks(Vm)
+    Vc = V.conj()
+    if pure:
+        # |<v_j|psi>|^2 summed over the columns j
+        ov = np.einsum("...kj,...k->...j", Vm.conj(), state).view(np.float64)
+        t_id = np.einsum("...i,...i->...", ov, ov)
+        S = blocks(state)
+        Sc = S.conj().swapaxes(-1, -2)
+    else:
+        t_id = _trace_with(Vm, state)
+        M = state.reshape(B, A, d_p, C, A, d_p, C)
+    terms = []
+    for a in range(d_p):
+        for b in range(a + 1, d_p):
+            if pure:
+                # Delta[r, c] = psi_b[r] psi_a*[c] - psi_a[r] psi_b*[c], with
+                # the products of _outer; each term is multiplied as in
+                # V^dagger (rho_K^{T_p} V), which keeps exact zeros such as
+                # those of GHZ states
+                delta = S[b] * Sc[a]
+                delta -= S[a] * Sc[b]
+                prod = delta[..., None] * V[b][:, None, :, :] * Vc[a][:, :, None, :]
+                terms.append(prod.real.sum(axis=-1))
+            else:
+                # Delta[r, c] = rho[(b, r), (a, c)] - rho[(a, r), (b, c)]
+                delta = M[:, :, b, :, :, a, :] - M[:, :, a, :, :, b, :]
+                Q = Vc[a] @ V[b].swapaxes(-1, -2)
+                terms.append((delta.reshape(Q.shape) * Q).real)
+    Y = sum(terms[1:], terms[0])
+    n = len(dims)
+    at = labels.reshape(1, -1) + np.arange(0, B * (n + 2), n + 2)[:, None]
+    s = 2.0 * np.bincount(at.ravel(), weights=Y.ravel(), minlength=B * (n + 2))
+    s = s.reshape(lead + (n + 2,))
+    t = t_id[..., None] + s
+    t_kway, t_pair = {K: t[..., K] for K in range(2, n + 1)}, {}
+    if n == 3:
+        first, second = (q for q in range(3) if q != p)
+        t_pair = {first: t[..., 2], second: t[..., 4]}
+        t_kway[2] = t_pair[first] + s[..., 4]
+    return t_id, t_kway, t_pair
 
 
 def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     """E_K^p of each state of a stack (see _global_spectrum), without the
     rest of the report."""
-    M, _, _, Vm = _global_spectrum(state, dims, p)
-    return _channel(Vm, _kway_pt(M, dims, K, p), dims[p])
+    Vm = _global_spectrum(state, dims, p)[2]
+    return _channel(_channels(state, dims, p, Vm)[1][K], dims[p])
 
 
 def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
@@ -274,26 +375,19 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
     amplitude vectors (B, D) or of density matrices (B, D, D).
 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
-    the stack, from the same rho_K^{T_p} the channel E_K is taken on.
+    the stack, one eigvalsh of each rho_K^{T_p}, after the channels.
     """
-    M, n_global, w, Vm = _global_spectrum(state, dims, p)  # checks the focus
+    n_global, w, Vm = _global_spectrum(state, dims, p)  # checks the focus
     n, d_p = len(dims), dims[p]
-    e_partial = {}
-    for K in range(2, n + 1):
-        rk = _kway_pt(M, dims, K, p)
-        e_partial[K] = _channel(Vm, rk, d_p)
-        if n_kway is not None:
-            n_kway[K] = _negativity(_trace_norm(rk), d_p)
-        del rk  # at most one K-way transpose is alive at a time
-    t_id = _trace_with(Vm, M)
+    t_id, t_kway, t_pair = _channels(state, dims, p, Vm)
+    e_partial = {K: _channel(t, d_p) for K, t in t_kway.items()}
     e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
-
-    pair_split = {}
-    if n == 3:
-        for partner in range(3):
-            if partner != p:
-                t_pair = _trace_with(Vm, _pair_pt(M, dims, p, partner))
-                pair_split[partner] = (-2.0 * t_pair + t_id) / (d_p - 1)
+    pair_split = {q: (-2.0 * t + t_id) / (d_p - 1) for q, t in t_pair.items()}
+    if n_kway is not None:
+        M = _outer(state) if state.ndim == 2 else state
+        for K in range(2, n + 1):
+            # at most one K-way transpose is alive at a time
+            n_kway[K] = _negativity(_trace_norm(_kway_pt(M, dims, K, p)), d_p)
 
     gate = np.abs(e0) <= EPS_NORM
     return _ReportArrays(

@@ -151,19 +151,23 @@ def _pair_tangle(Phi: np.ndarray) -> np.ndarray:
     return np.maximum(frob - 2.0 * np.abs(det), 0.0)
 
 
-def _tangles(amps: np.ndarray, dims: tuple, focus: int):
-    """One-tangle of the focus and the pair tangles tau_{focus,partner} of a
-    stack of pure qubit states (..., D), as (array, {partner: array}).
+def _pair_tangles(amps: np.ndarray, dims: tuple, focus: int) -> dict:
+    """The pair tangles tau_{focus,partner} of a stack of pure qubit states
+    (..., D), as {partner: array}, from one _pair_tangle call.
 
     The pair reduction onto (focus, partner) is Phi Phi^dagger for the
-    amplitude slice Phi with rows (focus, partner), so Phi enters
-    _pair_tangle directly.
+    amplitude slice Phi with rows (focus, partner), so the slices of every
+    partner enter _pair_tangle directly, as one stack.
     """
-    pairs = {}
-    for partner in range(len(dims)):
-        if partner != focus:
-            pairs[partner] = _pair_tangle(_slices(amps, dims, (focus, partner)))
-    return _one_tangle(amps, dims, focus), pairs
+    partners = [q for q in range(len(dims)) if q != focus]
+    tau = _pair_tangle(np.stack([_slices(amps, dims, (focus, q)) for q in partners]))
+    return dict(zip(partners, tau))
+
+
+def _tangles(amps: np.ndarray, dims: tuple, focus: int):
+    """One-tangle of the focus and the pair tangles of a stack of pure qubit
+    states (..., D), as (array, {partner: array})."""
+    return _one_tangle(amps, dims, focus), _pair_tangles(amps, dims, focus)
 
 
 def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:

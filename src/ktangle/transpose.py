@@ -15,6 +15,10 @@ on the focus.
 
 The kernels act on the last two axes, so they transpose a whole stack of
 matrices at once; the public functions apply them to one DensityOperator.
+The negativity channels need none of the restricted transposes
+(negativity._channels sums the changed elements by their differing count
+instead); the K-way transpose serves the eigvalsh of the K-way negativities
+and the public kway_pt, the pair transpose only the public pair_pt.
 The kernels only move entries and check no output.  Instead each table, one
 per (dims, focus, kind), is checked once per process, where it is first
 used (_check_table): a swap that maps some Hermitian matrix to a

@@ -12,9 +12,13 @@ README = (ROOT / "README.md").read_text()
 
 
 def test_every_kt_name_in_the_docs_is_public():
+    # a script that does not import the package as kt (a tool driving the
+    # CLI) must name no kt attribute at all
     for path in [ROOT / "README.md", *sorted((ROOT / "scripts").glob("*.py"))]:
-        names = set(re.findall(r"\bkt\.([A-Za-z_]\w*)", path.read_text()))
-        assert names, path.name
+        text = path.read_text()
+        names = set(re.findall(r"\bkt\.([A-Za-z_]\w*)", text))
+        if path.suffix == ".md" or "import ktangle as kt" in text:
+            assert names, path.name
         assert sorted(names - set(kt.__all__)) == [], path.name
 
 

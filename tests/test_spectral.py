@@ -8,6 +8,8 @@ for a qubit focus and from one SVD for a larger one; the eigh route of the
 same state's density operator is its oracle.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -86,6 +88,91 @@ def test_kway_channel_matches_projector_oracle_on_roof_members(layout):
             want = projector_kway_channel(M, layout.dims, K, p)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= TOL, (p, K)
+
+
+CHANNEL_DIMS = [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2, 2)]
+
+
+def _channel_stacks(dims):
+    # a pure (B, D) stack and a density (B, D, D) stack of the layout
+    layout = kt.SubsystemLayout(dims)
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    amps = np.stack([kt.haar_random_pure(layout, rng).amplitudes for _ in range(4)])
+    rhos = np.stack([mixed_state(layout, rng, rank=1 + k).matrix for k in range(3)])
+    return {"pure": amps, "density": rhos}
+
+
+def _channel_error(state, dims, p):
+    """Largest deviation of e_partial, e0 and pair_split of a stack from
+    projector_report, with the fields of each side."""
+    got = _report_arrays(state, dims, p)
+    want = projector_report(_outer(state) if state.ndim == 2 else state, dims, p)
+    assert set(got.e_partial) == set(want["e_partial"]) == set(range(2, len(dims) + 1))
+    assert set(got.pair_split) == set(want["pair_split"])
+    pairs = [(got.e0, want["e0"])]
+    for name in ("e_partial", "pair_split"):
+        pairs += [(getattr(got, name)[k], want[name][k]) for k in want[name]]
+    return max(np.abs(g - w).max() for g, w in pairs)
+
+
+@pytest.mark.parametrize("dims", CHANNEL_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_channels_match_the_projector_oracle(dims):
+    # a focus of dimension 3 sums three off-diagonal blocks; a qubit focus
+    # next to a qutrit reads a label table over mixed dimensions
+    for route, state in _channel_stacks(dims).items():
+        for p in range(len(dims)):
+            assert _channel_error(state, dims, p) <= TOL, (route, p)
+
+
+@pytest.mark.parametrize("bug", ["swapped_pairs", "diff3_as_diff2"])
+@pytest.mark.parametrize("route", ["pure", "density"])
+def test_a_seeded_label_table_bug_fails_the_oracle(monkeypatch, route, bug):
+    dims = (2, 2, 2)
+    state = _channel_stacks(dims)[route]
+    plan = negativity._channel_plan
+
+    def seeded(dims, p):
+        split, table = plan(dims, p)
+        labels = table.copy()
+        if bug == "swapped_pairs":
+            labels[table == 2], labels[table == 4] = 4, 2
+        else:
+            labels.flat[np.flatnonzero(table == 3)[0]] = 2
+        return split, labels
+
+    assert all(_channel_error(state, dims, p) <= TOL for p in range(3))
+    monkeypatch.setattr(negativity, "_channel_plan", seeded)
+    assert all(_channel_error(state, dims, p) > 1e-6 for p in range(3))
+
+
+@pytest.mark.parametrize("layout", [L3, kt.qubit_layout(4)], ids=["3q", "4q"])
+def test_kway_channel_of_pure_roof_members_matches_the_oracle(layout):
+    # the roof evaluates its members as amplitude stacks: the Schmidt route
+    amps = _roof_members(layout, seed=len(layout.dims))
+    for p in range(layout.n_subsystems):
+        for K in range(2, layout.n_subsystems + 1):
+            got = _kway_channel(amps, layout.dims, K, p)
+            want = projector_kway_channel(_outer(amps), layout.dims, K, p)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= TOL, (p, K)
+
+
+def test_pure_channel_sums_do_not_depend_on_the_stack_size():
+    # each state's class sums are added in a fixed order, so a stack and its
+    # rows one by one agree bit for bit (the roof's prefetched search relies
+    # on it)
+    for dims in CHANNEL_DIMS:
+        amps = _channel_stacks(dims)["pure"]
+        for p in range(len(dims)):
+            t_id, t_kway, t_pair = negativity._channels(
+                amps, dims, p, negativity._global_spectrum(amps, dims, p)[2]
+            )
+            for b in range(len(amps)):
+                row = amps[b : b + 1]
+                one = negativity._channels(row, dims, p, negativity._global_spectrum(row, dims, p)[2])
+                assert one[0][0] == t_id[b], (dims, p, b)
+                for got, want in ((one[1], t_kway), (one[2], t_pair)):
+                    assert {k: v[0] for k, v in got.items()} == {k: v[b] for k, v in want.items()}
 
 
 @pytest.mark.parametrize("D", [2, 4, 8, 16, 64])
@@ -342,10 +429,65 @@ def test_three_qubit_pure_stacks_call_no_factorization(monkeypatch):
     assert calls == []
     # the counter sees the routes that keep a factorization
     _tangles(four, (2,) * 4, 0)
-    assert calls == ["svd"] * 3
+    assert calls == ["svd"]  # the three pairs as one stack
     calls.clear()
     _report_arrays(qutrit, (3, 2, 2), 0)
     assert calls == ["svd"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pure_reports_build_no_transpose_but_the_n_kway_ones(monkeypatch, n):
+    from ktangle import transpose
+
+    dims = (2,) * n
+    amps = np.stack([kt.haar_random_pure(kt.qubit_layout(n), s).amplitudes for s in range(20)])
+    _report_arrays(amps, dims, 0, {})  # checks each transpose table once
+    calls = []
+
+    def counted(*args, _swap=transpose._swap):
+        calls.append(1)
+        return _swap(*args)
+
+    monkeypatch.setattr(transpose, "_swap", counted)
+    for p in range(n):
+        calls.clear()
+        _report_arrays(amps, dims, p)
+        assert calls == [], p
+    _report_arrays(amps, dims, 0, {})
+    assert len(calls) == n - 1
+
+
+def test_audit_runs_the_schmidt_step_once_per_stack(monkeypatch):
+    from ktangle import tangle
+    from ktangle.config import STACK_CHUNK
+
+    calls = []
+
+    def counted(S, _closed=negativity._qubit_schmidt):
+        calls.append(S.shape[0])
+        return _closed(S)
+
+    monkeypatch.setattr(negativity, "_qubit_schmidt", counted)
+    monkeypatch.setattr(tangle, "_qubit_schmidt", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["audit", "--random", str(STACK_CHUNK + 10), "--seed", "3"]) == 0
+    assert calls == [STACK_CHUNK, 10]
+
+
+def test_a_nine_qubit_pure_report_holds_at_most_two_dense_matrices():
+    import tracemalloc
+
+    dims = (2,) * 9
+    amps = kt.haar_random_pure(kt.qubit_layout(9), 9).amplitudes[None]
+    _report_arrays(amps, dims, 0)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        _report_arrays(amps, dims, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 512 * 512 * 16, peak
 
 
 def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
