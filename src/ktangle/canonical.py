@@ -41,7 +41,7 @@ from .config import (
 )
 from .core import LocalUnitary, PureState, _derived, qubit_layout
 from .negativity import NegativityReport, _report_arrays
-from .tangle import TangleReport, _pair_tangles
+from .tangle import TangleReport, _tangles
 
 _L3 = qubit_layout(3)
 
@@ -265,12 +265,10 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
 
 def _global_and_delta(amps: np.ndarray):
     """N_G of focus A and coherence_delta of each state of a (B, 8) stack of
-    normalized three-qubit amplitude vectors, from one report and one pair
-    tangle call for the whole stack; the one-tangle is N_G^2, bit for bit
-    (tangle._one_tangle)."""
+    normalized three-qubit amplitude vectors, from one report and the CKW
+    split of its N_G (tangle._tangles) for the whole stack."""
     a = _report_arrays(amps, _L3.dims, 0)
-    tau3 = a.n_global**2 - sum(_pair_tangles(amps, _L3.dims, 0).values())
-    return a.n_global, a.e_partial[3] * a.n_global - tau3
+    return a.n_global, a.e_partial[3] * a.n_global - _tangles(a.n_global, amps, _L3.dims, 0)[2]
 
 
 def coherence_delta(psi: PureState) -> float:

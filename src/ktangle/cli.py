@@ -29,7 +29,7 @@ from .ghzw import sweep_family
 from .negativity import _report_arrays, negativity_report
 from .roof import Ensemble, RoofBudget, roof_negativity
 from .statefile import ParseError, parse_state_file
-from .tangle import _pair_tangles, three_tangle
+from .tangle import _tangles, three_tangle
 
 _FOCUS_LETTERS = string.ascii_uppercase
 
@@ -293,9 +293,7 @@ def _cmd_audit(args) -> int:
         neg = _report_arrays(v, layout.dims, 0)
         viol_e2 += int(neg.violates[2].sum())
         viol_e3 += int(neg.violates[3].sum())
-        tau_pairs = sum(_pair_tangles(v, layout.dims, 0).values())
-        # the one-tangle of a qubit focus is N_G^2, bit for bit (tangle._one_tangle)
-        viol_ckw += int((neg.n_global**2 + EPS_NORM < tau_pairs).sum())
+        viol_ckw += int((_tangles(neg.n_global, v, layout.dims, 0)[2] < -EPS_NORM).sum())
     print("states,qubits,seed,viol_ng_e2,viol_ng_e3,viol_ckw")
     print(f"{n_states},{args.qubits},{args.seed},{viol_e2},{viol_e3},{viol_ckw}")
     return 0

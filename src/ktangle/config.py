@@ -32,9 +32,6 @@ CANONICAL_AMP_EPS = 1e-12
 # first-qubit rotation ratio within this relative tolerance.
 GHZW_ROOT_RTOL = 1e-6
 
-# Rotation entries below this are too small to form that ratio from.
-GHZW_ROOT_EPS = 1e-9
-
 # Hermiticity defect allowed in the input of the public partial transposes,
 # and kept by a DensityOperator without symmetrizing; the transposes only
 # move elements, so the output carries no larger defect.

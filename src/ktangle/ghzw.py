@@ -35,7 +35,6 @@ from .canonical import (
 )
 from .core import LocalUnitary, PureState, _derived, qubit_layout
 from .config import (
-    GHZW_ROOT_EPS,
     GHZW_ROOT_RTOL,
     STACK_CHUNK,
     NumericalError,
@@ -134,22 +133,14 @@ def _closed_form_root_check(result: CanonicalizationResult, x: float):
     hi = roots[1] + GHZW_ROOT_RTOL * (1.0 + roots[1])
     for us in result.unitaries:
         ua = us[0].matrix
-        den = abs(ua[0, 1])
-        if den < GHZW_ROOT_EPS:
-            continue
-        ratio = abs(ua[0, 0]) / den
-        # the printed assignment of (alpha, beta) to rotation entries is
-        # convention-dependent, so the inverse ratio is accepted too
-        candidates = [ratio, 1.0 / ratio if ratio > GHZW_ROOT_EPS else math.inf]
+        ratio = abs(ua[0, 0]) / abs(ua[0, 1])
         if len(result.forms) == 1:
             # near x^3 = 4 the reducer merges the roots into one form once its
             # discriminant is below CANONICAL_DISC_EPS, while the closed-form
             # roots are still apart: that form may take any ratio between them
-            ok = any(lo <= cand <= hi for cand in candidates)
+            ok = lo <= ratio <= hi
         else:
-            ok = any(
-                abs(cand - r) <= GHZW_ROOT_RTOL * (1.0 + r) for r in roots for cand in candidates
-            )
+            ok = any(abs(ratio - r) <= GHZW_ROOT_RTOL * (1.0 + r) for r in roots)
         if not ok:
             raise NumericalError(
                 f"first-qubit rotation ratio {ratio} matches no closed-form root {roots}"

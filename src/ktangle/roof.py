@@ -14,10 +14,10 @@ order (_descend).
 
 The global roof of a two-qubit state is known in closed form: it is
 Wootters' concurrence (Lee, Kim, Park & Lee, J. Phys. A 36, 2003), and its
-optimal decomposition comes from the Takagi factorization that also gives
-the tangles (tangle._takagi).  That case is returned exactly (bound
-"exact"), with no search, and so is rank-one input of every measure, which
-is its own only decomposition.
+optimal decomposition comes from the Takagi factorization of the T whose
+singular values give the tangles (tangle._takagi).  That case is returned
+exactly (bound "exact"), with no search, and so is rank-one input of every
+measure, which is its own only decomposition.
 
 Every member is pure, so the measures take pure stacks only: N_G and E_K
 come from the Schmidt route of negativity (_member_value).

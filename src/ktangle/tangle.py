@@ -1,5 +1,11 @@
 """One-tangle, Wootters two-qubit tangle and the three tangle.
 
+The one-tangle of a qubit focus p of a pure state splits as
+tau_p = sum_q tau_pq + residual, residual >= 0 (Coffman, Kundu & Wootters,
+PRA 61, 052306, 2000), with residual = tau_3 at three qubits.  _tangles
+assembles that split once for every caller, from tau_p = (N_G^p)^2 and the
+N_G the caller's Schmidt step already holds (negativity._schmidt).
+
 Wootters' concurrence (PRL 80, 2245, 1998) comes from the Takagi values of
 one complex symmetric matrix.  For any factor rho = Phi Phi^dagger of a
 two-qubit state, T = Phi^T (sy x sy) Phi has the singular values
@@ -10,11 +16,10 @@ A mixed state takes Phi = V sqrt(Lambda) from one eigensolve and the lambdas
 from one SVD of T.  The pair reduction of a pure state takes the amplitude
 slices over the other subsystems as Phi, with no eigensolve and no partial
 trace.  At three qubits that Phi is 4 x 2, so T is 2 x 2 and
-C^2 = ||T||_F^2 - 2|det T| in closed form; with the one-tangle from the
-closed-form Schmidt coefficients of the focus (negativity._qubit_schmidt),
-the tangles of a pure three-qubit stack call no LAPACK routine.  The Takagi
-vectors, from a real symmetric embedding, give Wootters' optimal
-decomposition (roof.roof_negativity).
+C^2 = ||T||_F^2 - 2|det T| in closed form; with N_G from the closed-form
+Schmidt coefficients of the focus (negativity._qubit_schmidt), the tangles
+of a pure three-qubit stack call no LAPACK routine.  Only Wootters' optimal
+decomposition (roof.roof_negativity) needs the Takagi vectors (_takagi).
 
 The private functions work on stacks (leading axes index the stack); the
 public ones are their batches of one.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityOperator, PureState, _eigh, _slices
-from .negativity import _qubit_schmidt
+from .negativity import _schmidt
 from .transpose import _check_focus
 
 # sy x sy = antidiag(-1, 1, 1, -1): it reverses the rows with these signs
@@ -53,17 +58,16 @@ def _flipped(Phi: np.ndarray) -> np.ndarray:
     return (Phi[..., ::-1, :] * _FLIP_SIGNS).swapaxes(-1, -2) @ Phi
 
 
-def _takagi(Phi: np.ndarray, vectors: bool = True):
+def _takagi(Phi: np.ndarray):
     """Takagi factorization T = Q diag(sigma) Q^T of T = Phi^T (sy x sy) Phi
-    for each stacked (4, r) factor Phi.
+    for each stacked (4, r) factor Phi, for Wootters' optimal decomposition
+    (roof._wootters_roof).
 
-    Returns sigma (the min(r, 4) leading values, descending, padded with
-    zeros to 4) and, if vectors, the unitary Q (r x r), whose columns q
-    satisfy T conj(q) = sigma q.  The Takagi values of a complex symmetric
-    T are its singular values, so sigma alone takes one SVD.  With
-    T = A + iB, the real symmetric embedding [[A, B], [B, -A]] has the
-    eigenpairs (+-sigma, [x; y]) and (-+sigma, [-y; x]) for q = x + iy, so
-    its ascending spectrum holds sigma and the eigenvectors of its r largest
+    Returns sigma, the r Takagi values, descending, and the unitary Q
+    (r x r), whose columns q satisfy T conj(q) = sigma q.  With T = A + iB,
+    the real symmetric embedding [[A, B], [B, -A]] has the eigenpairs
+    (+-sigma, [x; y]) and (-+sigma, [-y; x]) for q = x + iy, so its
+    ascending spectrum holds sigma and the eigenvectors of its r largest
     eigenvalues hold Q.  A QR step with the phases of R's diagonal makes Q
     exactly unitary: it moves q by O(eps sigma_1 / sigma), so
     T = Q Sigma Q^T keeps an O(eps sigma_1) residual, and columns of zero
@@ -72,17 +76,9 @@ def _takagi(Phi: np.ndarray, vectors: bool = True):
     """
     T = _flipped(Phi)
     r = T.shape[-1]
-    if vectors:
-        A, B = T.real, T.imag
-        w, U = np.linalg.eigh(np.block([[A, B], [B, -A]]))
-        sigma = np.clip(w[..., r:][..., ::-1], 0.0, None)
-    else:
-        sigma = np.linalg.svd(T, compute_uv=False)
-    sigma = sigma[..., :4]
-    if r < 4:
-        sigma = np.concatenate([sigma, np.zeros(sigma.shape[:-1] + (4 - r,))], axis=-1)
-    if not vectors:
-        return sigma
+    A, B = T.real, T.imag
+    w, U = np.linalg.eigh(np.block([[A, B], [B, -A]]))
+    sigma = np.clip(w[..., r:][..., ::-1], 0.0, None)
     top = U[..., r:][..., ::-1]  # eigenvectors of the r largest, descending
     Q, R = np.linalg.qr(top[..., :r, :] + 1j * top[..., r:, :])
     # the phase of a zero diagonal entry is taken as 1 (np.angle(0) = 0)
@@ -94,6 +90,12 @@ def _concurrence(sigma: np.ndarray) -> np.ndarray:
     return np.maximum(sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3], 0.0)
 
 
+def _wide_concurrence(Phi: np.ndarray) -> np.ndarray:
+    """Concurrence of Phi Phi^dagger for each stacked (4, r) factor, r >= 4,
+    from the singular values of T (rank <= 4), its Takagi values."""
+    return _concurrence(np.linalg.svd(_flipped(Phi), compute_uv=False))
+
+
 def _factor(M: np.ndarray) -> np.ndarray:
     """Phi = V sqrt(max(Lambda, 0)) with M = Phi Phi^dagger, per stacked matrix."""
     w, V = _eigh(M)
@@ -102,37 +104,23 @@ def _factor(M: np.ndarray) -> np.ndarray:
 
 def _density_concurrence(M: np.ndarray) -> np.ndarray:
     """Concurrence of each stacked two-qubit density matrix."""
-    return _concurrence(_takagi(_factor(M), vectors=False))
-
-
-def _wootters(M: np.ndarray) -> np.ndarray:
-    """Squared concurrence of each stacked two-qubit density matrix."""
-    c = _density_concurrence(M)
-    return c * c
+    return _wide_concurrence(_factor(M))
 
 
 def wootters_tangle(rho2: DensityOperator) -> float:
-    """Squared concurrence of a two-qubit state (see _wootters)."""
+    """Squared concurrence of a two-qubit state (_pair_tangle of _factor)."""
     if rho2.layout.dims != (2, 2):
         raise ValueError(f"Wootters tangle needs a two-qubit state, got dims {rho2.layout.dims}")
-    return float(_wootters(rho2.matrix[None])[0])
-
-
-def _one_tangle(amps: np.ndarray, dims: tuple, p: int) -> np.ndarray:
-    """4 det of the reduced state of qubit p, per stacked amplitude vector:
-    the reduced state is S S^dagger for the amplitude slice S, so its
-    determinant is (s_0 s_1)^2 (_qubit_schmidt)."""
-    s = _qubit_schmidt(_slices(amps, dims, (p,)))[1]
-    return 4.0 * (s[..., 0] * s[..., 1]) ** 2
+    return float(_pair_tangle(_factor(rho2.matrix[None]))[0])
 
 
 def one_tangle(psi: PureState, p: int) -> float:
-    """4 det of the reduced one-qubit state; equals (N_G^p)^2 for pure input."""
+    """4 det of the reduced one-qubit state, (N_G^p)^2 (see _tangles)."""
     _check_focus(p, psi.layout.n_subsystems)
     d_p = psi.layout.dims[p]
     if d_p != 2:
         raise ValueError(f"one tangle needs a qubit focus; subsystem {p} has dimension {d_p}")
-    return float(_one_tangle(psi.amplitudes[None], psi.layout.dims, p)[0])
+    return float(_schmidt(psi.amplitudes[None], psi.layout.dims, p)[0][0] ** 2)
 
 
 def _pair_tangle(Phi: np.ndarray) -> np.ndarray:
@@ -140,10 +128,10 @@ def _pair_tangle(Phi: np.ndarray) -> np.ndarray:
 
     At r = 2 (a pair of three qubits) T is 2 x 2 with the Takagi values
     sigma_1 >= sigma_2, so C^2 = (sigma_1 - sigma_2)^2 = ||T||_F^2 - 2|det T|,
-    with no factorization; wider factors take the Takagi values (_takagi).
+    with no factorization; wider factors take _wide_concurrence.
     """
     if Phi.shape[-1] != 2:
-        c = _concurrence(_takagi(Phi, vectors=False))
+        c = _wide_concurrence(Phi)
         return c * c
     T = _flipped(Phi)
     det = T[..., 0, 0] * T[..., 1, 1] - T[..., 0, 1] * T[..., 1, 0]
@@ -164,21 +152,27 @@ def _pair_tangles(amps: np.ndarray, dims: tuple, focus: int) -> dict:
     return dict(zip(partners, tau))
 
 
-def _tangles(amps: np.ndarray, dims: tuple, focus: int):
-    """One-tangle of the focus and the pair tangles of a stack of pure qubit
-    states (..., D), as (array, {partner: array})."""
-    return _one_tangle(amps, dims, focus), _pair_tangles(amps, dims, focus)
+def _tangles(n_global: np.ndarray, amps: np.ndarray, dims: tuple, p: int):
+    """(tau_p, {partner: tau_pq}, tau_p - sum_q tau_pq) of a stack of pure
+    states of three or more qubits (..., D) with the global negativities
+    n_global of the qubit focus p.  tau_p = n_global^2 = 4 det rho_p, since
+    N_G^p = 2 s_0 s_1 for the Schmidt coefficients of p (negativity._schmidt).
+    """
+    tau = n_global**2
+    pairs = _pair_tangles(amps, dims, p)
+    return tau, pairs, tau - sum(pairs.values())
 
 
 def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
-    if psi.layout.dims != (2, 2, 2):
+    """The CKW split of the focus of a three-qubit pure state (_tangles);
+    tau3 does not depend on the focus."""
+    dims = psi.layout.dims
+    if dims != (2, 2, 2):
         raise ValueError("three tangle needs a three-qubit pure state")
-    _check_focus(focus, 3)
-    tau_f, pairs = _tangles(psi.amplitudes[None], psi.layout.dims, focus)
-    tau_f = float(tau_f[0])
-    tau_pairs = {partner: float(t[0]) for partner, t in pairs.items()}
+    amps = psi.amplitudes[None]
+    tau, pairs, tau3 = _tangles(_schmidt(amps, dims, focus)[0], amps, dims, focus)
     return TangleReport(
-        tau_focus=tau_f,
-        tau_pairs=tau_pairs,
-        tau3=float(tau_f - sum(tau_pairs.values())),
+        tau_focus=float(tau[0]),
+        tau_pairs={partner: float(t[0]) for partner, t in pairs.items()},
+        tau3=float(tau3[0]),
     )

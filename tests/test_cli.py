@@ -223,6 +223,20 @@ def test_canonicalize_command(write_state, capsys):
     assert set(u["matrix"][0][0]) == {"re", "im"}
 
 
+def test_canonicalize_exits_2_on_a_residual_above_its_bound(write_state, capsys, monkeypatch):
+    from ktangle import canonical
+
+    psi = kt.haar_random_pure(L3, 5)
+    residual = kt.canonicalize3(psi).residual
+    assert residual > 0.0
+    monkeypatch.setattr(canonical, "CANONICAL_RESIDUAL", residual / 2.0)
+    doc_in = {"dims": [2, 2, 2], "amplitudes": amplitudes_json(psi.amplitudes)}
+    path = write_state("haar.json", doc_in)
+    rc, out, err = _run(capsys, ["canonicalize", path])
+    assert rc == 2 and out == ""
+    assert err.startswith("numerical failure: canonicalization residual")
+
+
 def test_canonicalize_rejects_density(write_state, capsys):
     m = np.eye(8) / 8.0
     doc_in = {
@@ -363,6 +377,22 @@ def test_roof_command(write_state, capsys):
     assert doc["seeds"] == {"roof": 0}
     probs = [m["p"] for m in res["certificate"]["members"]]
     assert abs(sum(probs) - 1.0) < 1e-9
+
+
+def test_roof_global_on_a_two_qubit_matrix_file(write_state, capsys):
+    # a matrix file is the density operator itself; the Werner state
+    # p |Bell><Bell| + (1 - p) 1/4 has the concurrence (3p - 1)/2
+    p = 0.7
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    m = p * np.outer(bell, bell) + (1.0 - p) * np.eye(4) / 4.0
+    path = write_state("werner.json", {"dims": [2, 2], "matrix": [amplitudes_json(r) for r in m]})
+    rc, out, _ = _run(capsys, ["roof", path, "--focus", "A", "--measure", "global"])
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["bound"] == "exact"
+    tau = kt.wootters_tangle(kt.DensityOperator(kt.qubit_layout(2), m))
+    assert res["value"] == float(f"{math.sqrt(tau):.12g}")
+    assert abs(res["value"] - (3.0 * p - 1.0) / 2.0) <= 1e-12
 
 
 def test_roof_measure_choices(write_state, capsys):

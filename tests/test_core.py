@@ -53,6 +53,13 @@ def test_pure_state_norm_check():
         kt.PureState(L2, np.array([0.9, 0, 0, 0]))
 
 
+def test_constructors_reject_a_wrong_shape():
+    with pytest.raises(kt.ValidationError, match=r"vector has length \(3,\), layout needs 4"):
+        kt.PureState(L2, np.ones(3) / math.sqrt(3.0))
+    with pytest.raises(kt.ValidationError, match=r"matrix shape \(4, 2\), layout needs \(4,4\)"):
+        kt.DensityOperator(L2, np.ones((4, 2)) / 4.0)
+
+
 def test_density_operator_checks():
     m = np.eye(4) / 4.0
     kt.DensityOperator(L2, m)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 from ktangle.config import STACK_CHUNK
-from ktangle.ghzw import _ghzw_amplitudes, _grid
+from ktangle.ghzw import _closed_form_root_check, _ghzw_amplitudes, _grid
 
 from conftest import sequential_sweep
 
@@ -17,12 +17,10 @@ QSTAR = 2.0 ** (7.0 / 3.0) / (3.0 + 2.0 ** (7.0 / 3.0))
 
 @given(st.floats(0.01, 0.99), st.sampled_from([1, -1]))
 def test_tau3_closed_form_matches_pipeline(q, sign):
-    # interior grid: near q = 0 the Wootters eigenvalue clamp limits the
-    # pipeline to ~1e-6, which the endpoint checks below cover separately
     params = kt.GhzwParams(q=q, sign=sign)
     closed = kt.tau3_closed_form(params)
     direct = kt.three_tangle(kt.build_ghzw(params)).tau3
-    assert abs(closed - abs(direct)) < 1e-8
+    assert abs(closed - abs(direct)) < 1e-13
 
 
 def test_tau3_matches_pipeline_at_endpoints():
@@ -30,7 +28,7 @@ def test_tau3_matches_pipeline_at_endpoints():
         for q in (0.0, 1.0):
             params = kt.GhzwParams(q=q, sign=sign)
             direct = kt.three_tangle(kt.build_ghzw(params)).tau3
-            assert abs(kt.tau3_closed_form(params) - abs(direct)) < 1e-10
+            assert abs(kt.tau3_closed_form(params) - abs(direct)) < 1e-13
 
 
 def test_tau3_reference_values():
@@ -64,6 +62,21 @@ def test_root_check_accepts_the_merged_double_root(offset):
     assert res.residual < 1e-8
 
 
+def test_root_check_rejects_the_inverse_ratio():
+    # with UA's columns swapped, |UA00|/|UA01| is the inverse of the
+    # rotation's ratio, which matches no closed-form root; at q = 0.4,
+    # |x| = 1 and the two roots x^2 (1 +- sqrt(1 - 4/x^3))/2 are reciprocal
+    params = kt.GhzwParams(q=0.8, sign=-1)
+    res = kt.ghzw_canonical_params(params)
+    assert len(res.forms) == 2
+    swapped = tuple(
+        (dataclasses.replace(us[0], matrix=us[0].matrix[:, ::-1]),) + us[1:]
+        for us in res.unitaries
+    )
+    with pytest.raises(kt.NumericalError, match="matches no closed-form root"):
+        _closed_form_root_check(dataclasses.replace(res, unitaries=swapped), kt.x_parameter(params))
+
+
 @pytest.mark.parametrize("offset", [-1e-10, -1e-11, -5e-12, -1e-13, 1e-13, 5e-12, 1e-11, 1e-10])
 def test_family_and_reducer_agree_on_the_form_count(offset):
     # one rule decides whether the two forms have merged near q*
@@ -94,7 +107,7 @@ def test_degenerate_point_rotation_ratio():
     ua = res.unitaries[0][0].matrix
     ratio = abs(ua[0, 0]) / abs(ua[0, 1])
     target = 2.0 ** (1.0 / 3.0)
-    assert min(abs(ratio - target), abs(1.0 / ratio - target)) < 1e-6
+    assert abs(ratio - target) < 1e-6
 
 
 def test_endpoint_forms_are_exact():

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 top-level definition and every top-level function and class is read
 somewhere in the package, every small float threshold is a named
-constant of config.py, and every constant of config.py is read by another
-module.
+constant of config.py, every constant of config.py is read by another
+module, no function parameter defaults to True or False, and no module but
+tangle.py reads the pair tangles apart from their CKW split.
 
 No linter ships with the toolchain, so the standard library's ast does the
 checks.  __init__.py is exempt from the import check: its imports are the
@@ -179,3 +180,63 @@ def test_the_check_finds_an_unread_constant():
 def test_every_config_constant_is_read():
     others = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "config.py"}
     assert _unread_constants((SRC / "config.py").read_text(), others) == []
+
+
+def _flag_parameters(text: str) -> list:
+    """(line, function, parameter) of each parameter whose default is True or
+    False: a flag that switches one function between two behaviours."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            found += [
+                (node.lineno, node.name, a.arg)
+                for a, d in pairs
+                if isinstance(d, ast.Constant) and type(d.value) is bool
+            ]
+    return sorted(found)
+
+
+def test_the_check_finds_a_flag_parameter():
+    text = (
+        "def f(a, b=True, *, c=False, d=None, e=1):\n    pass\n"
+        "class C:\n    def m(self, x=0, y=False, *z, w):\n        pass\n"
+    )
+    assert _flag_parameters(text) == [(1, "f", "b"), (1, "f", "c"), (4, "m", "y")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_flag_parameters(path):
+    assert _flag_parameters(path.read_text()) == []
+
+
+def _reads_outside(name: str, owner: str, sources: dict) -> list:
+    """(module, line) of each read or import of name in a module other than
+    owner; a read is a loaded name or an attribute name."""
+    return sorted(
+        (module, node.lineno)
+        for module, text in sources.items()
+        if module != owner
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    )
+
+
+def test_the_check_finds_a_read_outside_the_owner():
+    sources = {
+        "t.py": "def _f():\n    pass\ndef g():\n    return _f()\n",
+        "a.py": "from .t import _f\nx = 1\n",
+        "b.py": "import t\ny = t._f()\n",
+    }
+    assert _reads_outside("_f", "t.py", sources) == [("a.py", 1), ("b.py", 2)]
+
+
+def test_the_pair_tangles_are_read_only_through_the_ckw_split():
+    # the other modules read the split (tangle._tangles), not its parts
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _reads_outside("_pair_tangles", "tangle.py", sources) == []

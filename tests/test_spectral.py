@@ -422,13 +422,13 @@ def test_three_qubit_pure_stacks_call_no_factorization(monkeypatch):
     three = np.stack([kt.haar_random_pure(L3, rng).amplitudes for _ in range(50)])
     four = np.stack([kt.haar_random_pure(kt.qubit_layout(4), rng).amplitudes for _ in range(5)])
     qutrit = kt.haar_random_pure(kt.SubsystemLayout((3, 2, 2)), rng).amplitudes[None]
+    n_four = _report_arrays(four, (2,) * 4, 0).n_global
     calls = _linalg_calls(monkeypatch)
     for p in range(3):
-        _report_arrays(three, L3.dims, p)
-        _tangles(three, L3.dims, p)
+        _tangles(_report_arrays(three, L3.dims, p).n_global, three, L3.dims, p)
     assert calls == []
     # the counter sees the routes that keep a factorization
-    _tangles(four, (2,) * 4, 0)
+    _tangles(n_four, four, (2,) * 4, 0)
     assert calls == ["svd"]  # the three pairs as one stack
     calls.clear()
     _report_arrays(qutrit, (3, 2, 2), 0)
@@ -458,7 +458,6 @@ def test_pure_reports_build_no_transpose_but_the_n_kway_ones(monkeypatch, n):
 
 
 def test_audit_runs_the_schmidt_step_once_per_stack(monkeypatch):
-    from ktangle import tangle
     from ktangle.config import STACK_CHUNK
 
     calls = []
@@ -468,7 +467,6 @@ def test_audit_runs_the_schmidt_step_once_per_stack(monkeypatch):
         return _closed(S)
 
     monkeypatch.setattr(negativity, "_qubit_schmidt", counted)
-    monkeypatch.setattr(tangle, "_qubit_schmidt", counted)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["audit", "--random", str(STACK_CHUNK + 10), "--seed", "3"]) == 0

@@ -15,8 +15,8 @@ import ktangle as kt
 from ktangle import cli, negativity
 from ktangle.config import EPS_EIG, EPS_NORM, STACK_CHUNK
 from ktangle.core import _check_density, _check_norm, _eigh, _haar_amplitudes, _outer, _partial_trace
-from ktangle.negativity import _report_arrays
-from ktangle.tangle import _tangles, _wootters
+from ktangle.negativity import _report_arrays, _schmidt
+from ktangle.tangle import _factor, _pair_tangle, _tangles
 from ktangle.transpose import _kway_pt
 
 from conftest import L3, L4, mixed_state, sqrt_route_wootters
@@ -107,7 +107,8 @@ def test_tangles_match_batch_of_one(name):
     amps = np.stack([psi.amplitudes for psi in psis])
     n = layout.n_subsystems
     for focus in range(n):
-        tau_f, pairs = _tangles(amps, layout.dims, focus)
+        n_global = _schmidt(amps, layout.dims, focus)[0]
+        tau_f, pairs, resid = _tangles(n_global, amps, layout.dims, focus)
         assert sorted(pairs) == [q for q in range(n) if q != focus]
         for b, psi in enumerate(psis):
             rho = kt.outer(psi)
@@ -122,6 +123,7 @@ def test_tangles_match_batch_of_one(name):
                 assert tau_f[b] == rep.tau_focus
                 for partner, tau in pairs.items():
                     assert tau[b] == rep.tau_pairs[partner]
+                assert resid[b] == rep.tau3
 
 
 def test_wootters_stack_matches_batch_of_one():
@@ -129,7 +131,7 @@ def test_wootters_stack_matches_batch_of_one():
     rng = np.random.default_rng(9)
     L2 = kt.qubit_layout(2)
     M = np.stack([mixed_state(L2, rng, rank=1 + k % 4).matrix for k in range(8)])
-    tau = _wootters(M)
+    tau = _pair_tangle(_factor(M))
     for b in range(M.shape[0]):
         assert abs(tau[b] - kt.wootters_tangle(kt.DensityOperator(L2, M[b]))) <= 1e-14
 
