@@ -56,7 +56,7 @@ def _cnum(z) -> dict:
 
 
 def _csv_num(x) -> str:
-    return f"{float(x):.12g}"
+    return f"{float(x) + 0.0:.12g}"  # + 0.0 prints -0.0 as 0, as _sig12 does
 
 
 def _header(command: str, path: str, digest: str, kind: str, dims, seeds: dict) -> dict:

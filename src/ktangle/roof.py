@@ -6,11 +6,12 @@ are parameterized by m x r matrices with orthonormal columns acting on the
 weighted eigenvectors, so the search runs over that isometry manifold with
 random restarts and accept-if-better two-member rotations under a cooling
 schedule.  Its values are upper bounds on the true roof (bound "upper").
-The proposal draws do not depend on the search state, so the search
-prefetches them (Brockwell, J. Comput. Graph. Stat. 15, 246, 2006): each
-round evaluates several steps of every restart as one member stack,
-speculating that they are rejected, and replays the accept rule in draw
-order (_descend).
+The proposal draws do not depend on the search state, so each restart
+draws its whole rotation stream once, up front, from the raw words of its
+generator (_draws), and the search prefetches its proposals (Brockwell,
+J. Comput. Graph. Stat. 15, 246, 2006): each round evaluates several steps
+of every restart as one member stack, speculating that they are rejected,
+and replays the accept rule in draw order (_descend).
 
 The global roof of a two-qubit state is known in closed form: it is
 Wootters' concurrence (Lee, Kim, Park & Lee, J. Phys. A 36, 2003), and its
@@ -141,15 +142,121 @@ def _values(value_of, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw(g, m: int, theta: float) -> tuple:
-    """A two-member rotation drawn from g: members j != k and the coefficients
-    of new j = c j + se k and new k = sc j + c k."""
-    j, k = g.choice(m, size=2, replace=False)
-    t = g.uniform(-theta, theta)
-    ph = g.uniform(0.0, 2.0 * math.pi)
-    c, s = math.cos(t), math.sin(t)
-    ei = cmath.exp(1j * ph)
-    return int(j), int(k), c, s * ei, -s * np.conj(ei)
+class _Words:
+    """The raw 64-bit words of a PCG64 generator, read the way its own draws
+    read them: a 32-bit draw takes the low half of a new word and keeps the
+    high half for the next 32-bit draw; a double takes a whole word and
+    leaves a kept half in place.  Fetches first words up front and the rest
+    as they are needed."""
+
+    def __init__(self, bitgen, first: int):
+        self.bitgen = bitgen
+        self.words = bitgen.random_raw(first)
+        self.pos = 0
+        self.half = None  # the kept high half, if any
+
+    def peek(self, n: int) -> np.ndarray:
+        short = self.pos + n - len(self.words)
+        if short > 0:
+            self.words = np.concatenate((self.words[self.pos :], self.bitgen.random_raw(short)))
+            self.pos = 0
+        return self.words[self.pos : self.pos + n]
+
+    def next64(self) -> int:
+        word = int(self.peek(1)[0])
+        self.pos += 1
+        return word
+
+    def next32(self) -> int:
+        if self.half is not None:
+            out, self.half = self.half, None
+            return out
+        word = self.next64()
+        self.half = word >> 32
+        return word & 0xFFFFFFFF
+
+
+# Where a pair of rotation steps that starts with no kept half reads its 7
+# words: each step's three 32-bit draws (word, shift) and two doubles.
+_HALF_WORD = np.array([[0, 0, 1], [1, 4, 4]])
+_HALF_SHIFT = np.array([[0, 32, 0], [32, 0, 32]], dtype=np.uint64)
+_DOUBLE_WORD = np.array([[2, 3], [5, 6]])
+
+
+def _lemire(x, span):
+    """Lemire's bounded draw on [0, span) from the 32-bit x, and whether the
+    draw rejects x (ACM TOMACS 29, 3, 2019)."""
+    product = x * span
+    return product >> 32, (product & 0xFFFFFFFF) < (2**32) % span
+
+
+def _draws(g, m: int, iters: int) -> tuple:
+    """The next iters two-member rotations of g, bit for bit what successive
+    g.choice(m, size=2, replace=False), g.uniform(-theta, theta) and
+    g.uniform(0, 2 pi) calls return, theta starting at 0.5 and shrinking by
+    0.995 after every step.  Returns the (iters, 2) members j != k and the
+    (iters, 3) coefficients (c, se, sc) of new j = c j + se k and
+    new k = sc j + c k.
+
+    The draws are rebuilt from g's raw PCG64 words (_Words).  numpy's Floyd
+    choice makes three bounded draws (_lemire): on [0, m - 2], on [0, m - 1]
+    (m - 1 if it repeats the first) and the bit that swaps the two; a uniform
+    is low + (high - low) (word >> 11) 2^-53.  From a word boundary and until
+    a bounded draw rejects, every pair of steps reads the same 7 words, so
+    those steps decode as arrays; a rejecting step, and a step that starts
+    with a kept half, are read one draw at a time.
+    """
+    bitgen = g.bit_generator
+    name = type(bitgen).__name__
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValidationError(f"roof draws read a PCG64 stream, not {name}")
+    if bitgen.state["has_uint32"]:
+        raise ValidationError(f"roof draws need a {name} stream with no kept 32-bit half")
+    span = np.array([m - 1, m, 2], dtype=np.uint64)
+    words = _Words(bitgen, (7 * iters + 1) // 2)  # every word if nothing rejects
+    x = np.empty((iters, 3), dtype=np.uint64)  # the 32-bit draws each step keeps
+    u = np.empty((iters, 2), dtype=np.uint64)  # the words of each step's doubles
+    done = 0
+    while done < iters:
+        if words.half is None:
+            n = iters - done
+            v = words.peek((7 * n + 1) // 2)
+            at = np.arange(n)
+            word0, parity = 7 * (at // 2), at % 2
+            halves = (v[word0[:, None] + _HALF_WORD[parity]] >> _HALF_SHIFT[parity]) & 0xFFFFFFFF
+            rejects = _lemire(halves, span)[1].any(axis=1)
+            ok = int(rejects.argmax()) if rejects.any() else n
+            x[done : done + ok] = halves[:ok]
+            u[done : done + ok] = v[word0[:ok, None] + _DOUBLE_WORD[parity[:ok]]]
+            words.pos += (7 * ok + 1) // 2
+            if ok % 2:
+                words.half = int(v[7 * (ok // 2) + 1]) >> 32
+            done += ok
+        if done < iters:
+            # a step that rejects, or that starts with a kept half
+            for col, bound in enumerate(span.tolist()):
+                half = words.next32()
+                while _lemire(half, bound)[1]:
+                    half = words.next32()
+                x[done, col] = half
+            u[done] = words.next64(), words.next64()
+            done += 1
+    first, second, swap = _lemire(x, span)[0].T
+    second = np.where(second == first, m - 1, second)
+    # the shuffle swaps the two on a 0
+    pairs = np.where(swap[:, None] == 1, np.stack((first, second), 1), np.stack((second, first), 1))
+    double = (u >> 11) * 2.0**-53
+    theta = np.cumprod(np.r_[0.5, np.full(iters - 1, 0.995)])
+    # uniform(low, high) is low + (high - low) u, operation for operation
+    t = -theta + (theta - -theta) * double[:, 0]
+    ph = 0.0 + (2.0 * math.pi - 0.0) * double[:, 1]
+    # math's cos and sin, as the sequential search takes them: numpy's
+    # vectorized ones may round differently
+    c, s = (np.array(list(map(f, t.tolist()))) for f in (math.cos, math.sin))
+    ei = np.empty(iters, dtype=complex)
+    ei.real, ei.imag = (list(map(f, ph.tolist())) for f in (math.cos, math.sin))
+    coefs = np.stack((c, s * ei, -s * ei.conj()), 1)
+    return pairs.astype(np.intp), coefs
 
 
 def _zero_diagonal(M: np.ndarray) -> np.ndarray:
@@ -312,25 +419,30 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     the identity isometry if identity_first.  Returns the value, member rows,
     weights and converged flag of the first best restart.
 
-    The group shares one (G, m, D) array of member rows and runs in rounds
-    that prefetch the rotation draws.  A round takes the next depth draws of
-    every restart (depth = ROOF_ROUND_ROWS // 2G, at least 1), builds every
-    proposed pair of rows as if all earlier steps of the round were rejected,
-    and evaluates them all as one stack.  The accept rule then replays each
-    restart's proposals in draw order and stops at the first one that reads
-    a row an accepted step of the round changed; that draw and the later
-    ones are kept and rebuilt from the updated rows next round.  Most steps
-    are rejected, so a round advances each restart by several steps.
+    Each restart draws all iters rotations right after its initial
+    isometry (_draws) into (G, iters) arrays of pairs and coefficients,
+    about 64 bytes a step.  The group shares one (G, m, D) array of member
+    rows and runs in rounds.  A round slices the next depth steps of every
+    restart (depth = ROOF_ROUND_ROWS // 2G, at least 1) from those arrays,
+    builds every proposed pair of rows as if all earlier steps of the round
+    were rejected, and evaluates them all as one stack.  The accept rule
+    then replays each restart's proposals in draw order and stops at the
+    first one that reads a row an accepted step of the round changed; that
+    step and the later ones are rebuilt from the updated rows next round.
+    Most steps are rejected, so a round advances each restart by several
+    steps.
     """
     r, D = base.shape
-    gens = [np.random.default_rng(c) for c in children]
-    G = len(gens)
+    G = len(children)
     phis = np.empty((G, m, D), dtype=complex)
     # the weights are the real part of a complex array, as in the sequential
     # search: BLAS sums the strided probs @ vals in another order than a
     # contiguous one
     probs = np.empty((G, m), dtype=complex)
-    for i, g in enumerate(gens):
+    pairs = np.empty((G, iters, 2), dtype=np.intp)
+    coefs = np.empty((G, iters, 3), dtype=complex)
+    for i, child in enumerate(children):
+        g = np.random.default_rng(child)
         if i == 0 and identity_first:
             W = np.zeros((m, r), dtype=complex)
             W[:r, :r] = np.eye(r)
@@ -339,6 +451,7 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
             W, _ = np.linalg.qr(Z)
         phis[i] = W @ base
         probs[i] = np.einsum("jd,jd->j", phis[i], phis[i].conj())
+        pairs[i], coefs[i] = _draws(g, m, iters)
     probs = probs.real
     vals = _values(value_of, phis.reshape(-1, D), probs.ravel()).reshape(G, m)
     cur = [float(P @ V) for P, V in zip(probs, vals)]
@@ -346,17 +459,15 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     mark = max(1, int(0.8 * iters))
     depth = max(1, ROOF_ROUND_ROWS // (2 * G))
     done = [0] * G  # steps replayed per restart
-    theta = [0.5] * G  # the rotation bound of each restart's next draw
-    queued = [[] for _ in gens]  # drawn, not yet replayed: (i, j, k, c, se, sc)
     while min(done) < iters:
-        for i, (g, q) in enumerate(zip(gens, queued)):
-            while len(q) < depth and done[i] + len(q) < iters:
-                q.append((i, *_draw(g, m, theta[i])))
-                theta[i] *= 0.995
-        steps = [step for q in queued for step in q]
-        at = np.array([step[:3] for step in steps])
-        coef = np.array([step[3:] for step in steps])
-        pair = phis[at[:, :1], at[:, 1:]]  # rows j and k of each step's restart
+        count = [min(depth, iters - d) for d in done]
+        # the round holds restart i's steps done[i] .. done[i] + count[i] - 1
+        # from its place first[i] on
+        first = np.cumsum(count) - count
+        at = np.repeat(np.arange(G), count)
+        step = np.arange(len(at)) + np.repeat(np.array(done) - first, count)
+        jk, coef = pairs[at, step], coefs[at, step]
+        pair = phis[at[:, None], jk]  # rows j and k of each step's restart
         a, b = pair[:, 0], pair[:, 1]
         c = coef[:, :1]
         rows = np.stack((c * a + coef[:, 1:2] * b, coef[:, 2:] * a + c * b), axis=1)
@@ -364,17 +475,15 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
         w = np.array([np.vdot(x, x).real for x in rows])
         v = _values(value_of, rows, w)
         # each replayed step reads rows unchanged since the round began
-        old = (probs * vals)[at[:, :1], at[:, 1:]].tolist()
+        old = (probs * vals)[at[:, None], jk].tolist()
         gain = (w * v).tolist()
-        w, v = w.tolist(), v.tolist()
-        n = 0  # the restart's first step of the round
-        for i, q in enumerate(queued):
+        w, v, jk = w.tolist(), v.tolist(), jk.tolist()
+        for i, (x0, n) in enumerate(zip(first.tolist(), count)):
             moved = set()
-            used = 0
-            for _, j, k, *_ in q:
+            for x in range(x0, x0 + n):
+                j, k = jk[x]
                 if j in moved or k in moved:
                     break
-                x = n + used
                 new = cur[i] - old[x][0] - old[x][1] + gain[2 * x] + gain[2 * x + 1]
                 if new < cur[i] - ROOF_ACCEPT_MARGIN:
                     cur[i] = new
@@ -382,12 +491,9 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
                     probs[i, j], probs[i, k] = w[2 * x], w[2 * x + 1]
                     vals[i, j], vals[i, k] = v[2 * x], v[2 * x + 1]
                     moved.update((j, k))
-                used += 1
                 done[i] += 1
                 if done[i] == mark:
                     at_mark[i] = cur[i]
-            n += len(q)
-            del q[:used]
 
     best = min(range(G), key=cur.__getitem__)  # the first of equal values
     converged = (at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP

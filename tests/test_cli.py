@@ -263,6 +263,17 @@ def test_sweep_csv_schema(capsys):
     assert abs(float(last[4]) - 1.0) < 1e-9   # tau3 closed form
 
 
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_sweep_csv_prints_no_negative_zero(capsys, sign):
+    # delta is -0.0 at q = 0 on both branches; the JSON documents print
+    # such a value as 0, and so does the CSV
+    rc, out, _ = _run(capsys, ["sweep", "--family", "ghzw", "--sign", sign, "--q", "0:1:101"])
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert rows[0] == ["0", "0.942809041582", "0.942809041582", "0", "0", "0", "0"]
+    assert not any(cell == "-0" for row in rows for cell in row)
+
+
 def test_sweep_tangle_zero_visible(capsys):
     rc, out, _ = _run(capsys, ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "0:1:101"])
     assert rc == 0

@@ -35,3 +35,19 @@ def test_cli_digests_do_not_name_the_input_directory():
     first = digests.digest_lines("forms3", 3, n_cycles=1)
     assert first == digests.digest_lines("forms3", 3, n_cycles=1)
     assert len(first) == 11
+
+
+def test_cli_digests_repeat_on_one_roof_cycle():
+    # the k2 commands run the search, whose draws come from each restart's
+    # own seeded stream
+    digests = _load("cli_digests")
+    first = digests.digest_lines("roof", 3, n_cycles=1)
+    assert first == digests.digest_lines("roof", 3, n_cycles=1)
+    commands, total = first[:-1], first[-1]
+    assert [line.split()[:2] for line in commands] == [
+        [cls, "0"]
+        for cls in ("global2", "global3", "global2", "global3", "k2q3r2",
+                    "global2", "global3", "global2", "global3", "k2q3r3")
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in commands)
+    assert re.fullmatch(r"total 10 [0-9a-f]{64}", total)
