@@ -208,11 +208,10 @@ def _slices(amps: np.ndarray, dims: tuple, first: tuple) -> np.ndarray:
     """Amplitude stack (..., D) as matrices: rows index the subsystems in
     first (in that order), columns the others (in layout order).
 
-    The gather lays a stack out with its stack index fastest; the copy to C
-    order makes each matrix contiguous, so a row sum adds its terms in the
-    same order in a stack of any size.
+    take writes its result in C order, so each matrix is contiguous and a
+    row sum adds its terms in the same order in a stack of any size.
     """
-    return np.ascontiguousarray(amps[..., _gather_index(dims, first)])
+    return amps.take(_gather_index(dims, first), axis=-1)
 
 
 def _keep_list(keep, n: int) -> list:

@@ -16,7 +16,11 @@ with no D x D eigensolve.  For a qubit focus the decomposition itself is
 closed form, one Jacobi rotation of the 2 x 2 Gram matrix (_qubit_schmidt),
 so a pure report on qubits makes no LAPACK call; a larger focus runs one
 SVD.
-Both routes keep the same negative eigenvector columns (_negative_columns).
+Both routes mask the eigenvalues at -EPS_EIG and keep the leading columns
+(_negative_columns).  The eigh route holds its columns flat, in the D
+index; the Schmidt route builds them from the Schmidt factors straight in
+the focus blocks (d_p, D/d_p) of the amplitude matrix, which the channels
+read, and lays them out flat only for the eigenpairs a report prints.
 
 Every channel comes from one contraction (_channels), with no restricted
 transpose built.  rho_K^{T_p} differs from rho only by
@@ -48,7 +52,7 @@ _report_arrays computes every report field for a stack of amplitude vectors
 or of density matrices at once, n_kway only when asked; negativity_report is
 its batch of one.  The convex roof (roof.py) evaluates its members, pure
 stacks only, through _schmidt (N_G) and _kway_channel (E_K), the same
-contraction read at one K.
+contraction read at one K (_kway_trace).
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError
-from .core import DensityOperator, PureState, _eigh, _outer, _require, _slices, _trace_norm
+from .core import DensityOperator, PureState, _eigh, _gather_index, _outer, _require, _slices
+from .core import _trace_norm
 from .core import trace_norm
 from .transpose import _check_focus, _global_pt, _kway_pt, _label_tables
 
@@ -140,7 +145,8 @@ def _channel(t: np.ndarray, d_p: int) -> np.ndarray:
 
 def _negative_columns(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The negative eigenvector columns Vm of ascending spectra w with
-    eigenvectors V, per stacked matrix.
+    eigenvectors V, per stacked matrix; the rows of each column may span
+    more than one axis of V (the focus blocks of _schmidt_pairs).
 
     Vm holds the leading c columns of V, c the largest number of eigenvalues
     < -EPS_EIG of any matrix in the stack.  A column whose eigenvalue is not
@@ -148,19 +154,19 @@ def _negative_columns(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     every matrix.  Vm is a new array, so the full V can be freed.
     """
     neg = w < -EPS_EIG
-    c = int(neg.sum(axis=-1).max(initial=0))
-    return V[..., :c] * neg[..., None, :c]
+    c = neg.shape[-1] if neg.all() else int(neg.sum(axis=-1).max(initial=0))
+    return V[..., :c] * neg[..., :c].reshape(w.shape[:-1] + (1,) * (V.ndim - w.ndim) + (c,))
 
 
 @functools.lru_cache(maxsize=16)
 def _schmidt_plan(dims: tuple, p: int):
-    """The shape (A, 1, C) the rest index splits into around the focus, and
-    the Schmidt index pairs (k, l), k < l; cached per (dims, p), read-only."""
+    """The Schmidt index pairs (k, l), k < l, of focus p; cached per
+    (dims, p), read-only."""
     _check_focus(p, len(dims))
     d_p = dims[p]
     k, l = np.triu_indices(min(d_p, math.prod(dims) // d_p), 1)
     k.flags.writeable = l.flags.writeable = False
-    return (math.prod(dims[:p]), 1, math.prod(dims[p + 1 :])), k, l
+    return k, l
 
 
 def _qubit_schmidt(S: np.ndarray):
@@ -208,7 +214,7 @@ def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     a larger focus one stacked SVD.  The reconstruction residual
     max|U diag(s) W^dagger - S| must be <= EPS_HERM, or NumericalError.
     """
-    _, k, l = _schmidt_plan(dims, p)  # checks the focus
+    k, l = _schmidt_plan(dims, p)  # checks the focus
     S = _slices(amps, dims, (p,))
     U, s, Wh = _qubit_schmidt(S) if dims[p] == 2 else np.linalg.svd(S, full_matrices=False)
     Us = U * s[..., None, :]
@@ -220,9 +226,10 @@ def _schmidt(amps: np.ndarray, dims: tuple, p: int):
 
 
 def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
-    """N_G^p and the pair eigenvalues w, ascending, with their eigenvectors V
-    in the flat index order, of the global transposes of a (B, D) stack of
-    pure states, from their Schmidt decompositions (_schmidt).
+    """N_G^p, the pair eigenvalues w, ascending, and the negative eigenvector
+    columns V (_negative_columns) in focus-block form, of the global
+    transposes of a (B, D) stack of pure states, from their Schmidt
+    decompositions (_schmidt).
 
     In the orthonormal product basis |a_l* b_k> of the Schmidt vectors,
 
@@ -236,37 +243,57 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
         V_kl = (|a_k* b_l> - |a_l* b_k>) / sqrt(2),
 
     and the trace norm is sum_k s_k^2 + 2 sum_{k<l} s_k s_l = (sum_k s_k)^2.
+    V is (B, d_p, D/d_p, c): V[..., a, r, j] is the entry of column j at
+    focus label a and rest index r, in the layout of the amplitude matrix
+    S (core._slices) that _channels reads, so no flat D-index vector is
+    built.
     """
-    split, k, l = _schmidt_plan(dims, p)  # checks the focus
-    n_global, U, s, Wh = _schmidt(amps, dims, p)
-    lead = amps.shape[:-1]
-    w = -(s[..., k] * s[..., l])
-    # a_k*[i] b_l[a, c] - a_l*[i] b_k[a, c] on axes (a, i, c, pair), where
-    # (a, i, c) is the flat index split around the focus label i
-    Uc = (U.conj() * math.sqrt(0.5))[..., None, :, None, :]
-    Wt = Wh.swapaxes(-1, -2).reshape(lead + split + (-1,))
-    V = (Uc[..., k] * Wt[..., l] - Uc[..., l] * Wt[..., k]).reshape(amps.shape + (k.size,))
-    if k.size > 1:
+    n_global, U, s, Wh = _schmidt(amps, dims, p)  # checks the focus
+    Uc = (U.conj() * math.sqrt(0.5))[..., :, None, :]
+    Wt = Wh.swapaxes(-1, -2)[..., None, :, :]
+    # the pairs (k, l), l > k, one k at a time in the order of _schmidt_plan:
+    # w = -s_k s_l and a_k*[a] b_l[r] - a_l*[a] b_k[r] on the axes
+    # (a, r, pair), from slices; k = 0 alone when there is no pair (a
+    # single subsystem), whose slices are empty
+    parts = [
+        (-(s[..., k : k + 1] * s[..., k + 1 :]),
+         Uc[..., k : k + 1] * Wt[..., k + 1 :] - Uc[..., k + 1 :] * Wt[..., k : k + 1])
+        for k in range(max(s.shape[-1] - 1, 1))
+    ]
+    if len(parts) == 1:
+        w, V = parts[0]
+    else:
+        w, V = (np.concatenate(x, axis=-1) for x in zip(*parts))
         order = np.argsort(w, axis=-1, kind="stable")
         w = np.take_along_axis(w, order, axis=-1)
-        V = np.take_along_axis(V, order[..., None, :], axis=-1)
-    return n_global, w, V
+        V = np.take_along_axis(V, order[..., None, None, :], axis=-1)
+    return n_global, w, _negative_columns(w, V)
 
 
 def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
     """N_G^p of each state of a stack, the ascending spectra w of the global
-    transposes and their negative eigenvector columns Vm (_negative_columns).
+    transposes and their negative eigenvector columns (_negative_columns).
 
     A (B, D) stack of amplitude vectors takes the Schmidt route
-    (_schmidt_pairs), a (B, D, D) stack of density matrices the eigh route.
+    (_schmidt_pairs), whose columns come in focus blocks (B, d_p, D/d_p, c);
+    a (B, D, D) stack of density matrices the eigh route, whose columns are
+    flat, (B, D, c).
     """
     if state.ndim == 2:
-        n_global, w, V = _schmidt_pairs(state, dims, p)
-    else:
-        w, V = _eigh(_global_pt(state, dims, p))
-        # the trace norm of each global transpose is the sum of |w|
-        n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
+        return _schmidt_pairs(state, dims, p)
+    w, V = _eigh(_global_pt(state, dims, p))
+    # the trace norm of each global transpose is the sum of |w|
+    n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
     return n_global, w, _negative_columns(w, V)
+
+
+def _flat_columns(V: np.ndarray, dims: tuple, p: int) -> np.ndarray:
+    """The focus blocks (..., d_p, D/d_p, c) of _schmidt_pairs as flat
+    columns (..., D, c): one scatter through the index of core._slices."""
+    index = _gather_index(dims, (p,))
+    Vm = np.empty(V.shape[:-3] + (index.size, V.shape[-1]), dtype=V.dtype)
+    Vm[..., index, :] = V
+    return Vm
 
 
 @functools.lru_cache(maxsize=16)
@@ -293,44 +320,44 @@ def _channel_plan(dims: tuple, p: int):
     return (math.prod(dims[:p]), dims[p], math.prod(dims[p + 1 :])), labels
 
 
-def _channels(state: np.ndarray, dims: tuple, p: int, Vm: np.ndarray):
-    """t_id = Re Tr(P_minus rho), t_kway[K] = Re Tr(P_minus rho_K^{T_p}) for
-    K = 2..n and, at three subsystems, t_pair[q] =
-    Re Tr(P_minus rho_2^{T_{p-pq}}) per partner q, of each state of a stack
-    (see _global_spectrum), with P_minus = Vm Vm^dagger.
+def _channels(state: np.ndarray, dims: tuple, p: int, V: np.ndarray):
+    """t_id = Re Tr(P_minus rho) and the class sums s (lead + (n + 2,)) of
+    each state of a stack, with P_minus = V V^dagger for the negative
+    columns V of _global_spectrum: focus blocks for amplitude vectors, flat
+    columns for density matrices.
 
     rho_K^{T_p} differs from rho only by Delta = rho^{T_p} - rho on the
     entries of differing count K, and Delta is zero wherever the focus
-    labels agree.  So Re Tr(P_minus rho_K^{T_p}) = t_id + s[..., K], with
-    s[..., L] the sum of Re(Delta o Q) over class L of the off-diagonal
-    focus blocks (_channel_plan) and Q = conj(Vm) Vm^T, Tr(P_minus M) =
-    sum(M o Q).  Delta and Q are Hermitian, so Re(Delta o Q) is symmetric
-    and the blocks a < b are summed and counted twice.  A pure state
-    builds the block of Delta o Q from its amplitude slices, with no D x D
-    matrix, and t_id from its overlaps with Vm.  The class sums take one
-    bincount with an offset per state, so each state's sums are added in a
-    fixed order, whatever the stack size.  rho_2^{T_p} swaps the elements of
-    both pair transposes, classes 2 and 4 at three subsystems.
+    labels agree.  So Re Tr(P_minus rho_K^{T_p}) = t_id + s[..., K]
+    (_kway_trace), with s[..., L] the sum of Re(Delta o Q) over class L of
+    the off-diagonal focus blocks (_channel_plan) and Q = conj(V) V^T,
+    Tr(P_minus M) = sum(M o Q); at three subsystems t_id + s[..., 2] and
+    t_id + s[..., 4] are the traces with the pair transposes of the first
+    and the second partner.  Delta and Q are Hermitian, so Re(Delta o Q) is
+    symmetric and the blocks a < b are summed and counted twice.  A pure
+    state reads the blocks of V as they come and builds the block of
+    Delta o Q from its amplitude matrix S (core._slices), with no D x D
+    matrix, and t_id from the overlaps of the blocks of V with S.  Density
+    input takes t_id from its flat columns and gathers their rows into the
+    same blocks.  The class sums take one bincount with an offset per
+    state, so each state's sums are added in a fixed order, whatever the
+    stack size.
     """
     (A, d_p, C), labels = _channel_plan(dims, p)
     pure = state.ndim == 2
     lead = state.shape[:-1] if pure else state.shape[:-2]
-    B, width = math.prod(lead), A * C
-
-    def blocks(X):
-        # the rows of each focus label of a (..., D, c) stack, (d_p, B, width, c)
-        return X.reshape(B, A, d_p, C, -1).transpose(2, 0, 1, 3, 4).reshape(d_p, B, width, -1)
-
-    V = blocks(Vm)
-    Vc = V.conj()
+    B, cols = math.prod(lead), V.shape[-1]
     if pure:
+        S = _slices(state, dims, (p,))
+        Vc = V.conj()
         # |<v_j|psi>|^2 summed over the columns j
-        ov = np.einsum("...kj,...k->...j", Vm.conj(), state).view(np.float64)
+        ov = np.einsum("...arj,...ar->...j", Vc, S).view(np.float64)
         t_id = np.einsum("...i,...i->...", ov, ov)
-        S = blocks(state)
-        Sc = S.conj().swapaxes(-1, -2)
+        Sc = S.conj()
     else:
-        t_id = _trace_with(Vm, state)
+        t_id = _trace_with(V, state)
+        V = V[..., _gather_index(dims, (p,)), :]
+        Vc = V.conj()
         M = state.reshape(B, A, d_p, C, A, d_p, C)
     terms = []
     for a in range(d_p):
@@ -340,34 +367,41 @@ def _channels(state: np.ndarray, dims: tuple, p: int, Vm: np.ndarray):
                 # the products of _outer; each term is multiplied as in
                 # V^dagger (rho_K^{T_p} V), which keeps exact zeros such as
                 # those of GHZ states
-                delta = S[b] * Sc[a]
-                delta -= S[a] * Sc[b]
-                prod = delta[..., None] * V[b][:, None, :, :] * Vc[a][:, :, None, :]
-                terms.append(prod.real.sum(axis=-1))
+                delta = S[..., b, :, None] * Sc[..., a, None, :]
+                delta -= S[..., a, :, None] * Sc[..., b, None, :]
+                # a single column (every qubit focus) is multiplied in place
+                # and needs no sum over the columns
+                prod = delta[..., None] if cols == 1 else np.empty(delta.shape + (cols,), complex)
+                np.multiply(delta[..., None], V[..., b, None, :, :], out=prod)
+                prod *= Vc[..., a, :, None, :]
+                terms.append(prod.real[..., 0] if cols == 1 else prod.real.sum(axis=-1))
             else:
                 # Delta[r, c] = rho[(b, r), (a, c)] - rho[(a, r), (b, c)]
                 delta = M[:, :, b, :, :, a, :] - M[:, :, a, :, :, b, :]
-                Q = Vc[a] @ V[b].swapaxes(-1, -2)
+                Q = Vc[..., a, :, :] @ V[..., b, :, :].swapaxes(-1, -2)
                 terms.append((delta.reshape(Q.shape) * Q).real)
     Y = sum(terms[1:], terms[0])
     n = len(dims)
     at = labels.reshape(1, -1) + np.arange(0, B * (n + 2), n + 2)[:, None]
     s = 2.0 * np.bincount(at.ravel(), weights=Y.ravel(), minlength=B * (n + 2))
-    s = s.reshape(lead + (n + 2,))
-    t = t_id[..., None] + s
-    t_kway, t_pair = {K: t[..., K] for K in range(2, n + 1)}, {}
-    if n == 3:
-        first, second = (q for q in range(3) if q != p)
-        t_pair = {first: t[..., 2], second: t[..., 4]}
-        t_kway[2] = t_pair[first] + s[..., 4]
-    return t_id, t_kway, t_pair
+    return t_id, s.reshape(lead + (n + 2,))
+
+
+def _kway_trace(t_id: np.ndarray, s: np.ndarray, K: int) -> np.ndarray:
+    """Re Tr(P_minus rho_K^{T_p}) from t_id and the n + 2 class sums s of
+    _channels: class K, and class 4 after it for K = 2 at three subsystems,
+    where rho_2^{T_p} swaps the elements of both pair transposes."""
+    t = t_id + s[..., K]
+    return t + s[..., 4] if K == 2 and s.shape[-1] - 2 == 3 else t
 
 
 def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     """E_K^p of each state of a stack (see _global_spectrum), without the
-    rest of the report."""
-    Vm = _global_spectrum(state, dims, p)[2]
-    return _channel(_channels(state, dims, p, Vm)[1][K], dims[p])
+    rest of the report.  A roof member, pure, passes the focus blocks of
+    P_minus straight from the Schmidt factors to _channels and reads one
+    class sum."""
+    V = _global_spectrum(state, dims, p)[2]
+    return _channel(_kway_trace(*_channels(state, dims, p, V), K), dims[p])
 
 
 def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
@@ -377,12 +411,17 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
     the stack, one eigvalsh of each rho_K^{T_p}, after the channels.
     """
-    n_global, w, Vm = _global_spectrum(state, dims, p)  # checks the focus
+    n_global, w, V = _global_spectrum(state, dims, p)  # checks the focus
     n, d_p = len(dims), dims[p]
-    t_id, t_kway, t_pair = _channels(state, dims, p, Vm)
-    e_partial = {K: _channel(t, d_p) for K, t in t_kway.items()}
+    t_id, s = _channels(state, dims, p, V)
+    e_partial = {K: _channel(_kway_trace(t_id, s, K), d_p) for K in range(2, n + 1)}
     e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
-    pair_split = {q: (-2.0 * t + t_id) / (d_p - 1) for q, t in t_pair.items()}
+    # at three subsystems the pair transposes of the two partners swap the
+    # elements of classes 2 and 4 (_channel_plan)
+    partners = [q for q in range(n) if q != p] if n == 3 else []
+    pair_split = {
+        q: (-2.0 * (t_id + s[..., L]) + t_id) / (d_p - 1) for q, L in zip(partners, (2, 4))
+    }
     if n_kway is not None:
         M = _outer(state) if state.ndim == 2 else state
         for K in range(2, n + 1):
@@ -398,7 +437,7 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
         sum_residual=np.abs(n_global - (sum(e_partial.values()) - e0)),
         violates={K: gate & (ek > n_global + EPS_NORM) for K, ek in e_partial.items()},
         eigenvalues=w,
-        negative_vectors=Vm,
+        negative_vectors=_flat_columns(V, dims, p) if state.ndim == 2 else V,
     )
 
 

@@ -36,6 +36,7 @@ from .config import (
     EPS_NORM,
     ROOF_ACCEPT_MARGIN,
     ROOF_CONVERGED_DROP,
+    ROOF_DRAW_STEPS,
     ROOF_MAX_MEMBERS,
     ROOF_MEMBER_CUTOFF,
     ROOF_RANK_CUTOFF,
@@ -190,12 +191,13 @@ def _lemire(x, span):
     return product >> 32, (product & 0xFFFFFFFF) < (2**32) % span
 
 
-def _draws(g, m: int, iters: int) -> tuple:
-    """The next iters two-member rotations of g, bit for bit what successive
-    g.choice(m, size=2, replace=False), g.uniform(-theta, theta) and
-    g.uniform(0, 2 pi) calls return, theta starting at 0.5 and shrinking by
-    0.995 after every step.  Returns the (iters, 2) members j != k and the
-    (iters, 3) coefficients (c, se, sc) of new j = c j + se k and
+def _draws(g, m: int, iters: int, start: int = 0) -> tuple:
+    """Steps start .. start + iters - 1 of the two-member rotations of g,
+    bit for bit what successive g.choice(m, size=2, replace=False),
+    g.uniform(-theta, theta) and g.uniform(0, 2 pi) calls return, theta
+    starting at 0.5 at step 0 and shrinking by 0.995 after every step; g is
+    left where those calls leave it.  Returns the (iters, 2) members j != k
+    and the (iters, 3) coefficients (c, se, sc) of new j = c j + se k and
     new k = sc j + c k.
 
     The draws are rebuilt from g's raw PCG64 words (_Words).  numpy's Floyd
@@ -204,16 +206,23 @@ def _draws(g, m: int, iters: int) -> tuple:
     is low + (high - low) (word >> 11) 2^-53.  From a word boundary and until
     a bounded draw rejects, every pair of steps reads the same 7 words, so
     those steps decode as arrays; a rejecting step, and a step that starts
-    with a kept half, are read one draw at a time.
+    with a kept half, are read one draw at a time.  A stream may be drawn
+    in chunks, each call starting where the last one stopped: a kept half
+    is left in g for the next chunk, so at step 0 g must hold none.
     """
     bitgen = g.bit_generator
     name = type(bitgen).__name__
     if not isinstance(bitgen, np.random.PCG64):
         raise ValidationError(f"roof draws read a PCG64 stream, not {name}")
-    if bitgen.state["has_uint32"]:
+    state = bitgen.state
+    if state["has_uint32"] and not start:
         raise ValidationError(f"roof draws need a {name} stream with no kept 32-bit half")
     span = np.array([m - 1, m, 2], dtype=np.uint64)
-    words = _Words(bitgen, (7 * iters + 1) // 2)  # every word if nothing rejects
+    kept = state["uinteger"] if state["has_uint32"] else None
+    # every word the steps read if nothing rejects; with a kept half, the
+    # first step is read one draw at a time
+    words = _Words(bitgen, 0 if kept is not None else (7 * iters + 1) // 2)
+    words.half = kept
     x = np.empty((iters, 3), dtype=np.uint64)  # the 32-bit draws each step keeps
     u = np.empty((iters, 2), dtype=np.uint64)  # the words of each step's doubles
     done = 0
@@ -241,12 +250,19 @@ def _draws(g, m: int, iters: int) -> tuple:
                 x[done, col] = half
             u[done] = words.next64(), words.next64()
             done += 1
+    if kept is not None or words.half is not None:
+        # the next 32-bit draw of g reads the half the last step kept, if any
+        state = bitgen.state
+        state["has_uint32"] = int(words.half is not None)
+        if words.half is not None:
+            state["uinteger"] = words.half
+        bitgen.state = state
     first, second, swap = _lemire(x, span)[0].T
     second = np.where(second == first, m - 1, second)
     # the shuffle swaps the two on a 0
     pairs = np.where(swap[:, None] == 1, np.stack((first, second), 1), np.stack((second, first), 1))
     double = (u >> 11) * 2.0**-53
-    theta = np.cumprod(np.r_[0.5, np.full(iters - 1, 0.995)])
+    theta = np.cumprod(np.r_[0.5, np.full(start + iters - 1, 0.995)])[start:]
     # uniform(low, high) is low + (high - low) u, operation for operation
     t = -theta + (theta - -theta) * double[:, 0]
     ph = 0.0 + (2.0 * math.pi - 0.0) * double[:, 1]
@@ -419,18 +435,20 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     the identity isometry if identity_first.  Returns the value, member rows,
     weights and converged flag of the first best restart.
 
-    Each restart draws all iters rotations right after its initial
-    isometry (_draws) into (G, iters) arrays of pairs and coefficients,
-    about 64 bytes a step.  The group shares one (G, m, D) array of member
-    rows and runs in rounds.  A round slices the next depth steps of every
-    restart (depth = ROOF_ROUND_ROWS // 2G, at least 1) from those arrays,
-    builds every proposed pair of rows as if all earlier steps of the round
-    were rejected, and evaluates them all as one stack.  The accept rule
-    then replays each restart's proposals in draw order and stops at the
-    first one that reads a row an accepted step of the round changed; that
-    step and the later ones are rebuilt from the updated rows next round.
-    Most steps are rejected, so a round advances each restart by several
-    steps.
+    Each restart draws its rotations (_draws) right after its initial
+    isometry, in windows of ROOF_DRAW_STEPS steps held in (G, window)
+    arrays of pairs and coefficients, about 64 bytes a step, so memory does
+    not grow with iters; a restart whose next round would run past its
+    window keeps the steps it has not replayed and draws the rest.  The
+    group shares one (G, m, D) array of member rows and runs in rounds.  A
+    round slices the next depth steps of every restart (depth =
+    ROOF_ROUND_ROWS // 2G, at least 1) from those arrays, builds every
+    proposed pair of rows as if all earlier steps of the round were
+    rejected, and evaluates them all as one stack.  The accept rule then
+    replays each restart's proposals in draw order and stops at the first
+    one that reads a row an accepted step of the round changed; that step
+    and the later ones are rebuilt from the updated rows next round.  Most
+    steps are rejected, so a round advances each restart by several steps.
     """
     r, D = base.shape
     G = len(children)
@@ -439,8 +457,10 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     # search: BLAS sums the strided probs @ vals in another order than a
     # contiguous one
     probs = np.empty((G, m), dtype=complex)
-    pairs = np.empty((G, iters, 2), dtype=np.intp)
-    coefs = np.empty((G, iters, 3), dtype=complex)
+    window = min(iters, ROOF_DRAW_STEPS)
+    pairs = np.empty((G, window, 2), dtype=np.intp)
+    coefs = np.empty((G, window, 3), dtype=complex)
+    gens = []
     for i, child in enumerate(children):
         g = np.random.default_rng(child)
         if i == 0 and identity_first:
@@ -451,7 +471,8 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
             W, _ = np.linalg.qr(Z)
         phis[i] = W @ base
         probs[i] = np.einsum("jd,jd->j", phis[i], phis[i].conj())
-        pairs[i], coefs[i] = _draws(g, m, iters)
+        gens.append(g)
+        pairs[i], coefs[i] = _draws(g, m, window)
     probs = probs.real
     vals = _values(value_of, phis.reshape(-1, D), probs.ravel()).reshape(G, m)
     cur = [float(P @ V) for P, V in zip(probs, vals)]
@@ -459,20 +480,32 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     mark = max(1, int(0.8 * iters))
     depth = max(1, ROOF_ROUND_ROWS // (2 * G))
     done = [0] * G  # steps replayed per restart
+    start = [0] * G  # the step of each restart's window entry 0
     while min(done) < iters:
         count = [min(depth, iters - d) for d in done]
+        for i in range(G):
+            if done[i] + count[i] > start[i] + window:
+                # the window runs out: keep its unreplayed steps, draw on
+                kept = start[i] + window - done[i]
+                pairs[i, :kept] = pairs[i, window - kept :]
+                coefs[i, :kept] = coefs[i, window - kept :]
+                n = min(window, iters - done[i]) - kept
+                drawn = _draws(gens[i], m, n, done[i] + kept)
+                pairs[i, kept : kept + n], coefs[i, kept : kept + n] = drawn
+                start[i] = done[i]
         # the round holds restart i's steps done[i] .. done[i] + count[i] - 1
         # from its place first[i] on
         first = np.cumsum(count) - count
         at = np.repeat(np.arange(G), count)
-        step = np.arange(len(at)) + np.repeat(np.array(done) - first, count)
+        step = np.arange(len(at)) + np.repeat(np.array(done) - np.array(start) - first, count)
         jk, coef = pairs[at, step], coefs[at, step]
         pair = phis[at[:, None], jk]  # rows j and k of each step's restart
         a, b = pair[:, 0], pair[:, 1]
         c = coef[:, :1]
         rows = np.stack((c * a + coef[:, 1:2] * b, coef[:, 2:] * a + c * b), axis=1)
         rows = rows.reshape(-1, D)
-        w = np.array([np.vdot(x, x).real for x in rows])
+        # one stacked matmul: zdotu of the conjugate, the bits of np.vdot
+        w = (rows.conj()[:, None, :] @ rows[:, :, None]).real.ravel()
         v = _values(value_of, rows, w)
         # each replayed step reads rows unchanged since the round began
         old = (probs * vals)[at[:, None], jk].tolist()

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import ktangle as kt
 
 from conftest import L2, L3, L4, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
-from ktangle.config import ROOF_ROUND_ROWS, STACK_CHUNK
+from ktangle.config import ROOF_DRAW_STEPS, ROOF_ROUND_ROWS, STACK_CHUNK
 from ktangle.roof import _draws, _member_value, _search, _support
 
 # the most restarts whose rounds still prefetch two steps each; one more
@@ -307,6 +307,29 @@ def test_draws_match_live_generator_calls(m):
             assert coefs.tobytes() == want_coefs.tobytes()
 
 
+@pytest.mark.parametrize("m", [4, 6, 10])
+def test_draws_in_chunks_match_one_draw_and_the_live_calls(m):
+    # a search longer than ROOF_DRAW_STEPS draws each stream in chunks; odd
+    # chunk ends leave a kept 32-bit half in the generator for the next one
+    for seed in range(20):
+        whole, chunked, live = (np.random.default_rng(seed) for _ in range(3))
+        pairs, coefs = _draws(whole, m, 150)
+        parts, start = [], 0
+        for n in (37, 1, 62, 50):
+            parts.append(_draws(chunked, m, n, start))
+            start += n
+        assert np.array_equal(np.concatenate([x for x, _ in parts]), pairs)
+        assert np.concatenate([y for _, y in parts]).tobytes() == coefs.tobytes()
+        _live_draws(live, m, 150)
+        assert _position(whole) == _position(chunked) == _position(live)
+
+
+def _position(g):
+    """Where the next draw of g starts: its PCG64 state and its kept half."""
+    state = g.bit_generator.state
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
 class _CraftedPCG64(np.random.PCG64):
     """A PCG64 whose raw words are given, counting the words it hands out."""
 
@@ -434,6 +457,52 @@ def test_roof_memory_does_not_grow_with_restarts():
     peak(2)  # warm the caches
     one, eight = peak(group), peak(8 * group)
     assert eight <= 1.1 * one, (one, eight)
+
+
+def test_roof_memory_does_not_grow_with_iterations():
+    # each restart holds at most ROOF_DRAW_STEPS drawn steps, so a search of
+    # 2000 iterations peaks where one of 400 does
+    rho = mixed_state(L3, np.random.default_rng(4), rank=2)  # m = 4
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            kt.roof_negativity(rho, 0, "k2", kt.RoofBudget(restarts=16, iterations=iterations))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm the caches
+    short, long = peak(ROOF_DRAW_STEPS), peak(2000)
+    assert long <= 1.25 * short, (short, long)
+
+
+def test_a_search_of_the_default_budget_draws_once_per_restart(monkeypatch):
+    from ktangle import roof
+
+    calls = []
+
+    def counted(g, m, iters, start=0, _draws=roof._draws):
+        calls.append((iters, start))
+        return _draws(g, m, iters, start)
+
+    monkeypatch.setattr(roof, "_draws", counted)
+    rho = mixed_state(L3, np.random.default_rng(4), rank=2)
+    kt.roof_negativity(rho, 0, "k2", kt.RoofBudget(restarts=3))
+    assert calls == [(kt.RoofBudget().iterations, 0)] * 3
+
+
+def test_lockstep_past_one_draw_window_matches_sequential_oracle():
+    # three restarts advance at different rates, so each refills its window
+    # of drawn steps at its own round
+    rng = np.random.default_rng(77)
+    rho = mixed_state(L3, rng, rank=2)
+    budget = kt.RoofBudget(restarts=3, iterations=2 * ROOF_DRAW_STEPS + 37, seed=5)
+    got = kt.roof_negativity(rho, 1, "k2", budget)
+    want = sequential_roof(rho, 1, "k2", budget)
+    assert got.value == want.value and got.converged == want.converged
+    for (p1, s1), (p2, s2) in zip(got.certificate.members, want.certificate.members, strict=True):
+        assert p1 == p2 and np.array_equal(s1.amplitudes, s2.amplitudes)
 
 
 def _member_stack(layout, rng, b):

@@ -51,3 +51,16 @@ def test_cli_digests_repeat_on_one_roof_cycle():
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in commands)
     assert re.fullmatch(r"total 10 [0-9a-f]{64}", total)
+
+
+def test_cli_digests_repeat_on_one_analyze_wide_cycle():
+    # the 5- to 9-qubit reports, pure and mixed, print the same bytes on
+    # every run; no command lets an exception escape the CLI
+    digests = _load("cli_digests")
+    first = digests.digest_lines("analyze_wide", 3, n_cycles=1)
+    assert first == digests.digest_lines("analyze_wide", 3, n_cycles=1)
+    commands, total = first[:-1], first[-1]
+    classes = {line.split()[0] for line in commands}
+    assert classes == {"allfoci5", "pure7", "pure8", "pure9", "mixed6", "mixed7", "mixed8"}
+    assert all(line.split()[1].isdigit() for line in commands)
+    assert re.fullmatch(rf"total {len(commands)} [0-9a-f]{{64}}", total)

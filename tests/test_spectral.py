@@ -164,15 +164,14 @@ def test_pure_channel_sums_do_not_depend_on_the_stack_size():
     for dims in CHANNEL_DIMS:
         amps = _channel_stacks(dims)["pure"]
         for p in range(len(dims)):
-            t_id, t_kway, t_pair = negativity._channels(
+            t_id, s = negativity._channels(
                 amps, dims, p, negativity._global_spectrum(amps, dims, p)[2]
             )
             for b in range(len(amps)):
                 row = amps[b : b + 1]
                 one = negativity._channels(row, dims, p, negativity._global_spectrum(row, dims, p)[2])
                 assert one[0][0] == t_id[b], (dims, p, b)
-                for got, want in ((one[1], t_kway), (one[2], t_pair)):
-                    assert {k: v[0] for k, v in got.items()} == {k: v[b] for k, v in want.items()}
+                assert one[1][0].tobytes() == s[b].tobytes(), (dims, p, b)
 
 
 @pytest.mark.parametrize("D", [2, 4, 8, 16, 64])
@@ -402,6 +401,104 @@ def test_qubit_route_edge_cases_match_the_eigh_oracle(n):
         for p in range(n) if n < 9 else (0, n - 1):
             n_global = _report_arrays(psi.amplitudes[None], dims, p).n_global[0]
             assert abs(n_global - 2 * prod) <= 1e-14, (prod, p)
+
+
+def _edge_stack(dims):
+    """A Haar state, a product state (s_1 = 0), GHZ and two-term states
+    with s_0 s_1 at 2 EPS_EIG and EPS_EIG / 2 as one stack, so that the
+    stack keeps a negative column that the EPS_EIG mask zeroes in three of
+    its rows."""
+    rng = np.random.default_rng(len(dims) * sum(dims))
+    layout = kt.SubsystemLayout(dims)
+    return np.stack([
+        kt.haar_random_pure(layout, rng).amplitudes,
+        _product(dims, rng),
+        _ghz(dims),
+        _two_term(dims, 2 * EPS_EIG),
+        _two_term(dims, EPS_EIG / 2),
+    ])
+
+
+@pytest.mark.parametrize("dims", CHANNEL_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_pure_focus_blocks_match_the_projector_oracle(dims):
+    # the Schmidt route builds P_minus in focus blocks and lays it out flat
+    # only for negative_vectors; projector_report builds the D x D P_minus
+    # of the density route
+    amps = _edge_stack(dims)
+    ghz = 2
+    for p in range(len(dims)):
+        got = _report_arrays(amps, dims, p)
+        want = projector_report(_outer(amps), dims, p)
+        for name in ("n_global", "e0", "sum_residual"):
+            assert np.abs(getattr(got, name) - want[name]).max() <= TOL, (p, name)
+        for name in ("e_partial", "pair_split"):
+            g, w = getattr(got, name), want[name]
+            assert set(g) == set(w), (p, name)
+            for k in w:
+                assert np.abs(g[k] - w[k]).max() <= TOL, (p, name, k)
+        for K, flags in want["violates"].items():
+            assert np.array_equal(got.violates[K], flags), (p, K)
+        # GHZ has only n-way coherence: its exact zeros stay exactly 0
+        zeros = [got.e0] + [got.e_partial[K] for K in range(2, len(dims))] + list(got.pair_split.values())
+        assert all(z[ghz] == 0.0 for z in zeros), p
+        assert got.e_partial[len(dims)][ghz] != 0.0, p
+        for b in range(len(amps)):
+            w_got, w_want = got.eigenvalues[b], want["eigenvalues"][b]
+            neg = w_got[w_got < -EPS_EIG]
+            assert len(neg) == (w_want < -EPS_EIG).sum(), (p, b)
+            assert np.abs(neg - w_want[: len(neg)]).max(initial=0.0) <= TOL, (p, b)
+            Vg, Vw = got.negative_vectors[b], want["negative_vectors"][b]
+            Vw = Vw[:, w_want[: Vw.shape[1]] < -EPS_EIG]  # the oracle's columns are not masked
+            assert Vg.shape[0] == Vw.shape[0] == math.prod(dims)
+            P = Vg @ Vg.conj().T - Vw @ Vw.conj().T
+            assert np.abs(P).max(initial=0.0) <= 1e-12, (p, b)
+        # the product and the EPS_EIG / 2 rows have no negative eigenvalue;
+        # their masked columns are exactly zero
+        assert not got.negative_vectors[[1, 4]].any(), p
+
+
+def _member_rows(n, b, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((b, 2**n)) + 1j * rng.standard_normal((b, 2**n))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kway_channel_rows_equal_batches_of_one(n):
+    # the prefetching roof search evaluates 32-row member stacks, the
+    # sequential oracle one member at a time: the lockstep search returns
+    # the oracle's bits only if each row's value does not depend on the
+    # stack around it
+    dims = (2,) * n
+    amps = _member_rows(n, 32, n)
+    amps[5] = _two_term(dims, EPS_EIG / 2)  # a masked column in the stack
+    for p in range(n):
+        for K in range(2, n + 1):
+            stack = _kway_channel(amps, dims, K, p)
+            ones = np.concatenate([_kway_channel(amps[b : b + 1], dims, K, p) for b in range(32)])
+            assert stack.tobytes() == ones.tobytes(), (p, K)
+
+
+def test_kway_channel_call_budget():
+    # a roof member stack is small, so its cost is the number of calls: a
+    # three-qubit 32-row k2 member makes fewer Python-level and C calls
+    # than the flat eigenvector round trip did (61 and 51)
+    import sys
+
+    amps = _member_rows(3, 32, 7)
+    _kway_channel(amps, L3.dims, 2, 1)  # fills the cached plans
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        _kway_channel(amps, L3.dims, 2, 1)
+    finally:
+        sys.setprofile(None)
+    assert counts["call"] <= 58 and counts["c_call"] <= 44, counts
 
 
 def _linalg_calls(monkeypatch):
