@@ -263,12 +263,18 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
     )
 
 
+def _delta(e3, n_global, tau3):
+    """coherence_delta E_3 N_G - tau3 from the focus-A report and the CKW
+    residual tau3 of the same N_G (tangle._tangles)."""
+    return e3 * n_global - tau3
+
+
 def _global_and_delta(amps: np.ndarray):
     """N_G of focus A and coherence_delta of each state of a (B, 8) stack of
     normalized three-qubit amplitude vectors, from one report and the CKW
     split of its N_G (tangle._tangles) for the whole stack."""
     a = _report_arrays(amps, _L3.dims, 0)
-    return a.n_global, a.e_partial[3] * a.n_global - _tangles(a.n_global, amps, _L3.dims, 0)[2]
+    return a.n_global, _delta(a.e_partial[3], a.n_global, _tangles(a.n_global, amps, _L3.dims, 0)[2])
 
 
 def coherence_delta(psi: PureState) -> float:

@@ -16,20 +16,21 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import string
 import sys
 
 import numpy as np
 
 from . import __version__
-from .canonical import canonicalize3, coherence_delta
+from .canonical import _delta, canonicalize3, coherence_delta
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, STACK_CHUNK, NumericalError, ValidationError
 from .core import DensityOperator, PureState, _haar_amplitudes, outer, qubit_layout
 from .ghzw import sweep_family
 from .negativity import _report_arrays, negativity_report
 from .roof import Ensemble, RoofBudget, roof_negativity
 from .statefile import ParseError, parse_state_file
-from .tangle import _tangles, three_tangle
+from .tangle import _tangle_report, _tangles
 
 _FOCUS_LETTERS = string.ascii_uppercase
 
@@ -169,8 +170,50 @@ def _as_density(obj) -> DensityOperator:
     return obj
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps prints a float."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _dumps(o, indent: str = "\n") -> str:
+    """json.dumps(o, indent=2), byte for byte, for documents of dicts with
+    str keys, lists, str, float, int, bool and None; indent is the newline
+    and indentation of o's own line.
+
+    The standard library falls back to its pure-Python encoder whenever
+    indent is set, at about twice the time of this one recursive pass.
+    """
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        items = [f"{inner}{_json_str(k)}: {_dumps(v, inner)}" for k, v in o.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(o, (list, tuple)):
+        items = [inner + _dumps(v, inner) for v in o]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit_json(doc: dict):
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -185,15 +228,23 @@ def _cmd_analyze(args) -> int:
 
     reports = []
     worst_residual = 0.0
-    delta = _sig12(coherence_delta(obj)) if pure3 else None
+    delta = None
     for p in foci:
         rep = negativity_report(state, p)
         worst_residual = max(worst_residual, rep.sum_residual)
         entry = {"negativity": _negativity_block(rep)}
         if pure3:
-            entry["tangle"] = _tangle_block(three_tangle(obj, p))
-            entry["delta"] = delta
+            # the CKW split from the report's N_G, with no second Schmidt step
+            tan = _tangle_report(np.array([rep.n_global]), obj.amplitudes[None], obj.layout.dims, p)
+            entry["tangle"] = _tangle_block(tan)
+            if p == 0:
+                delta = _delta(rep.e_partial[3], rep.n_global, tan.tau3)
         reports.append(entry)
+    if pure3:
+        # delta reads focus A; without that report coherence_delta computes it
+        delta = _sig12(coherence_delta(obj) if delta is None else delta)
+        for entry in reports:
+            entry["delta"] = delta
 
     doc = {**_header("analyze", args.file, digest, kind, state.layout.dims, {}), "reports": reports}
     if args.canonical:

@@ -202,8 +202,8 @@ def _qubit_schmidt(S: np.ndarray):
 
 def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     """N_G^p of each state of a (B, D) stack of normalized amplitude vectors,
-    and the SVD S = U diag(s) W^dagger of each laid out focus-first as the
-    d_p x D/d_p matrix S (core._slices).
+    the SVD S = U diag(s) W^dagger of each laid out focus-first as the
+    d_p x D/d_p matrix S (core._slices), and S: (N_G, U, s, W^dagger, S).
 
     psi = sum_k s_k |a_k>|b_k>, with a_k column k of U and b_k row k of
     W^dagger, so ||rho^{T_p}||_1 = (sum_k s_k)^2 (see _schmidt_pairs) and
@@ -222,14 +222,14 @@ def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     resid = np.abs(rec - S).max(axis=(-2, -1))
     _require(resid <= EPS_HERM, resid, f"Schmidt reconstruction residual {{}} exceeds {EPS_HERM}",
              NumericalError)
-    return 2.0 * (s[..., k] * s[..., l]).sum(axis=-1) / (dims[p] - 1), U, s, Wh
+    return 2.0 * (s[..., k] * s[..., l]).sum(axis=-1) / (dims[p] - 1), U, s, Wh, S
 
 
 def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
     """N_G^p, the pair eigenvalues w, ascending, and the negative eigenvector
     columns V (_negative_columns) in focus-block form, of the global
     transposes of a (B, D) stack of pure states, from their Schmidt
-    decompositions (_schmidt).
+    decompositions (_schmidt), and the amplitude matrices S of _schmidt.
 
     In the orthonormal product basis |a_l* b_k> of the Schmidt vectors,
 
@@ -248,7 +248,7 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
     S (core._slices) that _channels reads, so no flat D-index vector is
     built.
     """
-    n_global, U, s, Wh = _schmidt(amps, dims, p)  # checks the focus
+    n_global, U, s, Wh, S = _schmidt(amps, dims, p)  # checks the focus
     Uc = (U.conj() * math.sqrt(0.5))[..., :, None, :]
     Wt = Wh.swapaxes(-1, -2)[..., None, :, :]
     # the pairs (k, l), l > k, one k at a time in the order of _schmidt_plan:
@@ -267,24 +267,26 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
         order = np.argsort(w, axis=-1, kind="stable")
         w = np.take_along_axis(w, order, axis=-1)
         V = np.take_along_axis(V, order[..., None, None, :], axis=-1)
-    return n_global, w, _negative_columns(w, V)
+    return n_global, w, _negative_columns(w, V), S
 
 
 def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
     """N_G^p of each state of a stack, the ascending spectra w of the global
-    transposes and their negative eigenvector columns (_negative_columns).
+    transposes, their negative eigenvector columns (_negative_columns) and
+    the operand X of _channels.
 
     A (B, D) stack of amplitude vectors takes the Schmidt route
-    (_schmidt_pairs), whose columns come in focus blocks (B, d_p, D/d_p, c);
-    a (B, D, D) stack of density matrices the eigh route, whose columns are
-    flat, (B, D, c).
+    (_schmidt_pairs), whose columns come in focus blocks (B, d_p, D/d_p, c),
+    and X is its stack of amplitude matrices S (B, d_p, D/d_p), gathered
+    once; a (B, D, D) stack of density matrices the eigh route, whose
+    columns are flat, (B, D, c), and X is the stack itself.
     """
     if state.ndim == 2:
         return _schmidt_pairs(state, dims, p)
     w, V = _eigh(_global_pt(state, dims, p))
     # the trace norm of each global transpose is the sum of |w|
     n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
-    return n_global, w, _negative_columns(w, V)
+    return n_global, w, _negative_columns(w, V), state
 
 
 def _flat_columns(V: np.ndarray, dims: tuple, p: int) -> np.ndarray:
@@ -320,11 +322,12 @@ def _channel_plan(dims: tuple, p: int):
     return (math.prod(dims[:p]), dims[p], math.prod(dims[p + 1 :])), labels
 
 
-def _channels(state: np.ndarray, dims: tuple, p: int, V: np.ndarray):
+def _channels(X: np.ndarray, dims: tuple, p: int, V: np.ndarray):
     """t_id = Re Tr(P_minus rho) and the class sums s (lead + (n + 2,)) of
     each state of a stack, with P_minus = V V^dagger for the negative
-    columns V of _global_spectrum: focus blocks for amplitude vectors, flat
-    columns for density matrices.
+    columns V and the operand X of _global_spectrum: focus blocks with the
+    amplitude matrices S of a pure stack, flat columns with the density
+    matrices themselves.
 
     rho_K^{T_p} differs from rho only by Delta = rho^{T_p} - rho on the
     entries of differing count K, and Delta is zero wherever the focus
@@ -344,21 +347,23 @@ def _channels(state: np.ndarray, dims: tuple, p: int, V: np.ndarray):
     stack size.
     """
     (A, d_p, C), labels = _channel_plan(dims, p)
-    pure = state.ndim == 2
-    lead = state.shape[:-1] if pure else state.shape[:-2]
+    # the focus blocks of V carry one axis more than S, flat columns as
+    # many as the density matrices
+    pure = V.ndim > X.ndim
+    lead = X.shape[:-2]
     B, cols = math.prod(lead), V.shape[-1]
     if pure:
-        S = _slices(state, dims, (p,))
+        S = X
         Vc = V.conj()
         # |<v_j|psi>|^2 summed over the columns j
         ov = np.einsum("...arj,...ar->...j", Vc, S).view(np.float64)
         t_id = np.einsum("...i,...i->...", ov, ov)
         Sc = S.conj()
     else:
-        t_id = _trace_with(V, state)
+        t_id = _trace_with(V, X)
         V = V[..., _gather_index(dims, (p,)), :]
         Vc = V.conj()
-        M = state.reshape(B, A, d_p, C, A, d_p, C)
+        M = X.reshape(B, A, d_p, C, A, d_p, C)
     terms = []
     for a in range(d_p):
         for b in range(a + 1, d_p):
@@ -400,8 +405,8 @@ def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     rest of the report.  A roof member, pure, passes the focus blocks of
     P_minus straight from the Schmidt factors to _channels and reads one
     class sum."""
-    V = _global_spectrum(state, dims, p)[2]
-    return _channel(_kway_trace(*_channels(state, dims, p, V), K), dims[p])
+    V, X = _global_spectrum(state, dims, p)[2:]
+    return _channel(_kway_trace(*_channels(X, dims, p, V), K), dims[p])
 
 
 def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
@@ -411,9 +416,9 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
     the stack, one eigvalsh of each rho_K^{T_p}, after the channels.
     """
-    n_global, w, V = _global_spectrum(state, dims, p)  # checks the focus
+    n_global, w, V, X = _global_spectrum(state, dims, p)  # checks the focus
     n, d_p = len(dims), dims[p]
-    t_id, s = _channels(state, dims, p, V)
+    t_id, s = _channels(X, dims, p, V)
     e_partial = {K: _channel(_kway_trace(t_id, s, K), d_p) for K in range(2, n + 1)}
     e0 = -(2.0 * (n - 2) / (d_p - 1)) * t_id if n > 2 else np.zeros_like(t_id)
     # at three subsystems the pair transposes of the two partners swap the

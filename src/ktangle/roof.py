@@ -137,6 +137,8 @@ def _values(value_of, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
     stack of the rows over the square roots of their weights; 0.0 for a row
     of weight <= ROOF_MEMBER_CUTOFF, which is dropped."""
     live = probs > ROOF_MEMBER_CUTOFF
+    if live.all():  # the usual round: no row to drop
+        return value_of(rows / np.sqrt(probs)[:, None])
     out = np.zeros(len(probs))
     if live.any():
         out[live] = value_of(rows[live] / np.sqrt(probs[live])[:, None])

@@ -4,12 +4,22 @@ A state file is a JSON object with integer dims plus exactly one payload:
 amplitudes (pure state), matrix (density operator, row-major), or ensemble
 (list of {p, amplitudes}).  Complex numbers are {re, im} objects.  Amplitude
 index k follows the flat layout convention (last subsystem fastest).
+
+The cells of the amplitudes, the matrix rows and each ensemble member are
+checked in bulk (_complex_rows): one pass asks every row to be a list of
+the layout's length, every cell a dict with exactly the keys re and im and
+every value an int or a float (not a bool), fills one float64 array with
+the values and runs np.isfinite on it.  If any of these fails, the per-cell
+pass (_vector) runs instead and raises the ParseError that names the first
+bad cell, so a message does not depend on which pass found it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -46,6 +56,47 @@ def _vector(nodes, n: int, where: str) -> list:
     return [_complex_node(z, f"{where}[{i}]") for i, z in enumerate(nodes)]
 
 
+_RE, _IM = operator.itemgetter("re"), operator.itemgetter("im")
+
+
+def _bulk_cells(rows: list, n: int):
+    """The (len(rows), n) complex array of rows of n valid {re, im} cells,
+    bit for bit complex(re, im) per cell, or None if any row or cell fails a
+    check of _complex_node."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+        return None
+    cells = list(itertools.chain.from_iterable(rows))
+    # a dict of two entries that holds re and im has no other key
+    if set(map(type, cells)) != {dict} or set(map(len, cells)) != {2}:
+        return None
+    try:
+        re, im = list(map(_RE, cells)), list(map(_IM, cells))
+    except KeyError:
+        return None
+    # a type test, as in _complex_node: bool is a subclass of int
+    if not set(map(type, re)) | set(map(type, im)) <= {int, float}:
+        return None
+    out = np.empty((len(cells), 2))
+    try:
+        # an int converts as complex() converts it, correctly rounded
+        out[:, 0], out[:, 1] = re, im
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(out).all():
+        return None
+    return out.view(complex).reshape(len(rows), n)
+
+
+def _complex_rows(rows: list, n: int, where: str) -> np.ndarray:
+    """The (len(rows), n) complex array of a list of rows of n {re, im}
+    cells, checked in bulk (_bulk_cells).  Otherwise the per-cell pass raises
+    the ParseError of the first bad cell, with row i named where.format(i)."""
+    out = _bulk_cells(rows, n)
+    if out is None:
+        out = np.array([_vector(row, n, where.format(i)) for i, row in enumerate(rows)])
+    return out
+
+
 def parse_state_file(text: str):
     """Parse and validate; returns PureState, DensityOperator, or Ensemble."""
     try:
@@ -72,14 +123,13 @@ def parse_state_file(text: str):
     kind = present[0]
 
     if kind == "amplitudes":
-        return PureState(layout, _vector(doc["amplitudes"], n, "amplitudes"))
+        return PureState(layout, _complex_rows([doc["amplitudes"]], n, "amplitudes")[0])
 
     if kind == "matrix":
         rows = doc["matrix"]
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"matrix must be a list of {n} rows")
-        m = np.array([_vector(row, n, f"matrix[{i}]") for i, row in enumerate(rows)])
-        return DensityOperator(layout, m)
+        return DensityOperator(layout, _complex_rows(rows, n, "matrix[{}]"))
 
     members = doc["ensemble"]
     if not isinstance(members, list) or not members:
@@ -91,7 +141,6 @@ def parse_state_file(text: str):
         p = node["p"]
         if not isinstance(p, (int, float)) or isinstance(p, bool) or not _finite(p):
             raise ParseError(f"ensemble[{i}].p must be a finite number")
-        built.append(
-            (float(p), PureState(layout, _vector(node["amplitudes"], n, f"ensemble[{i}].amplitudes")))
-        )
+        amps = _complex_rows([node["amplitudes"]], n, f"ensemble[{i}].amplitudes")[0]
+        built.append((float(p), PureState(layout, amps)))
     return Ensemble(members=tuple(built))

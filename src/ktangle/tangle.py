@@ -163,6 +163,17 @@ def _tangles(n_global: np.ndarray, amps: np.ndarray, dims: tuple, p: int):
     return tau, pairs, tau - sum(pairs.values())
 
 
+def _tangle_report(n_global: np.ndarray, amps: np.ndarray, dims: tuple, p: int) -> TangleReport:
+    """The TangleReport of a batch of one three-qubit pure state (1, 8) with
+    the global negativity n_global (1,) of the focus p (_tangles)."""
+    tau, pairs, tau3 = _tangles(n_global, amps, dims, p)
+    return TangleReport(
+        tau_focus=float(tau[0]),
+        tau_pairs={partner: float(t[0]) for partner, t in pairs.items()},
+        tau3=float(tau3[0]),
+    )
+
+
 def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
     """The CKW split of the focus of a three-qubit pure state (_tangles);
     tau3 does not depend on the focus."""
@@ -170,9 +181,4 @@ def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
     if dims != (2, 2, 2):
         raise ValueError("three tangle needs a three-qubit pure state")
     amps = psi.amplitudes[None]
-    tau, pairs, tau3 = _tangles(_schmidt(amps, dims, focus)[0], amps, dims, focus)
-    return TangleReport(
-        tau_focus=float(tau[0]),
-        tau_pairs={partner: float(t[0]) for partner, t in pairs.items()},
-        tau3=float(tau3[0]),
-    )
+    return _tangle_report(_schmidt(amps, dims, focus)[0], amps, dims, focus)

@@ -70,6 +70,51 @@ def _haar_doc(n, seed):
     return {"dims": [2] * n, "amplitudes": amplitudes_json(psi.amplitudes)}
 
 
+@pytest.mark.parametrize(
+    "flags, calls",
+    [([], 3), (["--focus", "A", "--canonical"], 1), (["--focus", "A"], 1), (["--focus", "C"], 2)],
+)
+def test_three_qubit_analyze_runs_one_schmidt_step_per_focus(
+    write_state, capsys, monkeypatch, flags, calls
+):
+    # each focus report's N_G feeds its CKW split and, at focus A, delta;
+    # only a report without focus A computes delta apart (coherence_delta)
+    from ktangle import negativity
+
+    foci = []
+
+    def counted(amps, dims, p, _schmidt=negativity._schmidt):
+        foci.append(p)
+        return _schmidt(amps, dims, p)
+
+    sites = [m for name, m in sorted(sys.modules.items())
+             if name.startswith("ktangle.") and getattr(m, "_schmidt", None) is negativity._schmidt]
+    assert {m.__name__ for m in sites} >= {"ktangle.negativity", "ktangle.tangle", "ktangle.roof"}
+    for m in sites:
+        monkeypatch.setattr(m, "_schmidt", counted)
+    path = write_state("haar3.json", _haar_doc(3, 17))
+    rc, out, _ = _run(capsys, ["analyze", path, *flags])
+    assert rc in (0, 3) and json.loads(out)["reports"]
+    assert len(foci) == calls, foci
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_three_qubit_analyze_prints_the_public_tangles_and_delta(write_state, capsys, seed):
+    # the report path reuses each report's N_G; the public functions take
+    # their own Schmidt step, and the printed values agree bit for bit
+    doc = _haar_doc(3, seed)
+    psi = kt.PureState(L3, np.array([complex(c["re"], c["im"]) for c in doc["amplitudes"]]))
+    path = write_state("haar3.json", doc)
+    delta = cli._sig12(kt.coherence_delta(psi))
+    for flags in ([], ["--focus", "B"]):
+        rc, out, _ = _run(capsys, ["analyze", path, *flags])
+        assert rc in (0, 3)
+        for rep in json.loads(out)["reports"]:
+            p = "ABC".index(rep["negativity"]["focus"])
+            assert rep["tangle"] == cli._tangle_block(kt.three_tangle(psi, p))
+            assert rep["delta"] == delta
+
+
 def test_analyze_all_foci_five_qubits(write_state, capsys):
     path = write_state("q5.json", _haar_doc(5, 11))
     rc, out, _ = _run(capsys, ["analyze", path])
@@ -656,6 +701,28 @@ def test_printed_eigenvectors_take_one_gauge_on_both_routes(write_state, capsys)
 def test_gauge_takes_the_first_largest_entry():
     vec = np.array([0.5j, -0.5, 0.5, -0.5j])
     assert np.array_equal(cli._gauged(vec), np.array([0.5, 0.5j, -0.5j, -0.5]))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+def test_documents_print_as_json_dumps_with_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_document_printing_edge_cases():
+    doc = {"empty": {}, "none": [], "nested": [[], {}, [{}]], "tuple": (1, 2.5),
+           "floats": [-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")],
+           "ints": [0, -7, 10**30, True, False, None], "text": "\u00e9\"\n\\ <in>"}
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    for bad in ({"x": 1j}, [{1, 2}], {1: 0.5}):
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
 
 
 @pytest.mark.parametrize("n", [7, 9])

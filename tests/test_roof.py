@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 import ktangle as kt
 
 from conftest import L2, L3, L4, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
-from ktangle.config import ROOF_DRAW_STEPS, ROOF_ROUND_ROWS, STACK_CHUNK
-from ktangle.roof import _draws, _member_value, _search, _support
+from ktangle.config import ROOF_DRAW_STEPS, ROOF_MEMBER_CUTOFF, ROOF_ROUND_ROWS, STACK_CHUNK
+from ktangle.roof import _draws, _member_value, _search, _support, _values
 
 # the most restarts whose rounds still prefetch two steps each; one more
 # restart makes every round a single lockstep step
@@ -271,6 +271,25 @@ def test_lockstep_matches_sequential_oracle(layout, measure, rank, restarts, ite
         for (p1, s1), (p2, s2) in zip(got.certificate.members, want.certificate.members):
             assert np.array_equal(p1, p2)
             assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+
+@pytest.mark.parametrize("measure", ["global", "k2", "k3"])
+def test_member_values_drop_zero_weight_rows_only(measure):
+    # a stack with every row live is evaluated whole; a row of zero weight,
+    # or of weight at the cutoff, reads 0.0 and leaves the other rows' bits
+    rng = np.random.default_rng(4)
+    value_of = _member_value(measure, 1, L3)
+    rows = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    probs = np.einsum("jd,jd->j", rows, rows.conj()).real
+    want = np.array([value_of(r[None] / np.sqrt(q))[0] for r, q in zip(rows, probs)])
+    assert _values(value_of, rows, probs).tobytes() == want.tobytes()
+    rows[2], probs[2] = 0.0, 0.0
+    probs[4] = ROOF_MEMBER_CUTOFF
+    got = _values(value_of, rows, probs)
+    assert got[2] == got[4] == 0.0
+    keep = [0, 1, 3, 5]
+    assert got[keep].tobytes() == want[keep].tobytes()
+    assert not _values(value_of, rows[[2]], probs[[2]]).any()
 
 
 def _rotation(j, k, t, ph):

@@ -164,12 +164,11 @@ def test_pure_channel_sums_do_not_depend_on_the_stack_size():
     for dims in CHANNEL_DIMS:
         amps = _channel_stacks(dims)["pure"]
         for p in range(len(dims)):
-            t_id, s = negativity._channels(
-                amps, dims, p, negativity._global_spectrum(amps, dims, p)[2]
-            )
+            V, S = negativity._global_spectrum(amps, dims, p)[2:]
+            t_id, s = negativity._channels(S, dims, p, V)
             for b in range(len(amps)):
-                row = amps[b : b + 1]
-                one = negativity._channels(row, dims, p, negativity._global_spectrum(row, dims, p)[2])
+                V, S = negativity._global_spectrum(amps[b : b + 1], dims, p)[2:]
+                one = negativity._channels(S, dims, p, V)
                 assert one[0][0] == t_id[b], (dims, p, b)
                 assert one[1][0].tobytes() == s[b].tobytes(), (dims, p, b)
 
