@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _sig12(x) -> float:
     x = float(x)
-    if x == 0.0 or not np.isfinite(x):
+    if x == 0.0 or not math.isfinite(x):
         return 0.0 if x == 0.0 else x
     return float(f"{x:.12g}")
 

@@ -66,8 +66,8 @@ STACK_CHUNK = 256
 ROOF_ROUND_ROWS = 32
 
 # Rotation steps each restart of the roof search holds drawn at a time: its
-# stream is drawn in chunks of this many, so memory does not grow with the
-# iterations; the default budget of 400 draws once.
+# stream, four doubles a step, is drawn in chunks of this many, so memory
+# does not grow with the iterations; the default budget of 400 draws once.
 ROOF_DRAW_STEPS = 400
 
 # The roof search decomposes a rank-r state into min(2r, ROOF_MAX_MEMBERS)

@@ -7,8 +7,8 @@ weighted eigenvectors, so the search runs over that isometry manifold with
 random restarts and accept-if-better two-member rotations under a cooling
 schedule.  Its values are upper bounds on the true roof (bound "upper").
 The proposal draws do not depend on the search state, so each restart
-draws its whole rotation stream once, up front, from the raw words of its
-generator (_draws), and the search prefetches its proposals (Brockwell,
+draws its rotation steps ahead of the search, four doubles of its generator
+a step (_draws), and the search prefetches its proposals (Brockwell,
 J. Comput. Graph. Stat. 15, 246, 2006): each round evaluates several steps
 of every restart as one member stack, speculating that they are rejected,
 and replays the accept rule in draw order (_descend).
@@ -145,136 +145,32 @@ def _values(value_of, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Words:
-    """The raw 64-bit words of a PCG64 generator, read the way its own draws
-    read them: a 32-bit draw takes the low half of a new word and keeps the
-    high half for the next 32-bit draw; a double takes a whole word and
-    leaves a kept half in place.  Fetches first words up front and the rest
-    as they are needed."""
-
-    def __init__(self, bitgen, first: int):
-        self.bitgen = bitgen
-        self.words = bitgen.random_raw(first)
-        self.pos = 0
-        self.half = None  # the kept high half, if any
-
-    def peek(self, n: int) -> np.ndarray:
-        short = self.pos + n - len(self.words)
-        if short > 0:
-            self.words = np.concatenate((self.words[self.pos :], self.bitgen.random_raw(short)))
-            self.pos = 0
-        return self.words[self.pos : self.pos + n]
-
-    def next64(self) -> int:
-        word = int(self.peek(1)[0])
-        self.pos += 1
-        return word
-
-    def next32(self) -> int:
-        if self.half is not None:
-            out, self.half = self.half, None
-            return out
-        word = self.next64()
-        self.half = word >> 32
-        return word & 0xFFFFFFFF
-
-
-# Where a pair of rotation steps that starts with no kept half reads its 7
-# words: each step's three 32-bit draws (word, shift) and two doubles.
-_HALF_WORD = np.array([[0, 0, 1], [1, 4, 4]])
-_HALF_SHIFT = np.array([[0, 32, 0], [32, 0, 32]], dtype=np.uint64)
-_DOUBLE_WORD = np.array([[2, 3], [5, 6]])
-
-
-def _lemire(x, span):
-    """Lemire's bounded draw on [0, span) from the 32-bit x, and whether the
-    draw rejects x (ACM TOMACS 29, 3, 2019)."""
-    product = x * span
-    return product >> 32, (product & 0xFFFFFFFF) < (2**32) % span
-
-
 def _draws(g, m: int, iters: int, start: int = 0) -> tuple:
     """Steps start .. start + iters - 1 of the two-member rotations of g,
-    bit for bit what successive g.choice(m, size=2, replace=False),
-    g.uniform(-theta, theta) and g.uniform(0, 2 pi) calls return, theta
-    starting at 0.5 at step 0 and shrinking by 0.995 after every step; g is
-    left where those calls leave it.  Returns the (iters, 2) members j != k
-    and the (iters, 3) coefficients (c, se, sc) of new j = c j + se k and
-    new k = sc j + c k.
+    four doubles u = g.random(4) a step: the members j = floor(m u_0) and
+    k = floor((m - 1) u_1), plus one if k >= j; the angle
+    t = theta (2 u_2 - 1), theta starting at 0.5 at step 0 and shrinking by
+    0.995 after every step; the phase ph = 2 pi u_3.  Returns the (iters, 2)
+    members j != k and the (iters, 3) coefficients (c, se, sc) of
+    new j = c j + se k and new k = sc j + c k.
 
-    The draws are rebuilt from g's raw PCG64 words (_Words).  numpy's Floyd
-    choice makes three bounded draws (_lemire): on [0, m - 2], on [0, m - 1]
-    (m - 1 if it repeats the first) and the bit that swaps the two; a uniform
-    is low + (high - low) (word >> 11) 2^-53.  From a word boundary and until
-    a bounded draw rejects, every pair of steps reads the same 7 words, so
-    those steps decode as arrays; a rejecting step, and a step that starts
-    with a kept half, are read one draw at a time.  A stream may be drawn
-    in chunks, each call starting where the last one stopped: a kept half
-    is left in g for the next chunk, so at step 0 g must hold none.
+    g.random draws every double on its own, so a stream drawn in chunks,
+    each call starting where the last one stopped, is the stream drawn at
+    once, and both leave g in the same state.
     """
-    bitgen = g.bit_generator
-    name = type(bitgen).__name__
-    if not isinstance(bitgen, np.random.PCG64):
-        raise ValidationError(f"roof draws read a PCG64 stream, not {name}")
-    state = bitgen.state
-    if state["has_uint32"] and not start:
-        raise ValidationError(f"roof draws need a {name} stream with no kept 32-bit half")
-    span = np.array([m - 1, m, 2], dtype=np.uint64)
-    kept = state["uinteger"] if state["has_uint32"] else None
-    # every word the steps read if nothing rejects; with a kept half, the
-    # first step is read one draw at a time
-    words = _Words(bitgen, 0 if kept is not None else (7 * iters + 1) // 2)
-    words.half = kept
-    x = np.empty((iters, 3), dtype=np.uint64)  # the 32-bit draws each step keeps
-    u = np.empty((iters, 2), dtype=np.uint64)  # the words of each step's doubles
-    done = 0
-    while done < iters:
-        if words.half is None:
-            n = iters - done
-            v = words.peek((7 * n + 1) // 2)
-            at = np.arange(n)
-            word0, parity = 7 * (at // 2), at % 2
-            halves = (v[word0[:, None] + _HALF_WORD[parity]] >> _HALF_SHIFT[parity]) & 0xFFFFFFFF
-            rejects = _lemire(halves, span)[1].any(axis=1)
-            ok = int(rejects.argmax()) if rejects.any() else n
-            x[done : done + ok] = halves[:ok]
-            u[done : done + ok] = v[word0[:ok, None] + _DOUBLE_WORD[parity[:ok]]]
-            words.pos += (7 * ok + 1) // 2
-            if ok % 2:
-                words.half = int(v[7 * (ok // 2) + 1]) >> 32
-            done += ok
-        if done < iters:
-            # a step that rejects, or that starts with a kept half
-            for col, bound in enumerate(span.tolist()):
-                half = words.next32()
-                while _lemire(half, bound)[1]:
-                    half = words.next32()
-                x[done, col] = half
-            u[done] = words.next64(), words.next64()
-            done += 1
-    if kept is not None or words.half is not None:
-        # the next 32-bit draw of g reads the half the last step kept, if any
-        state = bitgen.state
-        state["has_uint32"] = int(words.half is not None)
-        if words.half is not None:
-            state["uinteger"] = words.half
-        bitgen.state = state
-    first, second, swap = _lemire(x, span)[0].T
-    second = np.where(second == first, m - 1, second)
-    # the shuffle swaps the two on a 0
-    pairs = np.where(swap[:, None] == 1, np.stack((first, second), 1), np.stack((second, first), 1))
-    double = (u >> 11) * 2.0**-53
+    u = g.random((iters, 4))
+    j = (m * u[:, 0]).astype(np.intp)  # m u < m for every double u < 1
+    k = ((m - 1) * u[:, 1]).astype(np.intp)
+    k += k >= j
     theta = np.cumprod(np.r_[0.5, np.full(start + iters - 1, 0.995)])[start:]
-    # uniform(low, high) is low + (high - low) u, operation for operation
-    t = -theta + (theta - -theta) * double[:, 0]
-    ph = 0.0 + (2.0 * math.pi - 0.0) * double[:, 1]
+    t = theta * (2.0 * u[:, 2] - 1.0)
+    ph = 2.0 * math.pi * u[:, 3]
     # math's cos and sin, as the sequential search takes them: numpy's
     # vectorized ones may round differently
     c, s = (np.array(list(map(f, t.tolist()))) for f in (math.cos, math.sin))
     ei = np.empty(iters, dtype=complex)
     ei.real, ei.imag = (list(map(f, ph.tolist())) for f in (math.cos, math.sin))
-    coefs = np.stack((c, s * ei, -s * ei.conj()), 1)
-    return pairs.astype(np.intp), coefs
+    return np.stack((j, k), 1), np.stack((c, s * ei, -s * ei.conj()), 1)
 
 
 def _zero_diagonal(M: np.ndarray) -> np.ndarray:
@@ -441,11 +337,11 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     isometry, in windows of ROOF_DRAW_STEPS steps held in (G, window)
     arrays of pairs and coefficients, about 64 bytes a step, so memory does
     not grow with iters; a restart whose next round would run past its
-    window keeps the steps it has not replayed and draws the rest.  The
-    group shares one (G, m, D) array of member rows and runs in rounds.  A
-    round slices the next depth steps of every restart (depth =
-    ROOF_ROUND_ROWS // 2G, at least 1) from those arrays, builds every
-    proposed pair of rows as if all earlier steps of the round were
+    window keeps the steps it has not replayed and draws the next ones of
+    its stream.  The group shares one (G, m, D) array of member rows and
+    runs in rounds.  A round slices the next depth steps of every restart
+    (depth = ROOF_ROUND_ROWS // 2G, at least 1) from those arrays, builds
+    every proposed pair of rows as if all earlier steps of the round were
     rejected, and evaluates them all as one stack.  The accept rule then
     replays each restart's proposals in draw order and stops at the first
     one that reads a row an accepted step of the round changed; that step

@@ -5,13 +5,15 @@ amplitudes (pure state), matrix (density operator, row-major), or ensemble
 (list of {p, amplitudes}).  Complex numbers are {re, im} objects.  Amplitude
 index k follows the flat layout convention (last subsystem fastest).
 
-The cells of the amplitudes, the matrix rows and each ensemble member are
-checked in bulk (_complex_rows): one pass asks every row to be a list of
+The cells of the amplitudes, the matrix rows and the members of an ensemble
+are checked in bulk (_complex_rows): one pass asks every row to be a list of
 the layout's length, every cell a dict with exactly the keys re and im and
 every value an int or a float (not a bool), fills one float64 array with
 the values and runs np.isfinite on it.  If any of these fails, the per-cell
 pass (_vector) runs instead and raises the ParseError that names the first
-bad cell, so a message does not depend on which pass found it.
+bad cell, so a message does not depend on which pass found it.  An
+ensemble's amplitude lists are the rows of one bulk call, made once every
+member's p is checked.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ def _complex_rows(rows: list, n: int, where: str) -> np.ndarray:
     return out
 
 
+def _member(i: int, node) -> tuple:
+    """The p and the amplitude list of ensemble member i, its node checked."""
+    if not isinstance(node, dict) or "p" not in node or "amplitudes" not in node:
+        raise ParseError(f"ensemble[{i}] must be an object with p and amplitudes")
+    p = node["p"]
+    if not isinstance(p, (int, float)) or isinstance(p, bool) or not _finite(p):
+        raise ParseError(f"ensemble[{i}].p must be a finite number")
+    return float(p), node["amplitudes"]
+
+
 def parse_state_file(text: str):
     """Parse and validate; returns PureState, DensityOperator, or Ensemble."""
     try:
@@ -134,13 +146,13 @@ def parse_state_file(text: str):
     members = doc["ensemble"]
     if not isinstance(members, list) or not members:
         raise ParseError("ensemble must be a nonempty list of {p, amplitudes} objects")
-    built = []
-    for i, node in enumerate(members):
-        if not isinstance(node, dict) or "p" not in node or "amplitudes" not in node:
-            raise ParseError(f"ensemble[{i}] must be an object with p and amplitudes")
-        p = node["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not _finite(p):
-            raise ParseError(f"ensemble[{i}].p must be a finite number")
-        amps = _complex_rows([node["amplitudes"]], n, f"ensemble[{i}].amplitudes")[0]
-        built.append((float(p), PureState(layout, amps)))
-    return Ensemble(members=tuple(built))
+    try:
+        probs, rows = zip(*(_member(i, node) for i, node in enumerate(members)))
+        amps = _complex_rows(list(rows), n, "ensemble[{}].amplitudes")
+    except ParseError:
+        # again member by member, so the error raised is the first in file order
+        for i, node in enumerate(members):
+            row = _member(i, node)[1]
+            PureState(layout, _complex_rows([row], n, f"ensemble[{i}].amplitudes")[0])
+        raise
+    return Ensemble(members=tuple((p, PureState(layout, a)) for p, a in zip(probs, amps)))

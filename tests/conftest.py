@@ -158,6 +158,16 @@ def eigen_members(rho):
     ]
 
 
+def rotation_draw(g, m, theta):
+    """One rotation step of the roof search, from four doubles u = g.random(4):
+    the members j = floor(m u_0) and k = floor((m - 1) u_1), plus one if
+    k >= j, the angle t = theta (2 u_2 - 1) and the phase ph = 2 pi u_3."""
+    u = g.random(4)
+    j, k = int(m * u[0]), int((m - 1) * u[1])
+    k += k >= j
+    return j, k, float(theta * (2.0 * u[2] - 1.0)), float(2.0 * math.pi * u[3])
+
+
 def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
     """The roof search one restart and one member at a time.
 
@@ -201,9 +211,7 @@ def sequential_roof(rho, p, measure="global", budget=kt.RoofBudget()):
         at_mark = cur
         theta = 0.5
         for it in range(iters):
-            j, k = g.choice(m, size=2, replace=False)
-            t = g.uniform(-theta, theta)
-            ph = g.uniform(0.0, 2.0 * math.pi)
+            j, k, t, ph = rotation_draw(g, m, theta)
             c, s = math.cos(t), math.sin(t)
             ei = cmath.exp(1j * ph)
             nj = c * phis[j] + s * ei * phis[k]

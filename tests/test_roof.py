@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L2, L3, L4, WOOTTERS_CASES, eigen_members, mixed_state, sequential_roof
+from conftest import (
+    L2, L3, L4, WOOTTERS_CASES, eigen_members, mixed_state, rotation_draw, sequential_roof,
+)
 from ktangle.config import ROOF_DRAW_STEPS, ROOF_MEMBER_CUTOFF, ROOF_ROUND_ROWS, STACK_CHUNK
 from ktangle.roof import _draws, _member_value, _search, _support, _values
 
@@ -300,13 +302,12 @@ def _rotation(j, k, t, ph):
     return (j, k), (c, s * ei, -s * np.conj(ei))
 
 
-def _live_draws(g, m, iters):
-    """iters steps drawn by successive choice and uniform calls on g."""
+def _stepwise(g, m, iters):
+    """iters steps drawn one g.random(4) call at a time, as the sequential
+    search draws them."""
     steps, theta = [], 0.5
     for _ in range(iters):
-        j, k = g.choice(m, size=2, replace=False)
-        t, ph = g.uniform(-theta, theta), g.uniform(0.0, 2.0 * math.pi)
-        steps.append(_rotation(int(j), int(k), t, ph))
+        steps.append(_rotation(*rotation_draw(g, m, theta)))
         theta *= 0.995
     return np.array([s[0] for s in steps]), np.array([s[1] for s in steps])
 
@@ -321,15 +322,14 @@ def test_draws_match_live_generator_calls(m):
                 for g in (got, want):
                     g.standard_normal((m, 3)), g.standard_normal((m, 3))
             pairs, coefs = _draws(got, m, 64)
-            want_pairs, want_coefs = _live_draws(want, m, 64)
+            want_pairs, want_coefs = _stepwise(want, m, 64)
             assert np.array_equal(pairs, want_pairs)
             assert coefs.tobytes() == want_coefs.tobytes()
 
 
 @pytest.mark.parametrize("m", [4, 6, 10])
 def test_draws_in_chunks_match_one_draw_and_the_live_calls(m):
-    # a search longer than ROOF_DRAW_STEPS draws each stream in chunks; odd
-    # chunk ends leave a kept 32-bit half in the generator for the next one
+    # a search longer than ROOF_DRAW_STEPS draws each stream in chunks
     for seed in range(20):
         whole, chunked, live = (np.random.default_rng(seed) for _ in range(3))
         pairs, coefs = _draws(whole, m, 150)
@@ -339,105 +339,29 @@ def test_draws_in_chunks_match_one_draw_and_the_live_calls(m):
             start += n
         assert np.array_equal(np.concatenate([x for x, _ in parts]), pairs)
         assert np.concatenate([y for _, y in parts]).tobytes() == coefs.tobytes()
-        _live_draws(live, m, 150)
-        assert _position(whole) == _position(chunked) == _position(live)
+        _stepwise(live, m, 150)
+        state = whole.bit_generator.state
+        assert chunked.bit_generator.state == live.bit_generator.state == state
 
 
-def _position(g):
-    """Where the next draw of g starts: its PCG64 state and its kept half."""
-    state = g.bit_generator.state
-    return state["state"], state["uinteger"] if state["has_uint32"] else None
-
-
-class _CraftedPCG64(np.random.PCG64):
-    """A PCG64 whose raw words are given, counting the words it hands out."""
-
-    def __init__(self, words):
-        super().__init__(0)
-        self.words = [int(w) for w in words]
-        self.fetches = []
-
-    def random_raw(self, size=None, output=True):
-        self.fetches.append(size)
-        out, self.words = self.words[:size], self.words[size:]
-        assert len(out) == size, "read past the crafted words"
-        return np.array(out, dtype=np.uint64)
-
-
-def _reference_draws(words, m, iters):
-    """The steps numpy's C code draws from a PCG64 stream of the given raw
-    words, one 32-bit or 64-bit draw at a time, and the words it reads."""
-    words = iter(int(w) for w in words)
-    read, kept = [0], []
-
-    def word():
-        read[0] += 1
-        return next(words)
-
-    def next32():
-        if kept:
-            return kept.pop()
-        w = word()
-        kept.append(w >> 32)
-        return w & 0xFFFFFFFF
-
-    def bounded(rng):  # Lemire's draw on [0, rng], as buffered_bounded_lemire_uint32
-        m_ = next32() * (rng + 1)
-        if (m_ & 0xFFFFFFFF) < rng + 1:
-            threshold = (0xFFFFFFFF - rng) % (rng + 1)
-            while (m_ & 0xFFFFFFFF) < threshold:
-                m_ = next32() * (rng + 1)
-        return m_ >> 32
-
-    def uniform(low, high):
-        return low + (high - low) * ((word() >> 11) * (1.0 / 9007199254740992.0))
-
-    steps, theta = [], 0.5
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_draws_pick_every_ordered_pair_evenly(m):
+    iters = 20000
+    pairs, _ = _draws(np.random.default_rng(m), m, iters)
+    g, theta, steps = np.random.default_rng(m), 0.5, []
     for _ in range(iters):
-        # Floyd's choice: [0, m - 2], then [0, m - 1] or m - 1 on a repeat,
-        # then a shuffle that swaps the two on a 0 from [0, 1]
-        first = bounded(m - 2)
-        second = bounded(m - 1)
-        pair = [first, second if second != first else m - 1]
-        if bounded(1) == 0:
-            pair.reverse()
-        steps.append(_rotation(*pair, uniform(-theta, theta), uniform(0.0, 2.0 * math.pi)))
+        steps.append((*rotation_draw(g, m, theta), theta))
         theta *= 0.995
-    pairs, coefs = np.array([s[0] for s in steps]), np.array([s[1] for s in steps])
-    return pairs, coefs, read[0]
-
-
-@pytest.mark.parametrize("m", [4, 6, 10])
-def test_draws_follow_rejected_bounded_draws(m):
-    # PCG64 never leads its bounded draws into a rejection in practice; a
-    # zero 32-bit half is rejected on [0, m - 2] and [0, m - 1] for these m
-    # (except [0, 3], whose span divides 2^32), so the crafted words zero
-    # many halves, in runs too
-    rng = np.random.default_rng(m)
-    words = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
-    halves = words.view(np.uint32).copy()
-    halves[rng.random(halves.size) < 0.3] = 0
-    halves[:6] = 0
-    words = halves.view(np.uint64)
-    iters = 300
-    want_pairs, want_coefs, read = _reference_draws(words, m, iters)
-    bitgen = _CraftedPCG64(words)
-    pairs, coefs = _draws(np.random.Generator(bitgen), m, iters)
-    assert np.array_equal(pairs, want_pairs)
-    assert coefs.tobytes() == want_coefs.tobytes()
-    assert len(words) - len(bitgen.words) == read  # no word past the last draw
-    # the rejections used up the first fetch, and the source fetched more
-    assert len(bitgen.fetches) > 1 and read > bitgen.fetches[0]
-
-
-def test_draws_check_the_bit_generator():
-    with pytest.raises(kt.ValidationError, match="Philox"):
-        _draws(np.random.Generator(np.random.Philox(0)), 4, 10)
-    # a 32-bit draw keeps the high half of its word for the next one
-    g = np.random.default_rng(0)
-    g.integers(0, 5, dtype=np.uint32)
-    with pytest.raises(kt.ValidationError, match="PCG64"):
-        _draws(g, 4, 10)
+    j, k, t, ph, theta = np.array(steps).T
+    assert np.array_equal(pairs, np.stack((j, k), 1))
+    assert (j != k).all() and pairs.min() >= 0 and pairs.max() < m
+    counts = np.zeros((m, m), dtype=int)
+    np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+    q = 1.0 / (m * (m - 1))
+    off = ~np.eye(m, dtype=bool)
+    assert np.all(np.abs(counts[off] - iters * q) <= 5 * math.sqrt(iters * q * (1 - q)))
+    assert np.all(np.abs(t) <= theta)
+    assert np.all((ph >= 0.0) & (ph < 2 * math.pi))
 
 
 def test_prefetching_rounds_evaluate_several_steps_per_stack():

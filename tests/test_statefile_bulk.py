@@ -172,3 +172,34 @@ def test_bulk_parse_peaks_no_higher_than_per_cell(monkeypatch):
     monkeypatch.setattr(statefile, "_bulk_cells", lambda rows, n: None)
     cellwise = _peak(parse_state_file, text), _peak(statefile._complex_rows, rows, 128, "matrix[{}]")
     assert bulk[0] <= cellwise[0] and bulk[1] <= cellwise[1], (bulk, cellwise)
+
+
+def _ensemble3(rng) -> list:
+    return [{"p": p, "amplitudes": amplitudes_json(_pure4(rng))} for p in (0.5, 0.25, 0.25)]
+
+
+def test_an_ensemble_takes_one_bulk_call(monkeypatch, no_fallback):
+    calls = []
+
+    def counted(rows, n, _bulk=statefile._bulk_cells):
+        calls.append(len(rows))
+        return _bulk(rows, n)
+
+    monkeypatch.setattr(statefile, "_bulk_cells", counted)
+    doc = {"dims": list(L4.dims), "ensemble": _ensemble3(np.random.default_rng(3))}
+    parse_state_file(json.dumps(doc))
+    assert calls == [3]
+
+
+def test_an_ensemble_raises_the_error_of_its_first_bad_member():
+    # the members are parsed in file order: member 1's bad cell before
+    # member 2's bad p, and member 0's bad norm before member 1's bad cell
+    members = _ensemble3(np.random.default_rng(3))
+    members[1]["amplitudes"][6] = {"re": 0.1, "im": "x"}
+    members[2]["p"] = float("nan")
+    with pytest.raises(kt.ParseError) as exc:
+        parse_state_file(json.dumps({"dims": list(L4.dims), "ensemble": members}))
+    assert str(exc.value) == "ensemble[1].amplitudes[6] re/im must be numbers"
+    members[0]["amplitudes"][0] = {"re": 3.0, "im": 0.0}
+    with pytest.raises(kt.ValidationError, match="^state norm = "):
+        parse_state_file(json.dumps({"dims": list(L4.dims), "ensemble": members}))
