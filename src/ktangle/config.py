@@ -65,9 +65,10 @@ STACK_CHUNK = 256
 # prefetches ROOF_ROUND_ROWS // 2R rotation steps of each (at least one).
 ROOF_ROUND_ROWS = 32
 
-# Rotation steps each restart of the roof search holds drawn at a time: its
-# stream, four doubles a step, is drawn in chunks of this many, so memory
-# does not grow with the iterations; the default budget of 400 draws once.
+# Rotation steps per segment of the roof search: at the start of a segment
+# each restart draws its steps of the segment, four doubles a step, and only
+# one segment's draws are held, so memory does not grow with the
+# iterations; the default budget of 400 is one segment and draws once.
 ROOF_DRAW_STEPS = 400
 
 # The roof search decomposes a rank-r state into min(2r, ROOF_MAX_MEMBERS)

@@ -124,20 +124,26 @@ def _exact_limit_result(params: GhzwParams) -> CanonicalizationResult:
 
 def _closed_form_root_check(result: CanonicalizationResult, x: float):
     # the ratio |UA00|/|UA01| of each form's first-qubit rotation must match
-    # a root x^2 (1 +- sqrt(1 - 4/x^3))/2 whenever that expression is real
-    t = 1.0 - 4.0 / x**3
-    if t < 0.0:
+    # a root of r^2 - x^2 r + x = 0 (sum x^2, product x) whenever its
+    # discriminant x^4 - 4x is nonnegative: the larger root without
+    # cancellation, the other from the product, and no power of x in a
+    # denominator to underflow or overflow at tiny q
+    disc = x**4 - 4.0 * x
+    if disc < 0.0:
         return
-    roots = sorted(abs(x * x * (1.0 + s * math.sqrt(t)) / 2.0) for s in (-1.0, 1.0))
-    lo = roots[0] - GHZW_ROOT_RTOL * (1.0 + roots[0])
+    big = (x * x + math.sqrt(disc)) / 2.0
+    roots = [abs(x) / big, big]  # |x| / big <= sqrt|x| <= big, and big > 0 for x != 0
+    # roots of opposite sign (x < 0) merge through 0
+    lo = 0.0 if x < 0.0 else roots[0] - GHZW_ROOT_RTOL * (1.0 + roots[0])
     hi = roots[1] + GHZW_ROOT_RTOL * (1.0 + roots[1])
     for us in result.unitaries:
         ua = us[0].matrix
         ratio = abs(ua[0, 0]) / abs(ua[0, 1])
         if len(result.forms) == 1:
-            # near x^3 = 4 the reducer merges the roots into one form once its
-            # discriminant is below CANONICAL_DISC_EPS, while the closed-form
-            # roots are still apart: that form may take any ratio between them
+            # the reducer merges the roots into one form once its discriminant
+            # is below CANONICAL_DISC_EPS, near x^3 = 4 and at tiny |x|, while
+            # the closed-form roots are still apart: that form may take any
+            # ratio between them
             ok = lo <= ratio <= hi
         else:
             ok = any(abs(ratio - r) <= GHZW_ROOT_RTOL * (1.0 + r) for r in roots)

@@ -8,7 +8,8 @@ random restarts and accept-if-better two-member rotations under a cooling
 schedule.  Its values are upper bounds on the true roof (bound "upper").
 The proposal draws do not depend on the search state, so each restart
 draws its rotation steps ahead of the search, four doubles of its generator
-a step (_draws), and the search prefetches its proposals (Brockwell,
+a step (_draws), one segment of ROOF_DRAW_STEPS steps at a time for the
+whole group of restarts, and the search prefetches its proposals (Brockwell,
 J. Comput. Graph. Stat. 15, 246, 2006): each round evaluates several steps
 of every restart as one member stack, speculating that they are rejected,
 and replays the accept rule in draw order (_descend).
@@ -333,20 +334,21 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     the identity isometry if identity_first.  Returns the value, member rows,
     weights and converged flag of the first best restart.
 
-    Each restart draws its rotations (_draws) right after its initial
-    isometry, in windows of ROOF_DRAW_STEPS steps held in (G, window)
-    arrays of pairs and coefficients, about 64 bytes a step, so memory does
-    not grow with iters; a restart whose next round would run past its
-    window keeps the steps it has not replayed and draws the next ones of
-    its stream.  The group shares one (G, m, D) array of member rows and
-    runs in rounds.  A round slices the next depth steps of every restart
-    (depth = ROOF_ROUND_ROWS // 2G, at least 1) from those arrays, builds
-    every proposed pair of rows as if all earlier steps of the round were
-    rejected, and evaluates them all as one stack.  The accept rule then
-    replays each restart's proposals in draw order and stops at the first
-    one that reads a row an accepted step of the round changed; that step
-    and the later ones are rebuilt from the updated rows next round.  Most
-    steps are rejected, so a round advances each restart by several steps.
+    The search runs in segments of ROOF_DRAW_STEPS steps.  At the start of a
+    segment every restart draws its steps of the segment (_draws) into (G,
+    window) arrays of pairs and coefficients, about 64 bytes a step, which
+    each segment refills, so memory does not grow with iters.  A generator
+    draws its initial isometry first and its steps in order, so no stream
+    changes.  The group shares one (G, m, D) array of member rows and runs
+    each segment in rounds.  A round slices the next depth steps of every
+    restart (depth = ROOF_ROUND_ROWS // 2G, at least 1, none past the
+    segment) from those arrays, builds every proposed pair of rows as if all
+    earlier steps of the round were rejected, and evaluates them all as one
+    stack.  The accept rule then replays each restart's proposals in draw
+    order and stops at the first one that reads a row an accepted step of
+    the round changed; that step and the later ones are rebuilt from the
+    updated rows next round.  Most steps are rejected, so a round advances
+    each restart by several steps.
     """
     r, D = base.shape
     G = len(children)
@@ -355,9 +357,6 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
     # search: BLAS sums the strided probs @ vals in another order than a
     # contiguous one
     probs = np.empty((G, m), dtype=complex)
-    window = min(iters, ROOF_DRAW_STEPS)
-    pairs = np.empty((G, window, 2), dtype=np.intp)
-    coefs = np.empty((G, window, 3), dtype=complex)
     gens = []
     for i, child in enumerate(children):
         g = np.random.default_rng(child)
@@ -370,61 +369,56 @@ def _descend(value_of, base: np.ndarray, m: int, children, identity_first: bool,
         phis[i] = W @ base
         probs[i] = np.einsum("jd,jd->j", phis[i], phis[i].conj())
         gens.append(g)
-        pairs[i], coefs[i] = _draws(g, m, window)
     probs = probs.real
     vals = _values(value_of, phis.reshape(-1, D), probs.ravel()).reshape(G, m)
     cur = [float(P @ V) for P, V in zip(probs, vals)]
     at_mark = list(cur)
     mark = max(1, int(0.8 * iters))
     depth = max(1, ROOF_ROUND_ROWS // (2 * G))
+    window = min(iters, ROOF_DRAW_STEPS)
+    pairs = np.empty((G, window, 2), dtype=np.intp)
+    coefs = np.empty((G, window, 3), dtype=complex)
     done = [0] * G  # steps replayed per restart
-    start = [0] * G  # the step of each restart's window entry 0
-    while min(done) < iters:
-        count = [min(depth, iters - d) for d in done]
-        for i in range(G):
-            if done[i] + count[i] > start[i] + window:
-                # the window runs out: keep its unreplayed steps, draw on
-                kept = start[i] + window - done[i]
-                pairs[i, :kept] = pairs[i, window - kept :]
-                coefs[i, :kept] = coefs[i, window - kept :]
-                n = min(window, iters - done[i]) - kept
-                drawn = _draws(gens[i], m, n, done[i] + kept)
-                pairs[i, kept : kept + n], coefs[i, kept : kept + n] = drawn
-                start[i] = done[i]
-        # the round holds restart i's steps done[i] .. done[i] + count[i] - 1
-        # from its place first[i] on
-        first = np.cumsum(count) - count
-        at = np.repeat(np.arange(G), count)
-        step = np.arange(len(at)) + np.repeat(np.array(done) - np.array(start) - first, count)
-        jk, coef = pairs[at, step], coefs[at, step]
-        pair = phis[at[:, None], jk]  # rows j and k of each step's restart
-        a, b = pair[:, 0], pair[:, 1]
-        c = coef[:, :1]
-        rows = np.stack((c * a + coef[:, 1:2] * b, coef[:, 2:] * a + c * b), axis=1)
-        rows = rows.reshape(-1, D)
-        # one stacked matmul: zdotu of the conjugate, the bits of np.vdot
-        w = (rows.conj()[:, None, :] @ rows[:, :, None]).real.ravel()
-        v = _values(value_of, rows, w)
-        # each replayed step reads rows unchanged since the round began
-        old = (probs * vals)[at[:, None], jk].tolist()
-        gain = (w * v).tolist()
-        w, v, jk = w.tolist(), v.tolist(), jk.tolist()
-        for i, (x0, n) in enumerate(zip(first.tolist(), count)):
-            moved = set()
-            for x in range(x0, x0 + n):
-                j, k = jk[x]
-                if j in moved or k in moved:
-                    break
-                new = cur[i] - old[x][0] - old[x][1] + gain[2 * x] + gain[2 * x + 1]
-                if new < cur[i] - ROOF_ACCEPT_MARGIN:
-                    cur[i] = new
-                    phis[i, j], phis[i, k] = rows[2 * x], rows[2 * x + 1]
-                    probs[i, j], probs[i, k] = w[2 * x], w[2 * x + 1]
-                    vals[i, j], vals[i, k] = v[2 * x], v[2 * x + 1]
-                    moved.update((j, k))
-                done[i] += 1
-                if done[i] == mark:
-                    at_mark[i] = cur[i]
+    for seg in range(0, iters, window):
+        end = min(iters, seg + window)
+        for i, g in enumerate(gens):
+            pairs[i, : end - seg], coefs[i, : end - seg] = _draws(g, m, end - seg, seg)
+        while min(done) < end:
+            count = [min(depth, end - d) for d in done]
+            # the round holds restart i's steps done[i] .. done[i] + count[i] - 1
+            # from its place first[i] on
+            first = np.cumsum(count) - count
+            at = np.repeat(np.arange(G), count)
+            step = np.arange(len(at)) + np.repeat(np.array(done) - seg - first, count)
+            jk, coef = pairs[at, step], coefs[at, step]
+            pair = phis[at[:, None], jk]  # rows j and k of each step's restart
+            a, b = pair[:, 0], pair[:, 1]
+            c = coef[:, :1]
+            rows = np.stack((c * a + coef[:, 1:2] * b, coef[:, 2:] * a + c * b), axis=1)
+            rows = rows.reshape(-1, D)
+            # one stacked matmul: zdotu of the conjugate, the bits of np.vdot
+            w = (rows.conj()[:, None, :] @ rows[:, :, None]).real.ravel()
+            v = _values(value_of, rows, w)
+            # each replayed step reads rows unchanged since the round began
+            old = (probs * vals)[at[:, None], jk].tolist()
+            gain = (w * v).tolist()
+            w, v, jk = w.tolist(), v.tolist(), jk.tolist()
+            for i, (x0, n) in enumerate(zip(first.tolist(), count)):
+                moved = set()
+                for x in range(x0, x0 + n):
+                    j, k = jk[x]
+                    if j in moved or k in moved:
+                        break
+                    new = cur[i] - old[x][0] - old[x][1] + gain[2 * x] + gain[2 * x + 1]
+                    if new < cur[i] - ROOF_ACCEPT_MARGIN:
+                        cur[i] = new
+                        phis[i, j], phis[i, k] = rows[2 * x], rows[2 * x + 1]
+                        probs[i, j], probs[i, k] = w[2 * x], w[2 * x + 1]
+                        vals[i, j], vals[i, k] = v[2 * x], v[2 * x + 1]
+                        moved.update((j, k))
+                    done[i] += 1
+                    if done[i] == mark:
+                        at_mark[i] = cur[i]
 
     best = min(range(G), key=cur.__getitem__)  # the first of equal values
     converged = (at_mark[best] - cur[best]) < ROOF_CONVERGED_DROP

@@ -115,6 +115,8 @@ def parse_state_file(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not well-formed: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's limit
+        raise ParseError("nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     dims = doc.get("dims")

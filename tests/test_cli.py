@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ktangle as kt
 from ktangle import cli, ghzw
@@ -818,3 +818,54 @@ def test_exit_code_contract_over_state_files(text, command, focus):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
     assert rc in (0, 1, 2, 3)
+
+
+@st.composite
+def _nested_state_files(draw):
+    """State-file text (_state_files) with arrays or objects nested up to
+    100 000 deep, as an extra key of the document or anywhere in the text."""
+    text = draw(_state_files())
+    depth = draw(st.sampled_from([1, 50, 999, 1000, 5000, 100_000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+    nest = opener * depth + "0" + closer * depth
+    if draw(st.booleans()) and text.startswith("{"):
+        return '{"deep": ' + nest + ", " + text[1:]
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + nest + text[at:]
+
+
+@settings(max_examples=20)
+@given(_nested_state_files(), st.sampled_from(["analyze", "canonicalize", "roof"]))
+def test_exit_code_contract_over_nested_state_files(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, path]
+        if command == "roof":
+            argv += ["--measure", "k2", "--restarts", "1"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+
+
+# the mixing parameters of a sweep: uniform on [0, 1], log-uniform down to
+# 1e-323 and subnormal
+_SWEEP_Q = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(lambda m, e: min(1.0, m * 10.0**e), st.floats(1.0, 10.0), st.integers(-323, 0)),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+)
+
+
+@settings(max_examples=20)
+@given(_SWEEP_Q, _SWEEP_Q, st.integers(2, 6))
+def test_exit_code_contract_over_sweep_grids(a, b, steps):
+    assume(a != b)
+    a, b = sorted((a, b))
+    for sign in ("plus", "minus"):
+        argv = ["sweep", "--family", "ghzw", "--sign", sign, "--q", f"{a!r}:{b!r}:{steps}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc == 0, (argv, err.getvalue())

@@ -136,6 +136,44 @@ def test_root_check_passes_across_grid():
         kt.ghzw_canonical_params(kt.GhzwParams(q=float(q), sign=1))
 
 
+# q where the root check divided by an underflowed x^3 (q up to about
+# 1.1e-216), met a 4/x^3 overflowed to -inf on the plus branch (up to about
+# 4.8e-206), or placed the plus branch's merged form, whose two roots have
+# opposite signs, below the smaller |root| (about 6.8e-25 to 3.0e-24)
+TINY_Q = [5e-324, 1e-300, 1e-250, 1.1e-216, 1.25e-216, 1e-210, 5e-208, 4.8e-206, 6.8e-25, 1e-24, 3e-24]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("q", TINY_Q)
+def test_root_check_passes_at_tiny_q(q, sign):
+    res = kt.ghzw_canonical_params(kt.GhzwParams(q=q, sign=sign))
+    assert res.residual < 1e-8
+
+
+@pytest.mark.parametrize("x", [-1e-300, -1e-100, -1e-12, -0.5, -3.0, 1.6, 2.0, 1e8])
+def test_closed_form_roots_solve_the_ratio_quadratic(x):
+    # the check's roots are those of r^2 - x^2 r + x = 0: every ratio
+    # between them passes a single form when x < 0, down to 0 (opposite
+    # signs), and only a ratio near one of them when there are two forms
+    params = kt.GhzwParams(q=0.8, sign=-1)
+    res = kt.ghzw_canonical_params(params)
+    disc = x**4 - 4.0 * x
+    big = (x * x + math.sqrt(disc)) / 2.0
+    assert abs(big * big - x * x * big + x) <= 1e-12 * max(1.0, big * big)
+
+    def with_ratio(ratio, forms):
+        ua = np.array([[ratio, 1.0], [-1.0, ratio]], dtype=complex) / math.hypot(ratio, 1.0)
+        us = (dataclasses.replace(res.unitaries[0][0], matrix=ua),) + res.unitaries[0][1:]
+        return dataclasses.replace(res, forms=res.forms[:forms], unitaries=(us,))
+
+    for ratio in (abs(x) / big, big):
+        _closed_form_root_check(with_ratio(ratio, 2), x)
+    if x < 0.0:
+        _closed_form_root_check(with_ratio(0.0, 1), x)
+    with pytest.raises(kt.NumericalError, match="matches no closed-form root"):
+        _closed_form_root_check(with_ratio(2.0 * big + 1.0, 1), x)
+
+
 def test_sweep_rows_and_interior_positivity():
     rows = list(kt.sweep_family(-1, 0.0, 1.0, 51))
     assert len(rows) == 51

@@ -435,6 +435,28 @@ def test_a_search_of_the_default_budget_draws_once_per_restart(monkeypatch):
     assert calls == [(kt.RoofBudget().iterations, 0)] * 3
 
 
+def test_a_longer_search_draws_each_segment_once_per_restart(monkeypatch):
+    # every restart draws segment [seg, end) at its start, after all the
+    # initial isometries, and only then the next segment
+    from ktangle import roof
+
+    calls = []
+
+    def counted(g, m, iters, start=0, _draws=roof._draws):
+        calls.append((g, iters, start))
+        return _draws(g, m, iters, start)
+
+    monkeypatch.setattr(roof, "_draws", counted)
+    rho = mixed_state(L3, np.random.default_rng(4), rank=2)
+    kt.roof_negativity(rho, 0, "k2", kt.RoofBudget(restarts=3, iterations=2 * ROOF_DRAW_STEPS + 37))
+    schedule = [(ROOF_DRAW_STEPS, 0), (ROOF_DRAW_STEPS, ROOF_DRAW_STEPS), (37, 2 * ROOF_DRAW_STEPS)]
+    assert [c[1:] for c in calls] == [s for s in schedule for _ in range(3)]
+    gens = [g for g, _, _ in calls[:3]]
+    assert len({id(g) for g in gens}) == 3
+    for g in gens:
+        assert [c[1:] for c in calls if c[0] is g] == schedule
+
+
 def test_lockstep_past_one_draw_window_matches_sequential_oracle():
     # three restarts advance at different rates, so each refills its window
     # of drawn steps at its own round

@@ -165,3 +165,18 @@ def test_parse_matrix_keeps_the_hermitian_part(defect):
         assert np.array_equal(got, m)
     else:
         assert np.abs(got - m).max() == pytest.approx(defect / 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_deeply_nested_file_is_a_parse_error(tmp_path, capsys, depth):
+    # json.loads raises RecursionError past the interpreter's limit; a file
+    # of about 2 KB reaches it at 1000 levels
+    text = '{"dims": [2], "amplitudes": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(kt.ParseError, match="nested too deeply"):
+        parse_state_file(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
