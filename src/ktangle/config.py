@@ -32,6 +32,14 @@ CANONICAL_AMP_EPS = 1e-12
 # first-qubit rotation ratio within this relative tolerance.
 GHZW_ROOT_RTOL = 1e-6
 
+# The K-way trace norms of a pure state with a qubit focus integrate over
+# t = e^x by the trapezoid rule with this step in x, on [-SPAN, SPAN]: the
+# integrand's singularities lie pi/2 off the real x axis, so the rule's error
+# falls like exp(-pi^2 / step), about 7e-18, and the integral outside the
+# span is of order e^-SPAN, about 1e-18.
+KWAY_QUAD_STEP = 0.25
+KWAY_QUAD_SPAN = 41.5
+
 # Hermiticity defect allowed in the input of the public partial transposes,
 # and kept by a DensityOperator without symmetrizing; the transposes only
 # move elements, so the output carries no larger defect.

@@ -134,8 +134,8 @@ def _closed_form_root_check(result: CanonicalizationResult, x: float):
     big = (x * x + math.sqrt(disc)) / 2.0
     roots = [abs(x) / big, big]  # |x| / big <= sqrt|x| <= big, and big > 0 for x != 0
     # roots of opposite sign (x < 0) merge through 0
-    lo = 0.0 if x < 0.0 else roots[0] - GHZW_ROOT_RTOL * (1.0 + roots[0])
-    hi = roots[1] + GHZW_ROOT_RTOL * (1.0 + roots[1])
+    lo = 0.0 if x < 0.0 else roots[0] * (1.0 - GHZW_ROOT_RTOL)
+    hi = roots[1] * (1.0 + GHZW_ROOT_RTOL)
     for us in result.unitaries:
         ua = us[0].matrix
         ratio = abs(ua[0, 0]) / abs(ua[0, 1])
@@ -146,7 +146,7 @@ def _closed_form_root_check(result: CanonicalizationResult, x: float):
             # ratio between them
             ok = lo <= ratio <= hi
         else:
-            ok = any(abs(ratio - r) <= GHZW_ROOT_RTOL * (1.0 + r) for r in roots)
+            ok = any(abs(ratio - r) <= GHZW_ROOT_RTOL * r for r in roots)
         if not ok:
             raise NumericalError(
                 f"first-qubit rotation ratio {ratio} matches no closed-form root {roots}"

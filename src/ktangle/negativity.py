@@ -31,9 +31,16 @@ elements of count K, with Q = conj(V) V^T for the c negative eigenvectors V
 (Tr(P_minus M) = sum(M o Q)).  One pass over the off-diagonal focus blocks
 sums Re(Delta o Q) by a cached label table (_channel_plan), and every
 E_K, the pair split and E_0 read one row of those sums.  A pure state builds
-the blocks from its amplitudes, so its report holds no D x D matrix.  The
-K-way negativities n_kway need rho_K^{T_p} itself, one eigvalsh each, and
-are computed only by negativity_report.
+the blocks from its amplitudes, so its report holds no D x D matrix.
+
+The K-way negativities n_kway need the spectrum of rho_K^{T_p} itself and
+are computed only by negativity_report.  With a qubit focus, a pure state
+takes each from one eigh of a D/2 x D/2 matrix (_pure_kway_norms):
+rho_K^{T_p} - rho = sigma_y (x) Y_K exactly, so in the sigma_y eigenbasis
+rho_K^{T_p} is diag(Y_K, -Y_K) plus the rank-one rho, and its trace norm
+is a quadrature over the spectrum of Y_K, still with no D x D matrix.
+Density input and a larger focus build each rho_K^{T_p} and run one
+eigvalsh of it.
 
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
@@ -63,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS_EIG, EPS_HERM, EPS_NORM, NumericalError
+from .config import EPS_EIG, EPS_HERM, EPS_NORM, KWAY_QUAD_SPAN, KWAY_QUAD_STEP, NumericalError
 from .core import DensityOperator, PureState, _eigh, _gather_index, _outer, _require, _slices
 from .core import _trace_norm
 from .core import trace_norm
@@ -409,12 +416,107 @@ def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
     return _channel(_kway_trace(*_channels(X, dims, p, V), K), dims[p])
 
 
+@functools.lru_cache(maxsize=16)
+def _kway_masks(dims: tuple, p: int):
+    """The masks H_K of the rest-label pairs that differ in K - 1
+    subsystems, K = 2..n, as one (n - 1, D/d_p, D/d_p) bool array; cached
+    per (dims, p), read-only."""
+    rest = dims[:p] + dims[p + 1 :]
+    masks = _label_tables(rest)[1] == np.arange(1, len(dims), dtype=np.uint8)[:, None, None]
+    masks.flags.writeable = False
+    return masks
+
+
+# The quadrature of _pure_kway_norms: the nodes t = e^x, t^2, and the
+# weights (2/pi) step t^3 that integrate g/t^2 over x (dt = t dx).
+_NODES = np.exp(np.arange(-KWAY_QUAD_SPAN, KWAY_QUAD_SPAN + KWAY_QUAD_STEP / 2, KWAY_QUAD_STEP))
+_T2 = _NODES * _NODES
+_WEIGHTS = (2.0 / math.pi) * KWAY_QUAD_STEP * _T2 * _NODES
+# the rows phi_+-^dagger = (a^* +- i b^*)/sqrt(2) from the rows a^*, b^* of
+# S^*, and the rows w_+ + w_- and w_+ - w_- from the rows w_+-
+_PHI_H = np.array([[1.0, 1j], [1.0, -1j]]) * math.sqrt(0.5)
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _kway_terms(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Y_K = i(b a^dagger - a b^dagger) o H_K of each 2 x m amplitude matrix
+    S with rows a and b, for a (k, m, m) stack of masks H: (..., k, m, m),
+    built in place with the products of _outer, so only these k matrices
+    and one product are held."""
+    Y = np.empty(S.shape[:-2] + H.shape, dtype=complex)
+    np.multiply(S[..., 1, None, :, None], S[..., 0, None, None, :].conj(), out=Y)
+    Y -= S[..., 0, None, :, None] * S[..., 1, None, None, :].conj()
+    Y *= 1j
+    Y *= H
+    return Y
+
+
+def _pure_kway_norms(S: np.ndarray, dims: tuple, p: int) -> dict:
+    """||rho_K^{T_p}||_1, K = 2..n, of each pure state of a stack with a
+    qubit focus p, from its 2 x m amplitude matrices S (core._slices) with
+    rows a and b, m = D/2; one eigh of m x m per K, no D x D matrix.
+
+    rho_K^{T_p} swaps the focus blocks of rho = |psi><psi| on the rest
+    pairs of mask H_K (_kway_masks), so rho_K^{T_p} - rho = sigma_y (x) Y_K
+    with the Hermitian Y_K = i(b a^dagger - a b^dagger) o H_K.  In the
+    sigma_y eigenbasis that term is diag(Y_K, -Y_K), and rho is the
+    rank-one |phi><phi| with the halves phi_+- = (a -+ i b)/sqrt(2).  With
+    Y_K = Q diag(y) Q^dagger and the weights w_+- = |Q^dagger phi_+-|^2,
+    |x| = (2/pi) int_0^inf x^2/(x^2 + t^2) dt and the resolvent of a
+    rank-one update (Golub, SIAM Rev. 15, 318, 1973) give
+
+        ||rho_K^{T_p}||_1 = 2 sum|y| + (2/pi) int_0^inf g(t) dt,
+        g = t^2 (2 kappa (1 + alpha) - (beta - 2 t^2 nu) beta)
+            / ((1 + alpha)^2 + t^2 beta^2),
+
+    with q_j = 1/(y_j^2 + t^2), s = w_+ + w_-, u = (w_+ - w_-) y and
+    beta = q.s, alpha = q.u, nu = q^2.s, kappa = q^2.u.  The integral is the
+    trapezoid rule in ln t (config.KWAY_QUAD_STEP); it needs no root
+    finding, and zero weights and tied y are harmless.  The K come two at a
+    time, so the Y_K and their eigenvectors hold D^2 entries per state.  A
+    norm must lie within ||rho||_1 = 1 of 2 sum|y| (the triangle inequality)
+    and be at least |Tr rho_K^{T_p}| = 1, each within EPS_NORM, or
+    NumericalError.
+    """
+    # the rows phi_+-^dagger, (..., 1, 2, m)
+    phi_h = (_PHI_H @ S.conj())[..., None, :, :]
+    masks = _kway_masks(dims, p)
+    norms = {}
+    for i in range(0, len(masks), 2):
+        y, Q = np.linalg.eigh(_kway_terms(S, masks[i : i + 2]))
+        w = phi_h @ Q  # the rows conj(Q^dagger phi_+-), (..., k, 2, m)
+        su = _SUM_DIFF @ (w.conj() * w).real  # the rows s and u
+        su[..., 1, :] *= y
+        q = np.square(y)[..., :, None] + _T2  # (..., k, m, nodes)
+        np.reciprocal(q, out=q)
+        ba = su @ q
+        q *= q
+        nk = su @ q
+        beta, a1, nu, kappa = ba[..., 0, :], ba[..., 1, :] + 1.0, nk[..., 0, :], nk[..., 1, :]
+        # g / t^2, the factor t^2 being in the weights _WEIGHTS
+        g = 2.0 * kappa * a1 - (beta - 2.0 * _T2 * nu) * beta
+        g /= a1 * a1 + _T2 * beta * beta
+        poles = 2.0 * np.abs(y).sum(axis=-1)
+        norm = poles + (g * _WEIGHTS).sum(axis=-1)
+        gap = np.abs(norm - poles)
+        _require(gap <= 1.0 + EPS_NORM, gap,
+                 f"K-way trace norm is {{}} from 2 sum|y|, more than 1 + {EPS_NORM}",
+                 NumericalError)
+        _require(norm >= 1.0 - EPS_NORM, norm, f"K-way trace norm {{}} is below 1 - {EPS_NORM}",
+                 NumericalError)
+        for j in range(norm.shape[-1]):
+            norms[2 + i + j] = norm[..., j]
+    return norms
+
+
 def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
     """Every NegativityReport field of focus p but n_kway, for a stack of
     amplitude vectors (B, D) or of density matrices (B, D, D).
 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
-    the stack, one eigvalsh of each rho_K^{T_p}, after the channels.
+    the stack after the channels: for pure input with a qubit focus from
+    the amplitude matrices (_pure_kway_norms), else one eigvalsh of each
+    rho_K^{T_p}.
     """
     n_global, w, V, X = _global_spectrum(state, dims, p)  # checks the focus
     n, d_p = len(dims), dims[p]
@@ -427,7 +529,10 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
     pair_split = {
         q: (-2.0 * (t_id + s[..., L]) + t_id) / (d_p - 1) for q, L in zip(partners, (2, 4))
     }
-    if n_kway is not None:
+    if n_kway is not None and state.ndim == 2 and d_p == 2:
+        for K, norm in _pure_kway_norms(X, dims, p).items():
+            n_kway[K] = _negativity(norm, d_p)
+    elif n_kway is not None:
         M = _outer(state) if state.ndim == 2 else state
         for K in range(2, n + 1):
             # at most one K-way transpose is alive at a time

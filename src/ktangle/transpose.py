@@ -18,7 +18,9 @@ matrices at once; the public functions apply them to one DensityOperator.
 The negativity channels need none of the restricted transposes
 (negativity._channels sums the changed elements by their differing count
 instead); the K-way transpose serves the eigvalsh of the K-way negativities
-and the public kway_pt, the pair transpose only the public pair_pt.
+of density input and of a focus larger than a qubit (a pure state with a
+qubit focus needs none, negativity._pure_kway_norms) and the public
+kway_pt, the pair transpose only the public pair_pt.
 The kernels only move entries and check no output.  Instead each table, one
 per (dims, focus, kind), is checked once per process, where it is first
 used (_check_table): a swap that maps some Hermitian matrix to a

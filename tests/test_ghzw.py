@@ -174,6 +174,20 @@ def test_closed_form_roots_solve_the_ratio_quadratic(x):
         _closed_form_root_check(with_ratio(2.0 * big + 1.0, 1), x)
 
 
+@pytest.mark.parametrize("q", [1e-30, 1e-24, 1e-12])
+def test_root_check_rejects_ratio_zero_at_tiny_q(q):
+    # the roots are about 3.5e-8, 1.1e-6 and 1.1e-3: a tolerance relative
+    # to each root rejects the ratio 0 of two forms, which an absolute 1e-6
+    # let through at q = 1e-30
+    x = kt.x_parameter(kt.GhzwParams(q=q, sign=1))
+    res = kt.ghzw_canonical_params(kt.GhzwParams(q=0.8, sign=-1))
+    assert len(res.forms) == 2
+    ua = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    us = (dataclasses.replace(res.unitaries[0][0], matrix=ua),) + res.unitaries[0][1:]
+    with pytest.raises(kt.NumericalError, match="ratio 0.0 matches no closed-form root"):
+        _closed_form_root_check(dataclasses.replace(res, unitaries=(us,)), x)
+
+
 def test_sweep_rows_and_interior_positivity():
     rows = list(kt.sweep_family(-1, 0.0, 1.0, 51))
     assert len(rows) == 51

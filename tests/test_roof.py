@@ -458,8 +458,9 @@ def test_a_longer_search_draws_each_segment_once_per_restart(monkeypatch):
 
 
 def test_lockstep_past_one_draw_window_matches_sequential_oracle():
-    # three restarts advance at different rates, so each refills its window
-    # of drawn steps at its own round
+    # three restarts advance by different numbers of steps in each round,
+    # and the search crosses two segment boundaries, where every restart
+    # draws the steps of its next segment
     rng = np.random.default_rng(77)
     rho = mixed_state(L3, rng, rank=2)
     budget = kt.RoofBudget(restarts=3, iterations=2 * ROOF_DRAW_STEPS + 37, seed=5)

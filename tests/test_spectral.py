@@ -19,6 +19,7 @@ import ktangle as kt
 from ktangle import cli, negativity
 from ktangle.config import EPS_EIG
 from ktangle.core import _outer
+from ktangle.ghzw import _ghzw_amplitudes
 from ktangle.negativity import _kway_channel, _report_arrays
 from ktangle.roof import _member_value
 from ktangle.tangle import _tangles
@@ -236,7 +237,7 @@ def test_no_eigensolve_sees_a_global_transpose_of_pure_input(monkeypatch, capsys
     path = write_state("pure4.json", {"dims": [2] * 4, "amplitudes": amplitudes_json(psi.amplitudes)})
     assert cli.main(["analyze", path, "--focus", "B"]) == 3
     assert capsys.readouterr().out.startswith("{")
-    assert seen and not _sees(seen, G)  # the K-way eigvalsh calls still run
+    assert seen and not _sees(seen, G)  # the half-size K-way eigh calls still run
 
     seen.clear()
     assert cli.main(["audit", "--random", "10", "--seed", "7"]) == 0
@@ -532,25 +533,46 @@ def test_three_qubit_pure_stacks_call_no_factorization(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_pure_reports_build_no_transpose_but_the_n_kway_ones(monkeypatch, n):
+def test_only_qudit_and_density_reports_build_the_n_kway_transposes(monkeypatch, n):
+    # a pure report with a qubit focus takes n_kway from half-size eigh
+    # calls, the K two at a time (_pure_kway_norms); a qudit focus and
+    # density input transpose and eigvalsh each of the n - 1 K-way ones
     from ktangle import transpose
 
-    dims = (2,) * n
-    amps = np.stack([kt.haar_random_pure(kt.qubit_layout(n), s).amplitudes for s in range(20)])
-    _report_arrays(amps, dims, 0, {})  # checks each transpose table once
+    dims, qudit = (2,) * n, (3,) + (2,) * (n - 1)
+    rng = np.random.default_rng(n)
+    amps = np.stack([kt.haar_random_pure(kt.qubit_layout(n), rng).amplitudes for _ in range(20)])
+    amps3 = np.stack([kt.haar_random_pure(kt.SubsystemLayout(qudit), rng).amplitudes for _ in range(3)])
+    rho = _outer(amps[:3])
+    _report_arrays(amps3, qudit, 0, {})  # checks each transpose table once
+    for p in (0, n - 1):
+        _report_arrays(rho, dims, p, {})
     calls = []
 
     def counted(*args, _swap=transpose._swap):
-        calls.append(1)
+        calls.append("swap")
         return _swap(*args)
 
     monkeypatch.setattr(transpose, "_swap", counted)
+    linalg = _linalg_calls(monkeypatch)
     for p in range(n):
         calls.clear()
+        linalg.clear()
+        _report_arrays(amps, dims, p, {})
+        assert calls == [] and linalg == ["eigh"] * (n // 2), p
         _report_arrays(amps, dims, p)
-        assert calls == [], p
-    _report_arrays(amps, dims, 0, {})
-    assert len(calls) == n - 1
+        assert calls == [] and linalg == ["eigh"] * (n // 2), p
+    calls.clear()
+    linalg.clear()
+    _report_arrays(amps3, qudit, 0, {})
+    # the qutrit focus runs one SVD for its Schmidt step
+    assert len(calls) == n - 1 and linalg == ["svd"] + ["eigvalsh"] * (n - 1)
+    for p in (0, n - 1):
+        calls.clear()
+        linalg.clear()
+        _report_arrays(rho, dims, p, {})
+        # the global transpose and its eigh come first
+        assert len(calls) == n and linalg == ["eigh"] + ["eigvalsh"] * (n - 1), p
 
 
 def test_audit_runs_the_schmidt_step_once_per_stack(monkeypatch):
@@ -582,6 +604,110 @@ def test_a_nine_qubit_pure_report_holds_at_most_two_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 512 * 512 * 16, peak
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _pure_kway_case(kind, n):
+    """(dims, amplitude stack) of one case of the K-way oracle test: n
+    qubits, or dims (2, 3, 2) for the kind qudit_rest."""
+    rng = np.random.default_rng(sum(map(ord, kind)) + n)
+    layout = kt.qubit_layout(n) if kind != "qudit_rest" else kt.SubsystemLayout((2, 3, 2))
+    D = layout.total_dim
+    if kind in ("haar", "qudit_rest"):
+        rows = [kt.haar_random_pure(layout, rng).amplitudes for _ in range(1 if n == 9 else 3)]
+    elif kind == "ghz_w_uniform":
+        rows = [_ghz(layout.dims), _w(layout.dims), _unit(np.ones(D, complex))]
+    elif kind == "real_sparse":
+        sparse = np.zeros(D, complex)
+        sparse[rng.choice(D, 3, replace=False)] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rows = [_unit(rng.standard_normal(D)).astype(complex), _unit(sparse)]
+    elif kind == "near_product":
+        rows = [
+            _unit(_product(layout.dims, rng) + eps * kt.haar_random_pure(layout, rng).amplitudes)
+            for eps in (1e-3, 1e-6, 1e-9, 1e-12)
+        ]
+    else:  # the GHZ+W family on one branch, q* of the minus branch included
+        near = kt.tau3_minus_zero() + np.array([-1e-6, -1e-13, 0.0, 1e-13, 1e-6])
+        qs = np.concatenate([np.linspace(0.0, 1.0, 11), near])
+        rows = list(_ghzw_amplitudes(qs, 1 if kind == "ghzw_plus" else -1))
+    return layout.dims, np.stack(rows)
+
+
+PURE_KWAY_CASES = (
+    [("haar", n) for n in range(3, 10)]
+    + [("ghz_w_uniform", n) for n in (3, 5, 8)]
+    + [("real_sparse", n) for n in (4, 6)]
+    + [("near_product", n) for n in (3, 5, 7)]
+    + [("ghzw_plus", 3), ("ghzw_minus", 3), ("qudit_rest", 3)]
+)
+
+
+@pytest.mark.parametrize("kind, n", PURE_KWAY_CASES, ids=[f"{k}{n}" for k, n in PURE_KWAY_CASES])
+def test_pure_n_kway_matches_the_projector_oracle(kind, n):
+    # the half-size route against SVD trace norms of the D x D transposes
+    dims, amps = _pure_kway_case(kind, n)
+    for p in (0, len(dims) - 1):
+        assert dims[p] == 2
+        n_kway = {}
+        _report_arrays(amps, dims, p, n_kway)
+        want = projector_report(_outer(amps), dims, p)["n_kway"]
+        assert sorted(n_kway) == sorted(want) == list(range(2, len(dims) + 1))
+        for K in want:
+            err = np.abs(n_kway[K] - want[K])
+            assert err.max() <= TOL, (p, K, err)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_pure_n_kway_of_a_stack_matches_its_batches_of_one(n):
+    layout = kt.qubit_layout(n)
+    rng = np.random.default_rng(40 + n)
+    amps = np.stack([kt.haar_random_pure(layout, rng).amplitudes for _ in range(7)])
+    for p in (0, n - 1):
+        alone = [kt.negativity_report(kt.PureState(layout, v), p).n_kway for v in amps]
+        for size in (1, 2, 7):
+            n_kway = {}
+            _report_arrays(amps[:size], layout.dims, p, n_kway)
+            for b in range(size):
+                # the same eigh and matmuls per state: bit for bit
+                assert {K: v[b] for K, v in n_kway.items()} == alone[b], (p, size, b)
+
+
+def test_a_nine_qubit_pure_negativity_report_holds_at_most_two_dense_matrices():
+    import tracemalloc
+
+    psi = kt.haar_random_pure(kt.qubit_layout(9), 9)
+    kt.negativity_report(psi, 0)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        rep = kt.negativity_report(psi, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.n_kway) == 8
+    assert peak <= 2 * 512 * 512 * 16, peak
+
+
+@pytest.mark.parametrize(
+    "y_scale, q_scale, message", [(1.0, 3.0, "from 2 sum"), (0.01, 0.1, "is below 1")]
+)
+def test_pure_n_kway_raises_past_its_bounds(monkeypatch, y_scale, q_scale, message):
+    # any orthonormal Q and real y meet both bounds; eigenvectors scaled up
+    # carry a rank-one term of norm 9 past the triangle inequality, and a
+    # spectrum and eigenvectors scaled down a norm below Tr = 1
+    psi = kt.haar_random_pure(kt.qubit_layout(5), 3)
+    eigh = np.linalg.eigh
+
+    def scaled(a, *args, **kwargs):
+        y, Q = eigh(a, *args, **kwargs)
+        return y * y_scale, Q * q_scale
+
+    kt.negativity_report(psi, 0)
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    with pytest.raises(kt.NumericalError, match=f"K-way trace norm .*{message}"):
+        kt.negativity_report(psi, 0)
 
 
 def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
