@@ -35,12 +35,15 @@ the blocks from its amplitudes, so its report holds no D x D matrix.
 
 The K-way negativities n_kway need the spectrum of rho_K^{T_p} itself and
 are computed only by negativity_report.  With a qubit focus, a pure state
-takes each from one eigh of a D/2 x D/2 matrix (_pure_kway_norms):
+takes them from the D/2 x D/2 matrices Y_K (_pure_kway_norms):
 rho_K^{T_p} - rho = sigma_y (x) Y_K exactly, so in the sigma_y eigenbasis
 rho_K^{T_p} is diag(Y_K, -Y_K) plus the rank-one rho, and its trace norm
-is a quadrature over the spectrum of Y_K, still with no D x D matrix.
-Density input and a larger focus build each rho_K^{T_p} and run one
-eigvalsh of it.
+is a quadrature over the spectrum of Y_K, still with no D x D matrix.  With
+qubits at the rest, Y_K links only rest labels at Hamming distance K - 1,
+so it keeps their parity for odd K and flips it for even K (_kway_plan):
+two eigh of D/4 x D/4 blocks give its spectrum for odd K, one SVD of a
+D/4 x D/4 block for even K.  Density input and a larger focus build each
+rho_K^{T_p} and run one eigvalsh of it.
 
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
@@ -417,87 +420,147 @@ def _kway_channel(state: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _kway_masks(dims: tuple, p: int):
-    """The masks H_K of the rest-label pairs that differ in K - 1
-    subsystems, K = 2..n, as one (n - 1, D/d_p, D/d_p) bool array; cached
-    per (dims, p), read-only."""
+def _kway_plan(dims: tuple, p: int):
+    """The classes of the rest labels of focus p and the blocks of the masks
+    H_K of the rest-label pairs that differ in K - 1 subsystems, K = 2..n;
+    cached per (dims, p), read-only.
+
+    With qubits only at the rest there are two classes, the rest labels of
+    even and of odd parity, E and O, each of h = D/4 labels in increasing
+    order.  K - 1 flipped bits keep the parity for odd K and flip it for
+    even K, so H_K is diag(H_K[E, E], H_K[O, O]) for odd K and has only the
+    block H_K[E, O] and its transpose for even K.  A qudit at the rest makes
+    one class of all D/2 labels, whose one block is every H_K.
+
+    Returns (rows, cols, (diag, Hd), (off, Ho)).  rows (c, h) holds the rest
+    indices of the c classes, and cols (s, c, h) the same classes shifted
+    by 0..s - 1, so that the block of rows class j and columns class
+    j + shift is (shift, j).  The K at the positions diag of the list
+    K = 2..n have the diagonal blocks Hd (k_d, c, h, h); the K at the
+    positions off have the blocks H_K[E, O], as Ho (k_o, 1, h, h).  diag and
+    off are slices, and off is empty with one class.
+    """
+    _check_focus(p, len(dims))
     rest = dims[:p] + dims[p + 1 :]
-    masks = _label_tables(rest)[1] == np.arange(1, len(dims), dtype=np.uint8)[:, None, None]
-    masks.flags.writeable = False
-    return masks
+    dg, diff = _label_tables(rest)
+    if rest and set(rest) == {2}:
+        # a stable sort keeps each class in increasing order
+        rows = np.argsort(dg.sum(axis=1) % 2, kind="stable").reshape(2, -1)
+        cols = np.stack([rows, rows[::-1]])
+        diag, off = slice(1, None, 2), slice(0, None, 2)
+    else:
+        rows = np.arange(len(dg))[None]
+        cols = rows[None]
+        diag, off = slice(None), slice(0, 0)
+    Ks = np.arange(1, len(dims), dtype=np.uint8)[:, None, None, None]  # K - 1
+    Hd = diff[rows[:, :, None], rows[:, None, :]] == Ks[diag]
+    Ho = diff[rows[:1, :, None], rows[-1:, None, :]] == Ks[off]
+    for a in (rows, cols, Hd, Ho):
+        a.flags.writeable = False
+    return rows, cols, (diag, Hd), (off, Ho)
 
 
 # The quadrature of _pure_kway_norms: the nodes t = e^x, t^2, and the
-# weights (2/pi) step t^3 that integrate g/t^2 over x (dt = t dx).
+# weights step t / pi that integrate over x (dt = t dx).
 _NODES = np.exp(np.arange(-KWAY_QUAD_SPAN, KWAY_QUAD_SPAN + KWAY_QUAD_STEP / 2, KWAY_QUAD_STEP))
 _T2 = _NODES * _NODES
-_WEIGHTS = (2.0 / math.pi) * KWAY_QUAD_STEP * _T2 * _NODES
-# the rows phi_+-^dagger = (a^* +- i b^*)/sqrt(2) from the rows a^*, b^* of
-# S^*, and the rows w_+ + w_- and w_+ - w_- from the rows w_+-
-_PHI_H = np.array([[1.0, 1j], [1.0, -1j]]) * math.sqrt(0.5)
+_WEIGHTS = KWAY_QUAD_STEP / math.pi * _NODES
+# the rows phi_+- = (a -+ i b)/sqrt(2) from the rows a, b of S, the rows
+# w_+ + w_- and w_+ - w_- from the rows w_+-, and the signs of the
+# eigenvalues +-sigma of an even K
+_PHI = np.array([[1.0, -1j], [1.0, 1j]]) * math.sqrt(0.5)
 _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def _kway_terms(S: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Y_K = i(b a^dagger - a b^dagger) o H_K of each 2 x m amplitude matrix
-    S with rows a and b, for a (k, m, m) stack of masks H: (..., k, m, m),
-    built in place with the products of _outer, so only these k matrices
-    and one product are held."""
-    Y = np.empty(S.shape[:-2] + H.shape, dtype=complex)
-    np.multiply(S[..., 1, None, :, None], S[..., 0, None, None, :].conj(), out=Y)
-    Y -= S[..., 0, None, :, None] * S[..., 1, None, None, :].conj()
-    Y *= 1j
-    Y *= H
-    return Y
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _pure_kway_norms(S: np.ndarray, dims: tuple, p: int) -> dict:
     """||rho_K^{T_p}||_1, K = 2..n, of each pure state of a stack with a
     qubit focus p, from its 2 x m amplitude matrices S (core._slices) with
-    rows a and b, m = D/2; one eigh of m x m per K, no D x D matrix.
+    rows a and b, m = D/2, and no D x D matrix: with qubits only at the
+    rest, two eigh of h x h for each odd K and one SVD of h x h for each
+    even K, h = D/4.
 
     rho_K^{T_p} swaps the focus blocks of rho = |psi><psi| on the rest
-    pairs of mask H_K (_kway_masks), so rho_K^{T_p} - rho = sigma_y (x) Y_K
-    with the Hermitian Y_K = i(b a^dagger - a b^dagger) o H_K.  In the
-    sigma_y eigenbasis that term is diag(Y_K, -Y_K), and rho is the
-    rank-one |phi><phi| with the halves phi_+- = (a -+ i b)/sqrt(2).  With
-    Y_K = Q diag(y) Q^dagger and the weights w_+- = |Q^dagger phi_+-|^2,
-    |x| = (2/pi) int_0^inf x^2/(x^2 + t^2) dt and the resolvent of a
-    rank-one update (Golub, SIAM Rev. 15, 318, 1973) give
+    pairs of mask H_K, so rho_K^{T_p} - rho = sigma_y (x) Y_K with the
+    Hermitian Y_K = i(b a^dagger - a b^dagger) o H_K.  In the sigma_y
+    eigenbasis that term is A = diag(Y_K, -Y_K), and rho is the rank-one
+    |phi><phi| with the halves phi_+- = (a -+ i b)/sqrt(2), in which
+    Y_K = (phi_- phi_-^dagger - phi_+ phi_+^dagger) o H_K.  A Hermitian M
+    has ||M||_1 = (1/pi) int_0^inf ln det(1 + M^2/t^2) dt, since
+    int_0^inf ln(1 + x^2/t^2) dt = pi |x|, and det(M^2 + t^2) =
+    |det(M + it)|^2.  For M = A + |phi><phi| the determinant lemma
+    det(M + it) = det(A + it) (1 + <phi|(A + it)^-1|phi>) then gives
 
-        ||rho_K^{T_p}||_1 = 2 sum|y| + (2/pi) int_0^inf g(t) dt,
-        g = t^2 (2 kappa (1 + alpha) - (beta - 2 t^2 nu) beta)
-            / ((1 + alpha)^2 + t^2 beta^2),
+        ||rho_K^{T_p}||_1 = 2 sum|y| + (1/pi) int_0^inf ln((1 + alpha)^2 + t^2 beta^2) dt,
 
-    with q_j = 1/(y_j^2 + t^2), s = w_+ + w_-, u = (w_+ - w_-) y and
-    beta = q.s, alpha = q.u, nu = q^2.s, kappa = q^2.u.  The integral is the
+    with Y_K = Q diag(y) Q^dagger, the weights w_+- = |Q^dagger phi_+-|^2,
+    q_j = 1/(y_j^2 + t^2), s = w_+ + w_-, u = (w_+ - w_-) y and
+    alpha = q.u, beta = q.s, so that 1 + <phi|(A + it)^-1|phi> =
+    1 + alpha - i t beta.  The integrand is log1p(alpha (2 + alpha) +
+    t^2 beta^2), accurate where it is small, and the integral is the
     trapezoid rule in ln t (config.KWAY_QUAD_STEP); it needs no root
-    finding, and zero weights and tied y are harmless.  The K come two at a
-    time, so the Y_K and their eigenvectors hold D^2 entries per state.  A
-    norm must lie within ||rho||_1 = 1 of 2 sum|y| (the triangle inequality)
-    and be at least |Tr rho_K^{T_p}| = 1, each within EPS_NORM, or
-    NumericalError.
+    finding, and zero weights and tied y are harmless.
+
+    The eigenpairs of Y_K come from its blocks in the classes of _kway_plan.
+    For odd K, Y_K = diag(Y_EE, Y_OO), and one stacked eigh of all these
+    blocks gives them.  For even K, Y_K = [[0, C], [C^dagger, 0]] with
+    C = Y_K[E, O], and the SVD C = U diag(sigma) V^dagger gives the
+    eigenvalues +-sigma_j with the eigenvectors (u_j, +-v_j)/sqrt(2); one
+    stacked SVD takes all of them.  With one class every Y_K is its own
+    block and takes the eigh.  Where Y_K = 0 (every y = 0, as for GHZ
+    states below K = n), rho_K^{T_p} = rho and the norm is exactly 1.  The
+    blocks of one kind and their factors hold at most D^2 / 2 entries per
+    state, and the quadrature runs two K at a time.  A norm must lie within
+    ||rho||_1 = 1 of 2 sum|y| (the triangle inequality) and be at least
+    |Tr rho_K^{T_p}| = 1, each within EPS_NORM, or NumericalError.
     """
-    # the rows phi_+-^dagger, (..., 1, 2, m)
-    phi_h = (_PHI_H @ S.conj())[..., None, :, :]
-    masks = _kway_masks(dims, p)
+    rows, cols, (diag, Hd), (off, Ho) = _kway_plan(dims, p)
+    lead, k, (c, h) = S.shape[:-2], len(dims) - 1, rows.shape
+    # the rows phi_+- of the classes shifted by 0, 1, ..., (..., 2, s, c, h);
+    # shift 0 is the classes themselves
+    G = (_PHI @ S)[..., cols]
+    Gc = G.conj()
+    # Y_K = (phi_- phi_-^dagger - phi_+ phi_+^dagger) o H_K, and
+    # T[..., shift, j] is its first factor on the rows of class j and the
+    # columns of class j + shift, with the products of _outer
+    T = G[..., 1, None, 0, :, :, None] * Gc[..., 1, :, :, None, :]
+    T -= G[..., 0, None, 0, :, :, None] * Gc[..., 0, :, :, None, :]
+    # the rows phi_+-^dagger of each class, (..., 1, c, 2, h)
+    phi_h = Gc[..., 0, :, :].swapaxes(-3, -2)[..., None, :, :, :]
+    # the spectra y and the weights w_+- of K = 2..n, class by class
+    y = np.empty(lead + (k, c, h))
+    w = np.empty(lead + (k, 2, c, h))
+    if len(Hd):
+        y[..., diag, :, :], Q = np.linalg.eigh(T[..., None, 0, :, :, :] * Hd)
+        x = phi_h @ Q  # the rows conj(Q^dagger phi_+-), (..., k_d, c, 2, h)
+        w[..., diag, :, :, :] = (x.conj() * x).real.swapaxes(-3, -2)
+        del Q  # not held through the SVD
+    if len(Ho):
+        U, sigma, Vh = np.linalg.svd(T[..., None, 1:, 0, :, :] * Ho)
+        np.multiply(sigma, _SIGNS, out=y[..., off, :, :])
+        # conj((u_j, +-v_j)^dagger phi) = x_E +- x_O with the rows
+        # x_E = conj(U^dagger phi_E) and x_O = conj(V^dagger phi_O)
+        xE = (phi_h[..., :1, :, :] @ U)[..., 0, :, None, :]
+        V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)
+        xO = (phi_h[..., 1:, :, :] @ V)[..., 0, :, None, :]
+        x = xE + xO * _SIGNS  # (..., k_o, 2, 2, h)
+        np.multiply((x.conj() * x).real, 0.5, out=w[..., off, :, :, :])
+    y = y.reshape(lead + (k, c * h))
+    su = _SUM_DIFF @ w.reshape(lead + (k, 2, c * h))  # the rows s and u
+    su[..., 1, :] *= y
     norms = {}
-    for i in range(0, len(masks), 2):
-        y, Q = np.linalg.eigh(_kway_terms(S, masks[i : i + 2]))
-        w = phi_h @ Q  # the rows conj(Q^dagger phi_+-), (..., k, 2, m)
-        su = _SUM_DIFF @ (w.conj() * w).real  # the rows s and u
-        su[..., 1, :] *= y
-        q = np.square(y)[..., :, None] + _T2  # (..., k, m, nodes)
+    for i in range(0, k, 2):
+        yi = y[..., i : i + 2, :]
+        q = np.square(yi)[..., :, None] + _T2  # (..., 2, m, nodes)
         np.reciprocal(q, out=q)
-        ba = su @ q
-        q *= q
-        nk = su @ q
-        beta, a1, nu, kappa = ba[..., 0, :], ba[..., 1, :] + 1.0, nk[..., 0, :], nk[..., 1, :]
-        # g / t^2, the factor t^2 being in the weights _WEIGHTS
-        g = 2.0 * kappa * a1 - (beta - 2.0 * _T2 * nu) * beta
-        g /= a1 * a1 + _T2 * beta * beta
-        poles = 2.0 * np.abs(y).sum(axis=-1)
-        norm = poles + (g * _WEIGHTS).sum(axis=-1)
+        ba = su[..., i : i + 2, :, :] @ q
+        beta, alpha = ba[..., 0, :], ba[..., 1, :]
+        e = (alpha + 2.0) * alpha
+        e += _T2 * beta * beta
+        integral = np.log1p(e) @ _WEIGHTS
+        poles = 2.0 * np.add.reduce(np.abs(yi), axis=-1)
+        norm = poles + integral
+        norm[poles == 0.0] = 1.0  # where Y_K = 0, rho_K^{T_p} = rho
         gap = np.abs(norm - poles)
         _require(gap <= 1.0 + EPS_NORM, gap,
                  f"K-way trace norm is {{}} from 2 sum|y|, more than 1 + {EPS_NORM}",

@@ -534,9 +534,10 @@ def test_three_qubit_pure_stacks_call_no_factorization(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_only_qudit_and_density_reports_build_the_n_kway_transposes(monkeypatch, n):
-    # a pure report with a qubit focus takes n_kway from half-size eigh
-    # calls, the K two at a time (_pure_kway_norms); a qudit focus and
-    # density input transpose and eigvalsh each of the n - 1 K-way ones
+    # a pure report with a qubit focus and qubits at the rest takes n_kway
+    # from one stacked eigh of the odd-K blocks and one stacked SVD of the
+    # even-K blocks (_pure_kway_norms); a qudit focus and density input
+    # transpose and eigvalsh each of the n - 1 K-way ones
     from ktangle import transpose
 
     dims, qudit = (2,) * n, (3,) + (2,) * (n - 1)
@@ -559,9 +560,9 @@ def test_only_qudit_and_density_reports_build_the_n_kway_transposes(monkeypatch,
         calls.clear()
         linalg.clear()
         _report_arrays(amps, dims, p, {})
-        assert calls == [] and linalg == ["eigh"] * (n // 2), p
+        assert calls == [] and linalg == ["eigh", "svd"], p
         _report_arrays(amps, dims, p)
-        assert calls == [] and linalg == ["eigh"] * (n // 2), p
+        assert calls == [] and linalg == ["eigh", "svd"], p
     calls.clear()
     linalg.clear()
     _report_arrays(amps3, qudit, 0, {})
@@ -696,18 +697,116 @@ def test_a_nine_qubit_pure_negativity_report_holds_at_most_two_dense_matrices():
 def test_pure_n_kway_raises_past_its_bounds(monkeypatch, y_scale, q_scale, message):
     # any orthonormal Q and real y meet both bounds; eigenvectors scaled up
     # carry a rank-one term of norm 9 past the triangle inequality, and a
-    # spectrum and eigenvectors scaled down a norm below Tr = 1
+    # spectrum and eigenvectors scaled down a norm below Tr = 1.  The odd K
+    # take their eigenpairs from eigh and the even K from the SVD, so each
+    # half is scaled on its own and must raise
     psi = kt.haar_random_pure(kt.qubit_layout(5), 3)
-    eigh = np.linalg.eigh
+    eigh, svd = np.linalg.eigh, np.linalg.svd
 
-    def scaled(a, *args, **kwargs):
+    def scaled_eigh(a, *args, **kwargs):
         y, Q = eigh(a, *args, **kwargs)
         return y * y_scale, Q * q_scale
 
+    def scaled_svd(a, *args, **kwargs):
+        U, s, Vh = svd(a, *args, **kwargs)
+        return U * q_scale, s * y_scale, Vh * q_scale
+
     kt.negativity_report(psi, 0)
-    monkeypatch.setattr(np.linalg, "eigh", scaled)
-    with pytest.raises(kt.NumericalError, match=f"K-way trace norm .*{message}"):
-        kt.negativity_report(psi, 0)
+    for name, scaled in (("eigh", scaled_eigh), ("svd", scaled_svd)):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, name, scaled)
+            with pytest.raises(kt.NumericalError, match=f"K-way trace norm .*{message}"):
+                kt.negativity_report(psi, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_kway_plan_blocks_cover_the_masks(n):
+    # the premise of the parity blocks: with qubits at the rest, H_K has no
+    # entry between the classes for odd K and none inside them for even K,
+    # so the blocks of the plan are all of H_K
+    from ktangle.transpose import _label_tables
+
+    dims = (2,) * n
+    dg, diff = _label_tables(dims[1:])
+    parity = dg.sum(axis=1) % 2
+    for p in range(n):
+        rows, cols, (diag, Hd), (off, Ho) = negativity._kway_plan(dims, p)
+        E, O = rows
+        assert not parity[E].any() and parity[O].all(), p
+        assert (np.diff(E) > 0).all() and (np.diff(O) > 0).all(), p
+        assert np.array_equal(cols[0], rows) and np.array_equal(cols[1], rows[::-1]), p
+        Ks = list(range(2, n + 1))
+        assert Ks[diag] == Ks[1::2] and Ks[off] == Ks[0::2], p
+        assert Hd.shape == (len(Ks[1::2]), 2, 2 ** (n - 2), 2 ** (n - 2)), p
+        assert Ho.shape == (len(Ks[0::2]), 1, 2 ** (n - 2), 2 ** (n - 2)), p
+        for K in Ks:
+            H = diff == K - 1  # the rest labels of every focus are n - 1 qubits
+            if K % 2:
+                assert not H[np.ix_(E, O)].any() and not H[np.ix_(O, E)].any(), (p, K)
+                j = Ks[diag].index(K)
+                assert np.array_equal(Hd[j, 0], H[np.ix_(E, E)]), (p, K)
+                assert np.array_equal(Hd[j, 1], H[np.ix_(O, O)]), (p, K)
+            else:
+                assert not H[np.ix_(E, E)].any() and not H[np.ix_(O, O)].any(), (p, K)
+                assert np.array_equal(Ho[Ks[off].index(K), 0], H[np.ix_(E, O)]), (p, K)
+
+
+def test_kway_plan_of_a_qudit_rest_is_one_class():
+    from ktangle.transpose import _label_tables
+
+    dims = (2, 3, 2)
+    for p in (0, 2):
+        rows, cols, (diag, Hd), (off, Ho) = negativity._kway_plan(dims, p)
+        diff = _label_tables(dims[:p] + dims[p + 1 :])[1]
+        assert np.array_equal(rows, np.arange(6)[None]) and Ho.shape[0] == 0
+        assert list(range(2, 4))[diag] == [2, 3]
+        for j, K in enumerate((2, 3)):
+            assert np.array_equal(Hd[j, 0], diff == K - 1), (p, K)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_pure_n_kway_is_exactly_zero_where_y_k_vanishes(n):
+    # Y_K = 0 leaves rho_K^{T_p} = rho: |0...0> at every K, GHZ below
+    # K = n (its only coherence is n-way) and W_3 at K = 3
+    dims = (2,) * n
+    zero = np.zeros(2**n, complex)
+    zero[0] = 1.0
+    cases = [(zero, range(2, n + 1)), (_ghz(dims), range(2, n))]
+    if n == 3:
+        cases.append((_w(dims), [3]))
+    for v, zeros in cases:
+        for p in range(n):
+            n_kway = {}
+            _report_arrays(v[None], dims, p, n_kway)
+            for K in zeros:
+                assert n_kway[K][0] == 0.0, (p, K)
+    # GHZ keeps its n-way negativity
+    n_kway = {}
+    _report_arrays(_ghz(dims)[None], dims, 0, n_kway)
+    assert abs(n_kway[n][0] - 1.0) <= TOL
+
+
+def test_pure_kway_norms_call_budget():
+    # a three-qubit report is small, so its cost is the number of calls:
+    # one stacked eigh (K = 3), one SVD (K = 2) and the quadrature; the
+    # numpy wrappers of the two factorizations make 23 of the Python-level
+    # calls
+    import sys
+
+    S = kt.haar_random_pure(L3, 7).amplitudes[None, negativity._gather_index(L3.dims, (1,))]
+    negativity._pure_kway_norms(S, L3.dims, 1)  # fills the cached plan
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        negativity._pure_kway_norms(S, L3.dims, 1)
+    finally:
+        sys.setprofile(None)
+    assert counts["call"] <= 31 and counts["c_call"] <= 51, counts
 
 
 def test_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
