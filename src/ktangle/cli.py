@@ -8,15 +8,20 @@ after the document is printed).
 
 Reals are emitted with 12 significant digits and complex values as {re, im}
 objects, so byte-identical output follows from identical inputs and seeds.
+Each command runs on one thread of numpy's bundled OpenBLAS (main), so its
+bytes do not depend on the host's core count either.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import hashlib
 import json
 import math
+import os
 import string
 import sys
 
@@ -27,7 +32,7 @@ from .canonical import _delta, canonicalize3, coherence_delta
 from .config import EPS_EIG, EPS_HERM, EPS_NORM, STACK_CHUNK, NumericalError, ValidationError
 from .core import DensityOperator, PureState, _haar_amplitudes, outer, qubit_layout
 from .ghzw import sweep_family
-from .negativity import _report_arrays, negativity_report
+from .negativity import _negativity_reports, _report_arrays
 from .roof import Ensemble, RoofBudget, roof_negativity
 from .statefile import ParseError, parse_state_file
 from .tangle import _tangle_report, _tangles
@@ -229,8 +234,7 @@ def _cmd_analyze(args) -> int:
     reports = []
     worst_residual = 0.0
     delta = None
-    for p in foci:
-        rep = negativity_report(state, p)
+    for p, rep in zip(foci, _negativity_reports(state, foci)):
         worst_residual = max(worst_residual, rep.sum_residual)
         entry = {"negativity": _negativity_block(rep)}
         if pure3:
@@ -394,7 +398,39 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    found once per process, or None where there is none."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(pattern)):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
 def main(argv=None) -> int:
+    """Run one command.  It runs on one BLAS thread, so its bytes do not
+    depend on the host's core count (a threaded reduction may add in another
+    order), and the caller's thread count is restored after it."""
+    blas = _openblas()
+    threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        return _main(argv)
+    finally:
+        if blas:
+            blas[1](threads)
+
+
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except _UsageError as exc:

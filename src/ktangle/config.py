@@ -32,13 +32,31 @@ CANONICAL_AMP_EPS = 1e-12
 # first-qubit rotation ratio within this relative tolerance.
 GHZW_ROOT_RTOL = 1e-6
 
-# The K-way trace norms of a pure state with a qubit focus integrate over
+# The K-way trace norms of a state with a factor (a pure state, or a density
+# matrix of low rank) and a qubit focus integrate over
 # t = e^x by the trapezoid rule with this step in x, on [-SPAN, SPAN]: the
 # integrand's singularities lie pi/2 off the real x axis, so the rule's error
 # falls like exp(-pi^2 / step), about 7e-18, and the integral outside the
 # span is of order e^-SPAN, about 1e-18.
 KWAY_QUAD_STEP = 0.25
 KWAY_QUAD_SPAN = 41.5
+
+# A density matrix of at least FACTOR_MIN_DIM rows whose layout holds a qubit
+# keeps a factor rho = W W^dagger at validation: its eigenvalues above the
+# cutoff FACTOR_TAIL * D * eps * lambda_max give the rank r, the rest is
+# roundoff.  The factor is kept when r <= D // FACTOR_RANK_DIVISOR, no
+# eigenvalue lies below minus the cutoff and W W^dagger meets every entry of
+# rho within it; the reports of a qubit focus then take their negativities
+# from W.  Below FACTOR_MIN_DIM the D x D eigensolves cost less.
+FACTOR_MIN_DIM = 128
+FACTOR_TAIL = 1.0
+FACTOR_RANK_DIVISOR = 32
+
+# A report of several foci takes the K-way trace norms of the foci whose
+# rests have the same dims in one call, KWAY_STACK_ENTRIES // D^2 foci at a
+# time (at least one), so a call holds about as many block entries as one
+# focus at D^2 = KWAY_STACK_ENTRIES.
+KWAY_STACK_ENTRIES = 2**16
 
 # Hermiticity defect allowed in the input of the public partial transposes,
 # and kept by a DensityOperator without symmetrizing; the transposes only

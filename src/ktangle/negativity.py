@@ -7,7 +7,7 @@ partial K-way negativity E_K^p takes M = rho_K^{T_p}, and
 E_0^p = -(2(N-2)/(d_p - 1)) Tr(P_minus rho).
 
 Everything comes from the negative eigenpairs of the global transpose, by
-one of two routes chosen once, from the input (_global_spectrum).  Density
+one of three routes chosen once, from the input (_global_spectrum).  Density
 input runs one eigh of rho^{T_p}; the trace norm is the sum of |eigenvalue|
 (Vidal & Werner, PRA 65, 032314, 2002).  Pure input takes the Schmidt
 decomposition of the d_p x D/d_p amplitude matrix (_schmidt_pairs): the
@@ -15,12 +15,18 @@ Schmidt coefficients give the negative eigenpairs and N_G in closed form,
 with no D x D eigensolve.  For a qubit focus the decomposition itself is
 closed form, one Jacobi rotation of the 2 x 2 Gram matrix (_qubit_schmidt),
 so a pure report on qubits makes no LAPACK call; a larger focus runs one
-SVD.
-Both routes mask the eigenvalues at -EPS_EIG and keep the leading columns
-(_negative_columns).  The eigh route holds its columns flat, in the D
-index; the Schmidt route builds them from the Schmidt factors straight in
-the focus blocks (d_p, D/d_p) of the amplitude matrix, which the channels
-read, and lays them out flat only for the eigenpairs a report prints.
+SVD.  Density input of low rank with a qubit focus takes the factor route
+(_factor_pairs): validation keeps a factor rho = W W^dagger of r columns
+(core._factor_rows) where D >= FACTOR_MIN_DIM and r <= D //
+FACTOR_RANK_DIVISOR (core._low_rank), and rho^{T_p} then lives on
+C^2 (x) span{a_j, b_j} of the focus halves of those columns, so one QR and
+one eigh of 4r x 4r give its nonzero eigenpairs.
+Every route masks the eigenvalues at -EPS_EIG and keeps the leading
+columns (_negative_columns).  The eigh and factor routes hold their
+columns flat, in the D index; the Schmidt route builds them from the
+Schmidt factors straight in the focus blocks (d_p, D/d_p) of the amplitude
+matrix, which the channels read, and lays them out flat only for the
+eigenpairs a report prints.
 
 Every channel comes from one contraction (_channels), with no restricted
 transpose built.  rho_K^{T_p} differs from rho only by
@@ -34,16 +40,20 @@ E_K, the pair split and E_0 read one row of those sums.  A pure state builds
 the blocks from its amplitudes, so its report holds no D x D matrix.
 
 The K-way negativities n_kway need the spectrum of rho_K^{T_p} itself and
-are computed only by negativity_report.  With a qubit focus, a pure state
-takes them from the D/2 x D/2 matrices Y_K (_pure_kway_norms):
+are computed only by negativity_report, for all the foci of a report at
+once (_n_kway).  With a qubit focus, a pure state and density input with
+its factor W take them from the D/2 x D/2 matrices Y_K (_pure_kway_norms):
 rho_K^{T_p} - rho = sigma_y (x) Y_K exactly, so in the sigma_y eigenbasis
-rho_K^{T_p} is diag(Y_K, -Y_K) plus the rank-one rho, and its trace norm
-is a quadrature over the spectrum of Y_K, still with no D x D matrix.  With
-qubits at the rest, Y_K links only rest labels at Hamming distance K - 1,
-so it keeps their parity for odd K and flips it for even K (_kway_plan):
-two eigh of D/4 x D/4 blocks give its spectrum for odd K, one SVD of a
-D/4 x D/4 block for even K.  Density input and a larger focus build each
-rho_K^{T_p} and run one eigvalsh of it.
+rho_K^{T_p} is diag(Y_K, -Y_K) plus the rank-r rho, and its trace norm is a
+quadrature over the spectrum of Y_K of an r x r determinant (r = 1 for a
+pure state), still with no D x D matrix.  With qubits at the rest, Y_K
+links only rest labels at Hamming distance K - 1, so it keeps their parity
+for odd K and flips it for even K (_kway_plan): two eigh of D/4 x D/4
+blocks give its spectrum for odd K, one SVD of a D/4 x D/4 block for even
+K.  The foci whose rests have the same dims share that plan, and one call
+takes them all.  Density input without a factor and a larger focus build
+each rho_K^{T_p} and run one eigvalsh of it; where rho_K^{T_p} equals rho
+entry for entry (Y_K = 0), either route gives the norm 1 exactly.
 
 Counting the one-way elements too, rho^{T_p} = sum_{K=1..N} rho_K^{T_p} -
 (N - 1) rho exactly, so N_G^p = sum_{K>=2} E_K^p - E_0^p + R with the one-way
@@ -60,9 +70,10 @@ the unique symmetric split.
 
 _report_arrays computes every report field for a stack of amplitude vectors
 or of density matrices at once, n_kway only when asked; negativity_report is
-its batch of one.  The convex roof (roof.py) evaluates its members, pure
-stacks only, through _schmidt (N_G) and _kway_channel (E_K), the same
-contraction read at one K (_kway_trace).
+its batch of one, and _negativity_reports that of a list of foci.  The
+convex roof (roof.py) evaluates its members, pure stacks only, through
+_schmidt (N_G) and _kway_channel (E_K), the same contraction read at one K
+(_kway_trace).
 """
 
 from __future__ import annotations
@@ -73,9 +84,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EPS_EIG, EPS_HERM, EPS_NORM, KWAY_QUAD_SPAN, KWAY_QUAD_STEP, NumericalError
-from .core import DensityOperator, PureState, _eigh, _gather_index, _outer, _require, _slices
-from .core import _trace_norm
+from .config import EPS_EIG, EPS_HERM, EPS_NORM, KWAY_QUAD_SPAN, KWAY_QUAD_STEP, KWAY_STACK_ENTRIES
+from .config import NumericalError
+from .core import DensityOperator, PureState, _density_factor, _eigh, _gather_index, _outer
+from .core import _require, _slices, _trace_norm
 from .core import trace_norm
 from .transpose import _check_focus, _global_pt, _kway_pt, _label_tables
 
@@ -280,7 +292,36 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
     return n_global, w, _negative_columns(w, V), S
 
 
-def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
+def _factor_pairs(F: np.ndarray, dims: tuple, p: int):
+    """N_G^p, the ascending nonzero spectra w and the negative eigenvector
+    columns V, flat (_negative_columns), of the global transposes of a stack
+    of density matrices rho = W W^dagger with a qubit focus p, from the
+    focus blocks F (B, r, 2, m) of the rows of W^T (core._slices), m = D/2,
+    with no D x D eigensolve.
+
+    Row j of W^T is |psi_j> = |0>|a_j> + |1>|b_j>, and rho = sum_j
+    |psi_j><psi_j|, so the focus block (y, x) of rho^{T_p} is
+    sum_j c_x^j c_y^j^dagger with c_0 = a, c_1 = b, and rho^{T_p} lives on
+    C^2 (x) span{a_j, b_j}.  One QR of the m x 2r matrix [a, b] gives an
+    orthonormal basis Q of that span, and rho^{T_p} = (1 (x) Q) C
+    (1 (x) Q)^dagger with the 2k x 2k blocks sum_j alpha_x^j alpha_y^j^dagger
+    of C, alpha = Q^dagger c, k = min(2r, m).  One eigh of C gives every
+    eigenpair outside the kernel of rho^{T_p}, and its trace norm is their
+    sum of |w|.
+    """
+    B, r, _, m = F.shape
+    Q = np.linalg.qr(F.reshape(B, 2 * r, m).swapaxes(-1, -2))[0]
+    k = Q.shape[-1]
+    alpha = F @ Q.conj()[:, None]  # (B, r, 2, k)
+    C = np.einsum("bjxl,bjyL->bylxL", alpha, alpha.conj()).reshape(B, 2 * k, 2 * k)
+    w, u = _eigh(C)
+    n_global = _negativity(np.abs(w).sum(axis=-1), 2)
+    # the negative columns of u in its focus blocks, then in the D index
+    V = Q[:, None] @ _negative_columns(w, u.reshape(B, 2, k, 2 * k))
+    return n_global, w, _flat_columns(V, dims, p)
+
+
+def _global_spectrum(state: np.ndarray, dims: tuple, p: int, factor: np.ndarray = None):
     """N_G^p of each state of a stack, the ascending spectra w of the global
     transposes, their negative eigenvector columns (_negative_columns) and
     the operand X of _channels.
@@ -288,11 +329,18 @@ def _global_spectrum(state: np.ndarray, dims: tuple, p: int):
     A (B, D) stack of amplitude vectors takes the Schmidt route
     (_schmidt_pairs), whose columns come in focus blocks (B, d_p, D/d_p, c),
     and X is its stack of amplitude matrices S (B, d_p, D/d_p), gathered
-    once; a (B, D, D) stack of density matrices the eigh route, whose
-    columns are flat, (B, D, c), and X is the stack itself.
+    once.  A (B, D, D) stack of density matrices with their factor rows
+    factor (B, r, D) and a qubit focus takes the factor route
+    (_factor_pairs), w only the nonzero part of each spectrum; without a
+    factor, or with a larger focus, the eigh route.  Both give flat columns,
+    (B, D, c), and X is the stack itself.
     """
     if state.ndim == 2:
         return _schmidt_pairs(state, dims, p)
+    if factor is not None:
+        _check_focus(p, len(dims))
+        if dims[p] == 2:
+            return (*_factor_pairs(_slices(factor, dims, (p,)), dims, p), state)
     w, V = _eigh(_global_pt(state, dims, p))
     # the trace norm of each global transpose is the sum of |w|
     n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
@@ -473,31 +521,98 @@ _SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
+@functools.lru_cache(maxsize=8)
+def _minor_tables(r: int):
+    """The layout of the r^2 real rows of r x r Hermitian matrices in
+    _pure_kway_norms: the diagonal, then the real and the imaginary parts of
+    the entries (i, j), i < j, in np.triu_indices order.  Returns (i, j),
+    the rows take (4 r^2,) that gather, for the rows (R, P) of _det_excess,
+    Re P, Im R, Im P and Re R at each entry (a, b) of an r x r matrix (any
+    row for the zero imaginary parts of the diagonal), and sign (r, r, 1),
+    +1 above the diagonal, -1 below it and 0 on it; read-only."""
+    i, j = np.triu_indices(r, 1)
+    pair = r + np.arange(len(i))
+    re = np.diag(np.arange(r))
+    im = np.zeros((r, r), dtype=np.intp)
+    sign = np.zeros((r, r, 1))
+    re[i, j] = re[j, i] = pair
+    im[i, j] = im[j, i] = pair + len(i)
+    sign[i, j], sign[j, i] = 1.0, -1.0
+    n = r * r
+    take = np.concatenate([re + n, im, im + n, re], axis=None)
+    for a in (i, j, take, sign):
+        a.flags.writeable = False
+    return i, j, take, sign
+
+
+def _products(x: np.ndarray) -> np.ndarray:
+    """The products x_a conj(x_b) of the r > 1 rows x_a of x (..., r, k, 2,
+    c, h) as r^2 real rows (..., k, 2, r^2, c, h), laid out as _minor_tables
+    says."""
+    i, j = _minor_tables(x.shape[-5])[:2]
+    cross = x[..., i, :, :, :, :] * x[..., j, :, :, :, :].conj()
+    sq = np.concatenate([(x.conj() * x).real, cross.real, cross.imag], axis=-5)
+    return np.moveaxis(sq, -5, -3)
+
+
+def _det_excess(ba: np.ndarray) -> np.ndarray:
+    """|det(1 + P - itR)|^2 - 1 at each node t, from the rows ba
+    (..., 2 r^2, nodes) of _pure_kway_norms, r > 1: the r^2 rows of R, then
+    those of P (_minor_tables).
+
+    det(1 + M) - 1 = c of M = P - itR comes from Schur complements: each
+    pivot a makes a factor 1 + a of the determinant, and c gathers them as
+    c + a + c a, so no term cancels where M is small; then
+    |1 + c|^2 - 1 = (2 + Re c) Re c + (Im c)^2.  The pivots are never -1:
+    1 + a is the ratio of det(A + it + Phi_l Phi_l^dagger) to the same
+    determinant with one column of Phi_l less, each of a Hermitian matrix
+    plus it, t > 0.
+    """
+    r = math.isqrt(ba.shape[-2] // 2)
+    _, _, take, sign = _minor_tables(r)
+    # M = P - itR = (Re P + t s Im R) + i (s Im P - t Re R) at entry (a, b),
+    # s its sign
+    g = np.take(ba, take, axis=-2).reshape(ba.shape[:-2] + (4, r, r, ba.shape[-1]))
+    st = sign * _NODES
+    M = (g[..., 0, :, :, :] + st * g[..., 1, :, :, :]) + 1j * (
+        sign * g[..., 2, :, :, :] - _NODES * g[..., 3, :, :, :])
+    c = 0.0
+    while True:
+        a = M[..., 0, 0, :]
+        c = c + a + c * a
+        if M.shape[-2] == 1:
+            return (c.real + 2.0) * c.real + c.imag * c.imag
+        M = M[..., 1:, 1:, :] - M[..., 1:, :1, :] * (M[..., :1, 1:, :] / (1.0 + a)[..., None, None, :])
+
+
 def _pure_kway_norms(S: np.ndarray, dims: tuple, p: int) -> dict:
-    """||rho_K^{T_p}||_1, K = 2..n, of each pure state of a stack with a
-    qubit focus p, from its 2 x m amplitude matrices S (core._slices) with
-    rows a and b, m = D/2, and no D x D matrix: with qubits only at the
-    rest, two eigh of h x h for each odd K and one SVD of h x h for each
-    even K, h = D/4.
+    """||rho_K^{T_p}||_1, K = 2..n, of each state of a stack rho = W W^dagger
+    with a qubit focus p, from the 2 x m matrices S (..., r, 2, m)
+    (core._slices) of the r rows of W^T, with rows a_j and b_j, m = D/2, and
+    no D x D matrix: with qubits only at the rest, two eigh of h x h for
+    each odd K and one SVD of h x h for each even K, h = D/4.  A pure state
+    is the case r = 1, W = psi.
 
-    rho_K^{T_p} swaps the focus blocks of rho = |psi><psi| on the rest
-    pairs of mask H_K, so rho_K^{T_p} - rho = sigma_y (x) Y_K with the
-    Hermitian Y_K = i(b a^dagger - a b^dagger) o H_K.  In the sigma_y
-    eigenbasis that term is A = diag(Y_K, -Y_K), and rho is the rank-one
-    |phi><phi| with the halves phi_+- = (a -+ i b)/sqrt(2), in which
-    Y_K = (phi_- phi_-^dagger - phi_+ phi_+^dagger) o H_K.  A Hermitian M
-    has ||M||_1 = (1/pi) int_0^inf ln det(1 + M^2/t^2) dt, since
-    int_0^inf ln(1 + x^2/t^2) dt = pi |x|, and det(M^2 + t^2) =
-    |det(M + it)|^2.  For M = A + |phi><phi| the determinant lemma
-    det(M + it) = det(A + it) (1 + <phi|(A + it)^-1|phi>) then gives
+    rho_K^{T_p} swaps the off-diagonal focus blocks of rho on the rest pairs
+    of mask H_K, so rho_K^{T_p} - rho = sigma_y (x) Y_K with the Hermitian
+    Y_K = sum_j i(b_j a_j^dagger - a_j b_j^dagger) o H_K.  In the sigma_y
+    eigenbasis that term is A = diag(Y_K, -Y_K), and rho is Phi Phi^dagger,
+    column j of Phi with the halves phi_+-^j = (a_j -+ i b_j)/sqrt(2), in
+    which Y_K = sum_j (phi_-^j phi_-^j^dagger - phi_+^j phi_+^j^dagger) o H_K.
+    A Hermitian M has ||M||_1 = (1/pi) int_0^inf ln det(1 + M^2/t^2) dt,
+    since int_0^inf ln(1 + x^2/t^2) dt = pi |x|, and det(M^2 + t^2) =
+    |det(M + it)|^2.  For M = A + Phi Phi^dagger the determinant lemma
+    det(M + it) = det(A + it) det(1 + Phi^dagger (A + it)^-1 Phi) then gives
 
-        ||rho_K^{T_p}||_1 = 2 sum|y| + (1/pi) int_0^inf ln((1 + alpha)^2 + t^2 beta^2) dt,
+        ||rho_K^{T_p}||_1 = 2 sum|y| + (1/pi) int_0^inf ln|det(1 + P - itR)|^2 dt,
 
-    with Y_K = Q diag(y) Q^dagger, the weights w_+- = |Q^dagger phi_+-|^2,
-    q_j = 1/(y_j^2 + t^2), s = w_+ + w_-, u = (w_+ - w_-) y and
-    alpha = q.u, beta = q.s, so that 1 + <phi|(A + it)^-1|phi> =
-    1 + alpha - i t beta.  The integrand is log1p(alpha (2 + alpha) +
-    t^2 beta^2), accurate where it is small, and the integral is the
+    with Y_K = Q diag(y) Q^dagger, the r x r products w_+-[k] of the rows
+    k of Q^dagger phi_+-, q_k = 1/(y_k^2 + t^2), R = sum_k q_k (w_+ + w_-)[k]
+    and P = sum_k q_k y_k (w_+ - w_-)[k], so that Phi^dagger (A + it)^-1 Phi
+    = P - itR.  For r = 1, P = alpha and R = beta are numbers and the
+    integrand is log1p(alpha (2 + alpha) + t^2 beta^2); for r > 1 it is
+    log1p of |det(1 + P - itR)|^2 - 1 from Schur complements (_det_excess).
+    Both are accurate where the integrand is small, and the integral is the
     trapezoid rule in ln t (config.KWAY_QUAD_STEP); it needs no root
     finding, and zero weights and tied y are harmless.
 
@@ -515,48 +630,57 @@ def _pure_kway_norms(S: np.ndarray, dims: tuple, p: int) -> dict:
     |Tr rho_K^{T_p}| = 1, each within EPS_NORM, or NumericalError.
     """
     rows, cols, (diag, Hd), (off, Ho) = _kway_plan(dims, p)
-    lead, k, (c, h) = S.shape[:-2], len(dims) - 1, rows.shape
-    # the rows phi_+- of the classes shifted by 0, 1, ..., (..., 2, s, c, h);
-    # shift 0 is the classes themselves
+    lead, r, k, (c, h) = S.shape[:-3], S.shape[-3], len(dims) - 1, rows.shape
+    # the rows phi_+- of the classes shifted by 0, 1, ..., (..., r, 2, s, c,
+    # h); shift 0 is the classes themselves
     G = (_PHI @ S)[..., cols]
     Gc = G.conj()
-    # Y_K = (phi_- phi_-^dagger - phi_+ phi_+^dagger) o H_K, and
+    # Y_K = sum_j (phi_- phi_-^dagger - phi_+ phi_+^dagger) o H_K, and
     # T[..., shift, j] is its first factor on the rows of class j and the
     # columns of class j + shift, with the products of _outer
     T = G[..., 1, None, 0, :, :, None] * Gc[..., 1, :, :, None, :]
     T -= G[..., 0, None, 0, :, :, None] * Gc[..., 0, :, :, None, :]
-    # the rows phi_+-^dagger of each class, (..., 1, c, 2, h)
+    T = T[..., 0, :, :, :, :] if r == 1 else T.sum(axis=-5)
+    # the rows phi_+-^dagger of each class, (..., r, 1, c, 2, h)
     phi_h = Gc[..., 0, :, :].swapaxes(-3, -2)[..., None, :, :, :]
-    # the spectra y and the weights w_+- of K = 2..n, class by class
+    # the spectra y and the products w_+- of K = 2..n, class by class
     y = np.empty(lead + (k, c, h))
-    w = np.empty(lead + (k, 2, c, h))
+    w = np.empty(lead + (k, 2, r * r, c, h))
     if len(Hd):
         y[..., diag, :, :], Q = np.linalg.eigh(T[..., None, 0, :, :, :] * Hd)
-        x = phi_h @ Q  # the rows conj(Q^dagger phi_+-), (..., k_d, c, 2, h)
-        w[..., diag, :, :, :] = (x.conj() * x).real.swapaxes(-3, -2)
+        # the rows conj(Q^dagger phi_+-), (..., r, k_d, 2, c, h)
+        x = (phi_h @ Q[..., None, :, :, :, :]).swapaxes(-3, -2)
+        w[..., diag, :, :, :, :] = (x.conj() * x).real[..., 0, :, :, None, :, :] if r == 1 else _products(x)
         del Q  # not held through the SVD
     if len(Ho):
         U, sigma, Vh = np.linalg.svd(T[..., None, 1:, 0, :, :] * Ho)
         np.multiply(sigma, _SIGNS, out=y[..., off, :, :])
         # conj((u_j, +-v_j)^dagger phi) = x_E +- x_O with the rows
         # x_E = conj(U^dagger phi_E) and x_O = conj(V^dagger phi_O)
-        xE = (phi_h[..., :1, :, :] @ U)[..., 0, :, None, :]
+        xE = (phi_h[..., :1, :, :] @ U[..., None, :, :, :, :])[..., 0, :, None, :]
         V = np.conjugate(Vh, out=Vh).swapaxes(-1, -2)
-        xO = (phi_h[..., 1:, :, :] @ V)[..., 0, :, None, :]
-        x = xE + xO * _SIGNS  # (..., k_o, 2, 2, h)
-        np.multiply((x.conj() * x).real, 0.5, out=w[..., off, :, :, :])
-    y = y.reshape(lead + (k, c * h))
-    su = _SUM_DIFF @ w.reshape(lead + (k, 2, c * h))  # the rows s and u
-    su[..., 1, :] *= y
+        xO = (phi_h[..., 1:, :, :] @ V[..., None, :, :, :, :])[..., 0, :, None, :]
+        x = xE + xO * _SIGNS  # (..., r, k_o, 2, 2, h)
+        xx = (x.conj() * x).real[..., 0, :, :, None, :, :] if r == 1 else _products(x)
+        np.multiply(xx, 0.5, out=w[..., off, :, :, :, :])
+    m = c * h
+    y = y.reshape(lead + (k, m))
+    # the rows of R and of P per K: sums and differences of w_+ and w_-
+    su = (_SUM_DIFF @ w.reshape(lead + (k, 2, r * r * m))).reshape(lead + (k, 2, r * r, m))
+    su[..., 1, :, :] *= y[..., None, :]
     norms = {}
     for i in range(0, k, 2):
         yi = y[..., i : i + 2, :]
         q = np.square(yi)[..., :, None] + _T2  # (..., 2, m, nodes)
         np.reciprocal(q, out=q)
-        ba = su[..., i : i + 2, :, :] @ q
-        beta, alpha = ba[..., 0, :], ba[..., 1, :]
-        e = (alpha + 2.0) * alpha
-        e += _T2 * beta * beta
+        if r == 1:
+            # R = beta and P = alpha are numbers
+            ba = su[..., i : i + 2, :, 0, :] @ q
+            beta, alpha = ba[..., 0, :], ba[..., 1, :]
+            e = (alpha + 2.0) * alpha
+            e += _T2 * beta * beta
+        else:
+            e = _det_excess(su[..., i : i + 2, :, :, :].reshape(yi.shape[:-1] + (2 * r * r, m)) @ q)
         integral = np.log1p(e) @ _WEIGHTS
         poles = 2.0 * np.add.reduce(np.abs(yi), axis=-1)
         norm = poles + integral
@@ -572,16 +696,63 @@ def _pure_kway_norms(S: np.ndarray, dims: tuple, p: int) -> dict:
     return norms
 
 
-def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) -> _ReportArrays:
+def _dense_kway_norm(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
+    """||rho_K^{T_p}||_1 of each matrix of a stack by one eigvalsh, and
+    exactly 1 where rho_K^{T_p} equals rho entry for entry; with no eigvalsh
+    where every matrix of the stack does."""
+    R = _kway_pt(M, dims, K, p)
+    same = (R == M).all(axis=(-2, -1))
+    if same.all():
+        return np.ones(same.shape)
+    norm = _trace_norm(R)
+    norm[same] = 1.0
+    return norm
+
+
+def _n_kway(state: np.ndarray, dims: tuple, foci: list, factor: np.ndarray = None) -> list:
+    """The K-way negativities {K: n_kway[K]}, K = 2..n, of a stack of
+    amplitude vectors (B, D) or of density matrices (B, D, D), one dict per
+    focus of foci.
+
+    A qubit focus of pure input, or of density input with its factor rows
+    factor (B, r, D), takes them from the factor (_pure_kway_norms).  The
+    foci whose rests have the same dims share one plan, so they go through
+    one call, up to KWAY_STACK_ENTRIES // D^2 foci a call: a stack of them
+    gives each focus the bytes of its own call.  Any other focus builds each
+    rho_K^{T_p} and takes its trace norm by one eigvalsh (_dense_kway_norm).
+    """
+    n, D = len(dims), math.prod(dims)
+    F = state[..., None, :] if state.ndim == 2 else factor
+    out, groups, M = [None] * len(foci), {}, None
+    for i, p in enumerate(foci):
+        if F is not None and dims[p] == 2:
+            groups.setdefault(dims[:p] + dims[p + 1 :], []).append(i)
+            continue
+        if M is None:
+            M = _outer(state) if state.ndim == 2 else state
+        # at most one K-way transpose is alive at a time
+        out[i] = {K: _negativity(_dense_kway_norm(M, dims, K, p), dims[p]) for K in range(2, n + 1)}
+    per_call = max(1, KWAY_STACK_ENTRIES // (D * D))
+    for idx in groups.values():
+        for start in range(0, len(idx), per_call):
+            chunk = idx[start : start + per_call]
+            S = np.stack([_slices(F, dims, (foci[i],)) for i in chunk])
+            norms = _pure_kway_norms(S, dims, foci[chunk[0]])
+            for j, i in enumerate(chunk):
+                out[i] = {K: _negativity(v[j], 2) for K, v in norms.items()}
+    return out
+
+
+def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None,
+                   factor: np.ndarray = None) -> _ReportArrays:
     """Every NegativityReport field of focus p but n_kway, for a stack of
-    amplitude vectors (B, D) or of density matrices (B, D, D).
+    amplitude vectors (B, D) or of density matrices (B, D, D), the latter
+    with their factor rows factor (B, r, D) where kept (_global_spectrum).
 
     Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
-    the stack after the channels: for pure input with a qubit focus from
-    the amplitude matrices (_pure_kway_norms), else one eigvalsh of each
-    rho_K^{T_p}.
+    the stack (_n_kway).
     """
-    n_global, w, V, X = _global_spectrum(state, dims, p)  # checks the focus
+    n_global, w, V, X = _global_spectrum(state, dims, p, factor)  # checks the focus
     n, d_p = len(dims), dims[p]
     t_id, s = _channels(X, dims, p, V)
     e_partial = {K: _channel(_kway_trace(t_id, s, K), d_p) for K in range(2, n + 1)}
@@ -592,14 +763,8 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
     pair_split = {
         q: (-2.0 * (t_id + s[..., L]) + t_id) / (d_p - 1) for q, L in zip(partners, (2, 4))
     }
-    if n_kway is not None and state.ndim == 2 and d_p == 2:
-        for K, norm in _pure_kway_norms(X, dims, p).items():
-            n_kway[K] = _negativity(norm, d_p)
-    elif n_kway is not None:
-        M = _outer(state) if state.ndim == 2 else state
-        for K in range(2, n + 1):
-            # at most one K-way transpose is alive at a time
-            n_kway[K] = _negativity(_trace_norm(_kway_pt(M, dims, K, p)), d_p)
+    if n_kway is not None:
+        n_kway.update(_n_kway(state, dims, [p], factor)[0])
 
     gate = np.abs(e0) <= EPS_NORM
     return _ReportArrays(
@@ -616,28 +781,44 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None) 
 
 def negativity_report(state: PureState | DensityOperator, p: int) -> NegativityReport:
     """Every negativity measure of focus p: a PureState takes the Schmidt
-    route and a DensityOperator the eigh route (see _global_spectrum)."""
-    n_kway = {}
-    arr = state.amplitudes if isinstance(state, PureState) else state.matrix
-    a = _report_arrays(arr[None], state.layout.dims, p, n_kway)
+    route, and a DensityOperator the factor route where it kept a factor and
+    p is a qubit, else the eigh route (see _global_spectrum)."""
+    return _negativity_reports(state, [p])[0]
+
+
+def _negativity_reports(state: PureState | DensityOperator, foci: list) -> list:
+    """The negativity_report of each focus of foci, their K-way negativities
+    taken together (_n_kway)."""
+    dims = state.layout.dims
+    for p in foci:
+        _check_focus(p, len(dims))
+    if isinstance(state, PureState):
+        arr, factor = state.amplitudes[None], None
+    else:
+        arr, factor = state.matrix[None], _density_factor(state)
+        factor = None if factor is None else factor[None]
 
     def row(d: dict) -> dict:
         return {k: float(v[0]) for k, v in d.items()}
 
-    n_global = float(a.n_global[0])
-    e_partial = row(a.e_partial)
-    return NegativityReport(
-        focus=p,
-        n_global=n_global,
-        n_kway=row(n_kway),
-        e_partial=e_partial,
-        e0=float(a.e0[0]),
-        pair_split=row(a.pair_split),
-        negative_eigenpairs=_negative_pairs(a.eigenvalues[0], a.negative_vectors[0]),
-        sum_residual=float(a.sum_residual[0]),
-        violations=[
-            f"e_partial[{K}] = {ek} exceeds n_global = {n_global}"
-            for K, ek in e_partial.items()
-            if a.violates[K][0]
-        ],
-    )
+    reports = []
+    for p, n_kway in zip(foci, _n_kway(arr, dims, foci, factor)):
+        a = _report_arrays(arr, dims, p, factor=factor)
+        n_global = float(a.n_global[0])
+        e_partial = row(a.e_partial)
+        reports.append(NegativityReport(
+            focus=p,
+            n_global=n_global,
+            n_kway=row(n_kway),
+            e_partial=e_partial,
+            e0=float(a.e0[0]),
+            pair_split=row(a.pair_split),
+            negative_eigenpairs=_negative_pairs(a.eigenvalues[0], a.negative_vectors[0]),
+            sum_residual=float(a.sum_residual[0]),
+            violations=[
+                f"e_partial[{K}] = {ek} exceeds n_global = {n_global}"
+                for K, ek in e_partial.items()
+                if a.violates[K][0]
+            ],
+        ))
+    return reports

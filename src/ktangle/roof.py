@@ -45,7 +45,7 @@ from .config import (
     STACK_CHUNK,
     ValidationError,
 )
-from .core import DensityOperator, PureState, _derived, _eigh, _outer
+from .core import DensityOperator, PureState, _derived, _eigh, _low_rank, _outer
 from .negativity import _kway_channel, _schmidt
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
@@ -70,9 +70,14 @@ class Ensemble:
             raise ValidationError(f"ensemble probabilities sum to {total}, must be 1")
 
     def density(self) -> DensityOperator:
+        """sum_j p_j |psi_j><psi_j|, which keeps the rows sqrt(p_j) psi_j as
+        its factor where they take the factor route (core._low_rank)."""
         layout = self.members[0][1].layout
         m = sum(p * _outer(s.amplitudes) for p, s in self.members)
-        return _derived(DensityOperator, layout=layout, matrix=m)
+        factor = None
+        if _low_rank(layout.total_dim, len(self.members)):
+            factor = np.stack([math.sqrt(p) * s.amplitudes for p, s in self.members])
+        return _derived(DensityOperator, layout=layout, matrix=m, _factor=factor)
 
 
 @dataclass(frozen=True)

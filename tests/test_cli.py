@@ -736,6 +736,52 @@ def test_pure_analyze_bytes_do_not_depend_on_blas_threads(tmp_path, n):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_density_and_roof_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a full-rank 8-qubit density matrix takes the eigh route, whose
+    # threaded reductions printed other digits at 2 threads before the CLI
+    # ran each command on one thread
+    rng = np.random.default_rng(1)
+    Z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    rho = Z @ Z.conj().T
+    rho = rho / np.trace(rho).real
+    dense = tmp_path / "full8.json"
+    dense.write_text(json.dumps({"dims": [2] * 8, "matrix": [amplitudes_json(row) for row in rho]}))
+    members = [{"p": 0.6, "amplitudes": amplitudes_json(kt.haar_random_pure(L3, 1).amplitudes)},
+               {"p": 0.4, "amplitudes": amplitudes_json(kt.haar_random_pure(L3, 2).amplitudes)}]
+    mix = tmp_path / "mix3.json"
+    mix.write_text(json.dumps({"dims": [2, 2, 2], "ensemble": members}))
+    for argv in (["analyze", str(dense), "--focus", "A"],
+                 ["roof", str(mix), "--focus", "B", "--measure", "k2", "--restarts", "8"]):
+        runs = [_run_subprocess(argv, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+        assert runs[0].returncode in (0, 3) and runs[0].stdout.startswith("{"), runs[0].stderr
+        assert runs[0].returncode == runs[1].returncode and runs[0].stdout == runs[1].stdout, argv
+
+
+def test_each_command_runs_on_one_blas_thread_and_restores_the_callers(monkeypatch, capsys):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS to pin")
+    get, put = blas
+    before = get()
+    inside = []
+
+    def spy(*args, _sweep=cli.sweep_family):
+        inside.append(get())
+        return _sweep(*args)
+
+    monkeypatch.setattr(cli, "sweep_family", spy)
+    try:
+        put(2)
+        caller = get()  # 1 where the library was started with one thread
+        assert cli.main(["sweep", "--family", "ghzw", "--sign", "plus", "--q", "0:1:3"]) == 0
+        assert inside == [1] and get() == caller
+        assert cli.main(["sweep", "--family", "ghzw"]) == 1  # a usage error restores it too
+        assert get() == caller
+    finally:
+        put(before)
+    capsys.readouterr()
+
+
 _JUNK_ENTRIES = (
     None,
     "0.5",
