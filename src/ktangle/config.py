@@ -42,20 +42,36 @@ KWAY_QUAD_STEP = 0.25
 KWAY_QUAD_SPAN = 41.5
 
 # A density matrix of at least FACTOR_MIN_DIM rows whose layout holds a qubit
-# keeps a factor rho = W W^dagger at validation: its eigenvalues above the
-# cutoff FACTOR_TAIL * D * eps * lambda_max give the rank r, the rest is
-# roundoff.  The factor is kept when r <= D // FACTOR_RANK_DIVISOR, no
-# eigenvalue lies below minus the cutoff and W W^dagger meets every entry of
-# rho within it; the reports of a qubit focus then take their negativities
-# from W.  Below FACTOR_MIN_DIM the D x D eigensolves cost less.
+# takes the factor route rho = W W^dagger for the reports of a qubit focus
+# (core._density_factor): its eigenvalues above the cutoff
+# FACTOR_TAIL * D * eps * lambda_max give the rank r, the rest is roundoff,
+# and the route is taken when r <= D // FACTOR_RANK_DIVISOR, no eigenvalue
+# lies below minus the cutoff and W W^dagger meets every entry of rho within
+# it.  The factor route costs the eigh route's half-size blocks plus terms
+# in r D^2 and r^2 D, the eigh route D x D eigensolves, so they cross at a
+# rank proportional to D.  One report of focus 0 (one OpenBLAS thread, in
+# process, the two routes alternating, best of 3-7, building W included)
+# crossed between r = 8 and 12 at D = 128 (the factor route 0.95 then 2.01
+# of the eigh route's 11.5 ms), between 16 and 24 at D = 256 (0.90 then
+# 1.99 of 70 ms) and between 32 and 48 at D = 512 (0.75 then 1.86 of
+# 567 ms): r ~ D / 15.  D / 32, about half that rank, costs 0.43, 0.27 and
+# 0.22 of the eigh route at its cut, and the cost grows like r^2 past it.
+# At D = 64 the route took 0.50-0.75 of the eigh route's 2.4 ms for r <= 3,
+# a gain of at most 1.2 ms a report: FACTOR_MIN_DIM keeps 6 qubits and
+# fewer on the eigh route.
 FACTOR_MIN_DIM = 128
 FACTOR_TAIL = 1.0
 FACTOR_RANK_DIVISOR = 32
 
 # A report of several foci takes the K-way trace norms of the foci whose
 # rests have the same dims in one call, KWAY_STACK_ENTRIES // D^2 foci at a
-# time (at least one), so a call holds about as many block entries as one
-# focus at D^2 = KWAY_STACK_ENTRIES.
+# time (at least one): all of them up to 6 qubits, 4 at 7 and one from 8 on.
+# The K-way step of an all-foci pure report (one OpenBLAS thread, in
+# process, best of 3-20) took, one focus a call against stacked: 2.37 ->
+# 1.87 ms at 5 qubits, 5.39 -> 3.87 ms at 6, 13.9 -> 12.6-13.5 ms at 7,
+# 61 -> 65-70 ms at 8 and 350 -> 413-524 ms at 9, while its peak memory
+# grows with the foci stacked (5.98 -> 52.7 MiB for all 9 foci at 9
+# qubits, past the 2 * 512^2 * 16 B a 9-qubit report is held to).
 KWAY_STACK_ENTRIES = 2**16
 
 # Hermiticity defect allowed in the input of the public partial transposes,

@@ -12,10 +12,11 @@ hermiticity within EPS_HERM, no eigenvalue below -EPS_NORM and unitarity
 within UNITARITY_EPS, all named in config, and a square local unitary with
 a nonnegative target.  A DensityOperator whose hermiticity defect passes the
 check but exceeds TRANSPOSE_HERM_EPS, what the public partial transposes
-accept, stores its Hermitian part.  One of low rank keeps a factor
-rho = W W^dagger from its check (_factor_rows) for the factor route of the
-negativities, as do outer and Ensemble.density from their vectors;
-_density_factor reads it back where it still reconstructs the matrix.
+accept, stores its Hermitian part, and keeps the spectrum of its check;
+outer and Ensemble.density keep their vectors as a factor rho = W W^dagger.
+_density_factor alone decides from these whether a report takes the factor
+route of the negativities, and builds W there from the spectrum the first
+time it is needed.
 What the package derives from checked objects is trusted and built through
 _derived, which skips __post_init__: the results of outer, partial_trace,
 apply_local_unitary and haar_random_pure, the canonical forms and their
@@ -103,7 +104,7 @@ class DensityOperator:
         D = self.layout.total_dim
         if self.matrix.shape != (D, D):
             raise ValidationError(f"matrix shape {self.matrix.shape}, layout needs ({D},{D})")
-        defect, self._factor = _check_density(self.matrix, self.layout.dims)
+        defect, self._spectrum = _check_density(self.matrix)
         if defect > TRANSPOSE_HERM_EPS:
             # the check allows a hermiticity defect up to EPS_HERM, but a
             # partial transpose carries at most TRANSPOSE_HERM_EPS: keep the
@@ -165,66 +166,68 @@ def _check_hermitian(M: np.ndarray) -> np.ndarray:
     return defect
 
 
-def _check_density(M: np.ndarray, dims: tuple = None):
+def _check_density(M: np.ndarray):
     """Hermiticity, unit trace and no eigenvalue below -EPS_NORM, per stacked
-    matrix, by one eigvalsh; returns the hermiticity defects and None.
-
-    Given the layout dims of the one matrix M, where a qubit focus may take
-    the factor route (at least FACTOR_MIN_DIM rows and a qubit in dims), it
-    returns the factor rows of M (_factor_rows) in place of None.
-    """
+    matrix, by one eigvalsh; returns the hermiticity defects and the
+    ascending spectra."""
     defect = _check_hermitian(M)
     tr = np.trace(M, axis1=-2, axis2=-1)
     _require(np.abs(tr - 1.0) <= EPS_NORM, tr, f"trace = {{}}, must be 1 within {EPS_NORM}")
     w = np.linalg.eigvalsh(M)
     lo = w[..., 0]
     _require(lo >= -EPS_NORM, lo, f"smallest eigenvalue = {{}}, must be >= -{EPS_NORM}")
-    factor = dims is not None and M.shape[-1] >= FACTOR_MIN_DIM and 2 in dims
-    return defect, _factor_rows(M, w) if factor else None
+    return defect, w
 
 
-def _factor_rows(M: np.ndarray, w: np.ndarray):
-    """The rows (r, D) of a factor W of the Hermitian matrix M with the
-    ascending spectrum w, M = W W^dagger up to the eigenvalues dropped as
-    roundoff: those within cut = FACTOR_TAIL * D * eps * lambda_max of zero.
-    None where an eigenvalue lies below -cut or more than
-    D // FACTOR_RANK_DIVISOR remain (_low_rank).
+def _factor_rows(M: np.ndarray, r: int) -> np.ndarray:
+    """The rows (r, D) of a factor W of the Hermitian matrix M of numerical
+    rank r, M = W W^dagger up to the eigenvalues dropped as roundoff.
 
-    The r eigenvalues above cut give the rank, and the range of M comes from
-    M Omega, Omega a fixed Gaussian D x 2r probe: one QR of it gives an
-    orthonormal basis Q, and the eigenpairs (mu, U) of the 2r x 2r matrix
-    Q^dagger M Q give W = Q U_+ sqrt(mu_+) from the r largest mu, with no
-    D x D eigensolve beyond the eigvalsh of w.  _density_factor checks
-    W W^dagger against M where W is used.
+    The range of M comes from M Omega, Omega a fixed Gaussian D x 2r probe:
+    one QR of it gives an orthonormal basis Q, and the eigenpairs (mu, U) of
+    the 2r x 2r matrix Q^dagger M Q give W = Q U_+ sqrt(mu_+) from the r
+    largest mu, with no D x D eigensolve.
     """
-    D = w.shape[-1]
-    cut = FACTOR_TAIL * D * np.finfo(float).eps * w[-1]
-    r = int((w > cut).sum())
-    if w[0] < -cut or not _low_rank(D, r):
-        return None
+    D = M.shape[-1]
     Q = np.linalg.qr(M @ np.random.default_rng(D).standard_normal((D, 2 * r)))[0]
     mu, U = np.linalg.eigh(Q.conj().T @ M @ Q)
     return ((Q @ U[:, r:]) * np.sqrt(np.maximum(mu[r:], 0.0))).T
 
 
-def _low_rank(D: int, r: int) -> bool:
-    """Whether a density matrix of D rows and rank r takes the factor route
-    of a qubit focus."""
-    return D >= FACTOR_MIN_DIM and r <= D // FACTOR_RANK_DIVISOR
-
-
 def _density_factor(rho) -> np.ndarray:
-    """The factor rows W (r, D) that rho kept where it was built
-    (_factor_rows, outer, Ensemble.density), or None: where none was kept,
-    and where W W^dagger misses an entry of rho.matrix by more than
-    FACTOR_TAIL * D * eps (lambda_max <= 1), as when the range probe of
-    _factor_rows missed a direction or the matrix was written to since
-    (DensityOperator is mutable)."""
+    """The factor rows W (r, D) of rho = W W^dagger where a report of a
+    qubit focus takes the factor route, else None; the one place that
+    decides the route.
+
+    W is the vectors outer and Ensemble.density keep, or else is built from
+    the spectrum w of the check (_factor_rows) the first time it is asked
+    for, and kept.  Its rank r counts the eigenvalues above the cutoff
+    cut = FACTOR_TAIL * D * eps * lambda_max, the rest being roundoff, and
+    no eigenvalue may lie below -cut.  The route needs a qubit in the
+    layout, D >= FACTOR_MIN_DIM and r <= D // FACTOR_RANK_DIVISOR, where it
+    costs less than the D x D eigensolves (config), and W W^dagger must
+    meet every entry of rho.matrix within FACTOR_TAIL * D * eps
+    (lambda_max <= 1): not so where the range probe missed a direction or
+    the matrix was written to since W was kept (DensityOperator is
+    mutable).
+    """
+    D = rho.layout.total_dim
+    if D < FACTOR_MIN_DIM or 2 not in rho.layout.dims:
+        return None
     W = getattr(rho, "_factor", None)
     if W is None:
+        w = getattr(rho, "_spectrum", None)
+        if w is None:
+            return None
+        cut = FACTOR_TAIL * D * np.finfo(float).eps * w[-1]
+        r = int((w > cut).sum())
+        if w[0] < -cut or r > D // FACTOR_RANK_DIVISOR:
+            return None
+        W = rho._factor = _factor_rows(rho.matrix, r)
+    elif len(W) > D // FACTOR_RANK_DIVISOR:
         return None
     resid = np.abs(rho.matrix - W.T @ W.conj()).max()
-    return W if resid <= FACTOR_TAIL * W.shape[-1] * np.finfo(float).eps else None
+    return W if resid <= FACTOR_TAIL * D * np.finfo(float).eps else None
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -247,11 +250,9 @@ def _outer(v: np.ndarray) -> np.ndarray:
 
 
 def outer(psi: PureState) -> DensityOperator:
-    """|psi><psi|, which keeps psi as its factor where that takes the factor
-    route (_low_rank)."""
+    """|psi><psi|, which keeps psi as its factor (_density_factor)."""
     m = _outer(psi.amplitudes)
-    factor = psi.amplitudes[None] if _low_rank(m.shape[-1], 1) else None
-    return _derived(DensityOperator, layout=psi.layout, matrix=m, _factor=factor)
+    return _derived(DensityOperator, layout=psi.layout, matrix=m, _factor=psi.amplitudes[None])
 
 
 @functools.lru_cache(maxsize=32)

@@ -16,11 +16,12 @@ with no D x D eigensolve.  For a qubit focus the decomposition itself is
 closed form, one Jacobi rotation of the 2 x 2 Gram matrix (_qubit_schmidt),
 so a pure report on qubits makes no LAPACK call; a larger focus runs one
 SVD.  Density input of low rank with a qubit focus takes the factor route
-(_factor_pairs): validation keeps a factor rho = W W^dagger of r columns
-(core._factor_rows) where D >= FACTOR_MIN_DIM and r <= D //
-FACTOR_RANK_DIVISOR (core._low_rank), and rho^{T_p} then lives on
-C^2 (x) span{a_j, b_j} of the focus halves of those columns, so one QR and
-one eigh of 4r x 4r give its nonzero eigenpairs.
+(_factor_pairs): core._density_factor gives a factor rho = W W^dagger of
+r columns where D >= FACTOR_MIN_DIM and r <= D // FACTOR_RANK_DIVISOR,
+from the spectrum validation kept or the vectors of outer and
+Ensemble.density, and rho^{T_p} then lives on C^2 (x) span{a_j, b_j} of
+the focus halves of those columns, so one QR and one eigh of 4r x 4r give
+its nonzero eigenpairs.
 Every route masks the eigenvalues at -EPS_EIG and keeps the leading
 columns (_negative_columns).  The eigh and factor routes hold their
 columns flat, in the D index; the Schmidt route builds them from the

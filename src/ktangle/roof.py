@@ -45,7 +45,7 @@ from .config import (
     STACK_CHUNK,
     ValidationError,
 )
-from .core import DensityOperator, PureState, _derived, _eigh, _low_rank, _outer
+from .core import DensityOperator, PureState, _derived, _eigh, _outer
 from .negativity import _kway_channel, _schmidt
 from .tangle import _concurrence, _density_concurrence, _takagi
 from .transpose import _check_focus
@@ -71,12 +71,10 @@ class Ensemble:
 
     def density(self) -> DensityOperator:
         """sum_j p_j |psi_j><psi_j|, which keeps the rows sqrt(p_j) psi_j as
-        its factor where they take the factor route (core._low_rank)."""
+        its factor (core._density_factor)."""
         layout = self.members[0][1].layout
         m = sum(p * _outer(s.amplitudes) for p, s in self.members)
-        factor = None
-        if _low_rank(layout.total_dim, len(self.members)):
-            factor = np.stack([math.sqrt(p) * s.amplitudes for p, s in self.members])
+        factor = np.stack([math.sqrt(p) * s.amplitudes for p, s in self.members])
         return _derived(DensityOperator, layout=layout, matrix=m, _factor=factor)
 
 

@@ -4,8 +4,9 @@ A density matrix rho = W W^dagger of low rank with a qubit focus takes its
 global eigenpairs from one QR and one 4r x 4r eigh, and its K-way trace
 norms from the r x r determinant of _pure_kway_norms; the projector oracle
 of conftest (SVD trace norms, P_minus as a D x D matrix) checks both.
-Density validation keeps the factor W where the route pays, and a report
-then runs no D x D eigensolve but the validation's eigvalsh.  The K-way
+Density validation keeps its spectrum, from which the first report that
+takes the route builds the factor W, and that report runs no D x D
+eigensolve but the validation's eigvalsh.  The K-way
 negativities of all foci come from one call per plan, and both routes give
 exactly 0 where rho_K^{T_p} equals rho.
 """
@@ -138,12 +139,15 @@ def test_a_dropped_factor_column_fails_the_oracle():
     assert max(abs(n_kway[K] - ref["n_kway"][K]).max() for K in n_kway) > 1e-3
 
 
-def test_density_validation_keeps_a_factor_only_where_it_pays():
+def test_density_factor_is_built_at_first_use_only_where_it_pays():
     L7 = kt.qubit_layout(7)
     for r in (1, 4):
         W = _random_factor(7, r, r)
         rho = kt.DensityOperator(L7, _density(W))
+        # validation keeps the spectrum, not a factor
+        assert getattr(rho, "_factor", None) is None and rho._spectrum.shape == (128,)
         F = _density_factor(rho)
+        assert rho._factor is F
         assert F.shape == (r, 128) and np.abs(_density(F) - rho.matrix).max() <= 1e-15, r
     # too many columns for D = 128, too small a matrix, no qubit
     assert _density_factor(kt.DensityOperator(L7, _density(_random_factor(7, 5, 5)))) is None
@@ -156,12 +160,20 @@ def test_density_validation_keeps_a_factor_only_where_it_pays():
     V = np.linalg.qr(rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3)))[0]
     rho = kt.DensityOperator(L7, (V * [0.6, 0.4 + 1e-12, -1e-12]) @ V.conj().T)
     assert _density_factor(rho) is None
-    # a reassigned or overwritten matrix drops the factor kept for the old one
+    # a factor is built from the matrix as it is at first use; a matrix
+    # reassigned or overwritten after that drops the factor kept for the old
+    # one
+    new = _density(_random_factor(7, 2, 3))
     rho = kt.DensityOperator(L7, _density(_random_factor(7, 2, 2)))
-    rho.matrix = _density(_random_factor(7, 2, 3))
+    rho.matrix = new
+    assert np.abs(_density(_density_factor(rho)) - new).max() <= 1e-15
+    rho = kt.DensityOperator(L7, _density(_random_factor(7, 2, 2)))
+    assert _density_factor(rho) is not None
+    rho.matrix = new
     assert _density_factor(rho) is None
     rho = kt.DensityOperator(L7, _density(_random_factor(7, 2, 2)))
-    rho.matrix[...] = _density(_random_factor(7, 2, 3))
+    assert _density_factor(rho) is not None
+    rho.matrix[...] = new
     assert _density_factor(rho) is None
     # outer and Ensemble.density keep their vectors
     psi = kt.haar_random_pure(L7, 4)
@@ -268,3 +280,21 @@ def test_an_all_foci_pure_analyze_makes_one_kway_call(monkeypatch, write_state, 
     assert cli.main(["analyze", path]) in (0, 3)
     assert capsys.readouterr().out.count('"focus"') == 5
     assert shapes == [(5, 1, 1, 2, 16)]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_an_all_foci_kway_step_stays_within_the_nine_qubit_report_bound(n):
+    # the foci stacked in one call (config.KWAY_STACK_ENTRIES) hold no more
+    # than a 9-qubit report of one focus may: 2 * 512^2 * 16 B
+    import tracemalloc
+
+    amps = kt.haar_random_pure(kt.qubit_layout(n), n).amplitudes[None]
+    dims, foci = (2,) * n, list(range(n))
+    _n_kway(amps, dims, foci)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        _n_kway(amps, dims, foci)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 512 * 512 * 16, peak

@@ -48,11 +48,20 @@ def _states(n):
 def test_report_matches_projector_oracle(n):
     layout, states = _states(n)
     for rho in states:
+        # from 7 qubits both states take the factor route (_density_factor),
+        # whose eigensolve is its own: there the eigenvalues (each simple)
+        # agree to TOL and the printed, gauged vectors entry by entry.  The
+        # eigh route, run on the same matrix without a factor, runs the
+        # oracle's eigh at every size and matches it bit for bit.
+        factor = _density_factor(rho) is not None
+        assert factor == (n >= 7), n
         for p in range(n):
             rep = kt.negativity_report(rho, p)
+            dense = _report_arrays(rho.matrix[None], layout.dims, p)
             ref = projector_report(rho.matrix[None], layout.dims, p)
             for name in ("n_global", "e0", "sum_residual"):
                 assert abs(getattr(rep, name) - ref[name][0]) <= TOL, (n, p, name)
+                assert abs(getattr(dense, name)[0] - ref[name][0]) <= TOL, (n, p, name)
             for name in ("n_kway", "e_partial", "pair_split"):
                 got, want = getattr(rep, name), ref[name]
                 assert set(got) == set(want), (n, p, name)
@@ -60,16 +69,13 @@ def test_report_matches_projector_oracle(n):
                     assert abs(got[k] - want[k][0]) <= TOL, (n, p, name, k)
             w, V = ref["eigenvalues"][0], ref["negative_vectors"][0]
             neg = [(lam, vec) for lam, vec in zip(w, V.T) if lam < -EPS_EIG]
-            assert len(rep.negative_eigenpairs) == len(neg)
-            # from 7 qubits both states keep a factor and take the factor
-            # route, whose eigensolve is its own: there the pairs agree to
-            # TOL (each eigenvalue is simple); the eigh route runs the
-            # oracle's eigh, bit for bit
-            factor = _density_factor(rho) is not None
-            assert factor == (n >= 7), n
-            for (lam, vec), (lam_ref, vec_ref) in zip(rep.negative_eigenpairs, neg):
+            eigh = negativity._negative_pairs(dense.eigenvalues[0], dense.negative_vectors[0])
+            assert len(rep.negative_eigenpairs) == len(eigh) == len(neg)
+            for (lam, vec), (lam_d, vec_d), (lam_ref, vec_ref) in zip(rep.negative_eigenpairs, eigh, neg):
+                assert lam_d == lam_ref and np.array_equal(vec_d, vec_ref)
                 if factor:
-                    assert abs(lam - lam_ref) <= TOL and abs(abs(np.vdot(vec_ref, vec)) - 1.0) <= TOL
+                    assert abs(lam - lam_ref) <= TOL, (n, p)
+                    assert np.abs(cli._gauged(vec) - cli._gauged(vec_ref)).max() <= TOL, (n, p)
                 else:
                     assert lam == lam_ref and np.array_equal(vec, vec_ref)
             flagged = [K for K in sorted(ref["violates"]) if ref["violates"][K][0]]
