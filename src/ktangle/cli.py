@@ -156,7 +156,11 @@ def _focus_index(letter: str, n: int) -> int:
 def _load(path: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    obj = parse_state_file(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from None
+    obj = parse_state_file(text)
     digest = hashlib.sha256(raw).hexdigest()
     if isinstance(obj, PureState):
         kind = "pure"

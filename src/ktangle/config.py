@@ -74,6 +74,19 @@ FACTOR_RANK_DIVISOR = 32
 # qubits, past the 2 * 512^2 * 16 B a 9-qubit report is held to).
 KWAY_STACK_ENTRIES = 2**16
 
+# The state-file scanner (statefile._scan) checks a payload in blocks of
+# max(1, STATEFILE_BLOCK_CELLS // n) whole rows of n cells, so only the
+# dicts json makes of one block's cells are alive at a time.  Scanning the
+# density files of perfbench's mixed6 / mixed7 / mixed8 classes (D = 64,
+# 128, 256; one OpenBLAS thread, in process, best of 8 alternating rounds)
+# took, at blocks of one row, 2^8, 2^10, 2^12, 2^14 and 2^16 cells:
+# 4.42, 4.23, 4.08, 4.04, 4.13, 4.04 ms at D = 64; 17.5, 16.9, 16.5, 16.5,
+# 16.6, 16.5 ms at 128; 68.7, 67.9, 66.1, 65.8, 67.0, 69.7 ms at 256, with
+# tracemalloc peaks at D = 256 of 1.08, 1.08, 1.30, 2.17, 5.69 and
+# 17.8 MiB (the matrix itself is 1 MiB).  Blocks of one row cost 9 % at
+# D = 64; from 2^12 on, time stops falling and only the peak grows.
+STATEFILE_BLOCK_CELLS = 2**12
+
 # Hermiticity defect allowed in the input of the public partial transposes,
 # and kept by a DensityOperator without symmetrizing; the transposes only
 # move elements, so the output carries no larger defect.

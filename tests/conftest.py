@@ -148,6 +148,37 @@ def amplitudes_json(vec):
     return [{"re": float(z.real), "im": float(z.imag)} for z in np.asarray(vec, complex)]
 
 
+def haar_amplitudes(dims, rng) -> np.ndarray:
+    return kt.haar_random_pure(SubsystemLayout(tuple(dims)), rng).amplitudes
+
+
+# Layouts of JSON text a state file may take: the keyword arguments of
+# document_text.
+TEXT_STYLES = {
+    "default": {},
+    "compact": {"separators": (",", ":")},
+    "indent-2": {"indent": 2},
+    "tabs-crlf": {"indent": "\t", "newline": "\r\n"},
+    "escaped-keys": {"escape_keys": True},
+}
+
+
+def document_text(pairs, indent=None, separators=None, newline="\n", escape_keys=False) -> str:
+    """The JSON text of an object of the (key, value) pairs in their order,
+    a repeated key written each time, each key's characters written as
+    \\u escapes if escape_keys."""
+    colon = (separators or (", ", ": "))[1]
+    members = []
+    for key, value in pairs:
+        name = "".join("\\u%04x" % ord(c) for c in key) if escape_keys else key
+        members.append(f'"{name}"{colon}' + json.dumps(value, indent=indent, separators=separators))
+    if indent is None:
+        text = "{" + (separators or (", ", ": "))[0].join(members) + "}"
+    else:
+        text = "{\n" + ",\n".join(members) + "\n}\n"
+    return text.replace("\n", newline)
+
+
 def eigen_members(rho):
     """The eigen-decomposition of rho as (probability, PureState) members,
     eigenvalues at or below 1e-12 dropped: an upper bound of every roof."""

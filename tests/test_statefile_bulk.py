@@ -2,6 +2,7 @@
 bit, as complex(re, im) per cell, and on any bad cell the message of the
 per-cell pass, which names the first bad cell."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -12,7 +13,7 @@ import ktangle as kt
 from ktangle import statefile
 from ktangle.statefile import parse_state_file
 
-from conftest import amplitudes_json
+from conftest import TEXT_STYLES, amplitudes_json, document_text, haar_amplitudes
 
 L4 = kt.qubit_layout(4)
 
@@ -27,12 +28,17 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    """Fails a test whose cells reach the per-cell pass."""
+    """Fails a test whose text reaches the whole-document route or whose
+    cells reach the per-cell pass."""
 
-    def refuse(*args):
-        raise AssertionError("the per-cell pass ran")
+    def refuse(route):
+        def refused(*args):
+            raise AssertionError(f"{route} ran")
 
-    monkeypatch.setattr(statefile, "_vector", refuse)
+        return refused
+
+    monkeypatch.setattr(statefile, "_vector", refuse("the per-cell pass"))
+    monkeypatch.setattr(statefile, "_parse_document", refuse("the whole-document route"))
 
 
 def _pure4(rng) -> np.ndarray:
@@ -97,24 +103,39 @@ def test_a_bad_cell_gets_the_per_cell_message(payload, name, cell, message, seco
     assert str(exc.value) == where + (message or "")
 
 
+# layouts of each payload: qubits, and a qudit layout
+VALID_LAYOUTS = {
+    "amplitudes": [(2,) * n for n in range(1, 10)] + [(2, 3, 2)],
+    "matrix": [(2,) * n for n in range(1, 5)] + [(2, 3, 2)],
+    "ensemble": [(2,) * n for n in range(1, 5)] + [(2, 3, 2)],
+}
+
+
 @pytest.mark.parametrize("payload", ["amplitudes", "matrix", "ensemble"])
 def test_valid_files_take_the_bulk_check(payload, no_fallback):
+    # every text layout, with keys reordered, unknown and repeated keys
     rng = np.random.default_rng(5)
-    if payload == "matrix":
-        rho = _rho4(rng)
-        obj = parse_state_file(json.dumps(
-            {"dims": list(L4.dims), "matrix": [amplitudes_json(row) for row in rho]}))
-        assert np.array_equal(_bits(obj.matrix), _bits(rho))
-    elif payload == "ensemble":
-        vs = [_pure4(rng) for _ in range(3)]
-        members = [{"p": p, "amplitudes": amplitudes_json(v)} for p, v in zip((0.5, 0.25, 0.25), vs)]
-        obj = parse_state_file(json.dumps({"dims": list(L4.dims), "ensemble": members}))
-        for (_, psi), v in zip(obj.members, vs):
-            assert np.array_equal(_bits(psi.amplitudes), _bits(v))
-    else:
-        v = _pure4(rng)
-        obj = parse_state_file(json.dumps({"dims": list(L4.dims), "amplitudes": amplitudes_json(v)}))
-        assert np.array_equal(_bits(obj.amplitudes), _bits(v))
+    for dims, style in itertools.product(VALID_LAYOUTS[payload], TEXT_STYLES.values()):
+        if payload == "matrix":
+            X = np.stack([haar_amplitudes(dims, rng) for _ in range(3)], axis=1) / np.sqrt(3)
+            want = X @ X.conj().T
+            value = [amplitudes_json(row) for row in want]
+        elif payload == "ensemble":
+            want = np.stack([haar_amplitudes(dims, rng) for _ in range(3)])
+            value = [{"p": p, "amplitudes": amplitudes_json(v)} for p, v in zip((0.5, 0.25, 0.25), want)]
+        else:
+            want = haar_amplitudes(dims, rng)
+            value = amplitudes_json(want)
+        pairs = [("note", {"by": [1, None]}), (payload, value[::-1]), ("dims", [5]),
+                 (payload, value), ("dims", list(dims))]
+        obj = parse_state_file(document_text(pairs, **style))
+        if payload == "matrix":
+            assert np.array_equal(_bits(obj.matrix), _bits(want))
+        elif payload == "ensemble":
+            for (_, psi), v in zip(obj.members, want):
+                assert np.array_equal(_bits(psi.amplitudes), _bits(v))
+        else:
+            assert np.array_equal(_bits(obj.amplitudes), _bits(want))
 
 
 EDGE_VALUES = [0, 1, -3, 2**53 + 1, 2**63 + 1, -(2**64) - 3, 10**300 + 7, 2**1023,
@@ -172,6 +193,30 @@ def test_bulk_parse_peaks_no_higher_than_per_cell(monkeypatch):
     monkeypatch.setattr(statefile, "_bulk_cells", lambda rows, n: None)
     cellwise = _peak(parse_state_file, text), _peak(statefile._complex_rows, rows, 128, "matrix[{}]")
     assert bulk[0] <= cellwise[0] and bulk[1] <= cellwise[1], (bulk, cellwise)
+
+
+def _cells_text(vec) -> str:
+    # as perfbench writes a state file: repr of each float, ", " between cells
+    return ", ".join('{"re": %r, "im": %r}' % (z.real, z.imag) for z in vec.tolist())
+
+
+@pytest.mark.parametrize("payload", ["matrix", "ensemble"])
+def test_an_8_qubit_file_parses_within_4_mib(payload):
+    # the file holds 3.6-3.8 MiB of text; one dict per cell of it took 18 MiB
+    rng = np.random.default_rng(8)
+    states = [haar_amplitudes((2,) * 8, rng) for _ in range(3 if payload == "matrix" else 256)]
+    probs = rng.dirichlet(np.ones(len(states)))
+    if payload == "matrix":
+        X = np.stack(states, axis=1) * np.sqrt(probs)
+        rho = X @ X.conj().T
+        rho = (rho + rho.conj().T) / 2
+        body = '"matrix": [%s]' % ", ".join("[%s]" % _cells_text(row) for row in rho)
+    else:
+        body = '"ensemble": [%s]' % ", ".join(
+            '{"p": %r, "amplitudes": [%s]}' % (p, _cells_text(v)) for p, v in zip(probs.tolist(), states))
+    text = '{"dims": [%s], %s}\n' % (", ".join(["2"] * 8), body)
+    assert len(text) > 3.5 * 2**20
+    assert _peak(parse_state_file, text) <= 4 * 2**20
 
 
 def _ensemble3(rng) -> list:
