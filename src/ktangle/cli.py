@@ -454,6 +454,9 @@ def _main(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"input error: not enough memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

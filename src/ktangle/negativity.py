@@ -69,12 +69,13 @@ rho_2^{T_p} = rho_2^{T_{p-pq}} + rho_2^{T_{p-pr}} - rho makes
 E_2^{p-q} = (-2 Tr(P_minus rho_2^{T_{p-pq}}) + Tr(P_minus rho))/(d_p - 1)
 the unique symmetric split.
 
-_report_arrays computes every report field for a stack of amplitude vectors
-or of density matrices at once, n_kway only when asked; negativity_report is
-its batch of one, and _negativity_reports that of a list of foci.  The
-convex roof (roof.py) evaluates its members, pure stacks only, through
-_schmidt (N_G) and _kway_channel (E_K), the same contraction read at one K
-(_kway_trace).
+_report_arrays computes every report field but n_kway for a stack of
+amplitude vectors or of density matrices at once; negativity_report is its
+batch of one, and _negativity_reports that of a list of foci.  The convex
+roof (roof.py) evaluates its members, pure stacks only, through _schmidt
+(N_G) and _kway_channel (E_K), the same contraction read at one K
+(_kway_trace).  The private functions check no focus: _negativity_reports,
+roof._member_value and the public functions of tangle.py check it once.
 """
 
 from __future__ import annotations
@@ -185,7 +186,6 @@ def _negative_columns(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _schmidt_plan(dims: tuple, p: int):
     """The Schmidt index pairs (k, l), k < l, of focus p; cached per
     (dims, p), read-only."""
-    _check_focus(p, len(dims))
     d_p = dims[p]
     k, l = np.triu_indices(min(d_p, math.prod(dims) // d_p), 1)
     k.flags.writeable = l.flags.writeable = False
@@ -237,7 +237,7 @@ def _schmidt(amps: np.ndarray, dims: tuple, p: int):
     a larger focus one stacked SVD.  The reconstruction residual
     max|U diag(s) W^dagger - S| must be <= EPS_HERM, or NumericalError.
     """
-    k, l = _schmidt_plan(dims, p)  # checks the focus
+    k, l = _schmidt_plan(dims, p)
     S = _slices(amps, dims, (p,))
     U, s, Wh = _qubit_schmidt(S) if dims[p] == 2 else np.linalg.svd(S, full_matrices=False)
     Us = U * s[..., None, :]
@@ -271,7 +271,7 @@ def _schmidt_pairs(amps: np.ndarray, dims: tuple, p: int):
     S (core._slices) that _channels reads, so no flat D-index vector is
     built.
     """
-    n_global, U, s, Wh, S = _schmidt(amps, dims, p)  # checks the focus
+    n_global, U, s, Wh, S = _schmidt(amps, dims, p)
     Uc = (U.conj() * math.sqrt(0.5))[..., :, None, :]
     Wt = Wh.swapaxes(-1, -2)[..., None, :, :]
     # the pairs (k, l), l > k, one k at a time in the order of _schmidt_plan:
@@ -338,10 +338,8 @@ def _global_spectrum(state: np.ndarray, dims: tuple, p: int, factor: np.ndarray 
     """
     if state.ndim == 2:
         return _schmidt_pairs(state, dims, p)
-    if factor is not None:
-        _check_focus(p, len(dims))
-        if dims[p] == 2:
-            return (*_factor_pairs(_slices(factor, dims, (p,)), dims, p), state)
+    if factor is not None and dims[p] == 2:
+        return (*_factor_pairs(_slices(factor, dims, (p,)), dims, p), state)
     w, V = _eigh(_global_pt(state, dims, p))
     # the trace norm of each global transpose is the sum of |w|
     n_global = _negativity(np.abs(w).sum(axis=-1), dims[p])
@@ -371,7 +369,6 @@ def _channel_plan(dims: tuple, p: int):
     that the pair transposes of the first and the second partner swap.  The
     table is uint8, (D/d_p)^2 bytes.
     """
-    _check_focus(p, len(dims))
     rest = dims[:p] + dims[p + 1 :]
     dg, diff = _label_tables(rest)
     labels = diff + np.uint8(1)
@@ -489,7 +486,6 @@ def _kway_plan(dims: tuple, p: int):
     positions off have the blocks H_K[E, O], as Ho (k_o, 1, h, h).  diag and
     off are slices, and off is empty with one class.
     """
-    _check_focus(p, len(dims))
     rest = dims[:p] + dims[p + 1 :]
     dg, diff = _label_tables(rest)
     if rest and set(rest) == {2}:
@@ -744,16 +740,12 @@ def _n_kway(state: np.ndarray, dims: tuple, foci: list, factor: np.ndarray = Non
     return out
 
 
-def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None,
+def _report_arrays(state: np.ndarray, dims: tuple, p: int,
                    factor: np.ndarray = None) -> _ReportArrays:
-    """Every NegativityReport field of focus p but n_kway, for a stack of
-    amplitude vectors (B, D) or of density matrices (B, D, D), the latter
-    with their factor rows factor (B, r, D) where kept (_global_spectrum).
-
-    Given a dict n_kway, also sets n_kway[K] to the K-way negativities of
-    the stack (_n_kway).
-    """
-    n_global, w, V, X = _global_spectrum(state, dims, p, factor)  # checks the focus
+    """Every NegativityReport field of focus p but n_kway (_n_kway), for a
+    stack of amplitude vectors (B, D) or of density matrices (B, D, D), the
+    latter with their factor rows factor (B, r, D) where kept."""
+    n_global, w, V, X = _global_spectrum(state, dims, p, factor)
     n, d_p = len(dims), dims[p]
     t_id, s = _channels(X, dims, p, V)
     e_partial = {K: _channel(_kway_trace(t_id, s, K), d_p) for K in range(2, n + 1)}
@@ -764,9 +756,6 @@ def _report_arrays(state: np.ndarray, dims: tuple, p: int, n_kway: dict = None,
     pair_split = {
         q: (-2.0 * (t_id + s[..., L]) + t_id) / (d_p - 1) for q, L in zip(partners, (2, 4))
     }
-    if n_kway is not None:
-        n_kway.update(_n_kway(state, dims, [p], factor)[0])
-
     gate = np.abs(e0) <= EPS_NORM
     return _ReportArrays(
         n_global=n_global,

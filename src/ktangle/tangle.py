@@ -180,5 +180,6 @@ def three_tangle(psi: PureState, focus: int = 0) -> TangleReport:
     dims = psi.layout.dims
     if dims != (2, 2, 2):
         raise ValueError("three tangle needs a three-qubit pure state")
+    _check_focus(focus, 3)
     amps = psi.amplitudes[None]
     return _tangle_report(_schmidt(amps, dims, focus)[0], amps, dims, focus)

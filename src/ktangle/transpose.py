@@ -15,22 +15,17 @@ on the focus.
 
 The kernels act on the last two axes, so they transpose a whole stack of
 matrices at once; the public functions apply them to one DensityOperator.
-The negativity channels need none of the restricted transposes
-(negativity._channels sums the changed elements by their differing count
-instead); the K-way transpose serves the eigvalsh of the K-way negativities
-of density input and of a focus larger than a qubit, and the public
-kway_pt, the pair transpose only the public pair_pt.  A pure state with a
-qubit focus needs none (negativity._pure_kway_norms): its K-way transpose
-moves only the elements whose rest labels differ in K - 1 subsystems, and
-with qubits at the rest those labels differ in parity exactly when K is
-even, so each K splits into blocks of a quarter of the size
-(negativity._kway_plan).
-The kernels only move entries and check no output.  Instead each table, one
-per (dims, focus, kind), is checked once per process, where it is first
-used (_check_table): a swap that maps some Hermitian matrix to a
-non-Hermitian one raises ValidationError there.  The public functions check
-their input, whose hermiticity defect bounds that of the output, against
-TRANSPOSE_HERM_EPS.
+Inside the package the global transpose feeds the eigh route of the
+negativities and the K-way transpose the eigvalsh of their K-way part
+(negativity._global_spectrum, negativity._dense_kway_norm); the pair
+transpose serves only the public pair_pt.
+
+The kernels only move entries, and check neither their arguments, which
+the public functions and the package's own boundaries check, nor their
+output: by the argument above the swap maps Hermitian matrices to
+Hermitian ones, and tests/test_transpose.py checks that on every table.
+The public functions check their input, whose hermiticity defect bounds
+that of the output, against TRANSPOSE_HERM_EPS.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ import math
 
 import numpy as np
 
-from .config import TRANSPOSE_HERM_EPS, ValidationError
+from .config import TRANSPOSE_HERM_EPS
 from .core import DensityOperator, _hermiticity_defect, _require
 
 
@@ -95,55 +90,16 @@ def _swap(M: np.ndarray, dims: tuple, p: int, mask) -> np.ndarray:
     return s.reshape(M.shape)
 
 
-@functools.lru_cache(maxsize=None)
-def _check_table(dims: tuple, p: int, kind) -> None:
-    """Raise ValidationError unless the transpose of this kind maps every
-    Hermitian matrix to a Hermitian one; cached, so it runs once per table.
-
-    The swap of two label probes, rows[r, c] = r and cols[r, c] = c, gives
-    the source (rows[r, c], cols[r, c]) of output entry (r, c).  The output
-    is Hermitian for every Hermitian input exactly when the entry at (c, r)
-    comes from the transposed source, rows.T == cols.  The probes take the
-    smallest unsigned type that holds a label, and only the verdict is kept.
-    """
-    D = math.prod(dims)
-    mask = _mask(dims, p, kind)
-    label = np.arange(D, dtype=np.min_scalar_type(D - 1))
-    rows = _swap(np.broadcast_to(label[:, None], (D, D)), dims, p, mask)
-    cols = _swap(np.broadcast_to(label, (D, D)), dims, p, mask)
-    if not np.array_equal(rows.T, cols):
-        raise ValidationError(
-            f"partial-transpose table (dims {dims}, focus {p}, kind {kind}) breaks hermiticity"
-        )
-
-
-def _focus_swap(M: np.ndarray, dims: tuple, p: int, kind=None) -> np.ndarray:
-    """The transpose of the given kind (see _mask) of each stacked matrix."""
-    _check_table(dims, p, kind)
-    return _swap(M, dims, p, _mask(dims, p, kind))
-
-
 def _global_pt(M: np.ndarray, dims: tuple, p: int) -> np.ndarray:
-    _check_focus(p, len(dims))
-    return _focus_swap(M, dims, p)
+    return _swap(M, dims, p, None)
 
 
 def _kway_pt(M: np.ndarray, dims: tuple, K: int, p: int) -> np.ndarray:
-    n = len(dims)
-    if not 2 <= K <= n:
-        raise ValueError(f"K = {K} out of range [2, {n}]")
-    _check_focus(p, n)
-    return _focus_swap(M, dims, p, K)
+    return _swap(M, dims, p, _mask(dims, p, K))
 
 
 def _pair_pt(M: np.ndarray, dims: tuple, p: int, partner: int) -> np.ndarray:
-    if len(dims) != 3:
-        raise ValueError("pair-restricted transpose is defined for three subsystems only")
-    if p == partner:
-        raise ValueError("partner must differ from focus")
-    if not (0 <= p < 3 and 0 <= partner < 3):
-        raise ValueError("subsystem index out of range")
-    return _focus_swap(M, dims, p, (2, partner))
+    return _swap(M, dims, p, _mask(dims, p, (2, partner)))
 
 
 def _hermitian_input(rho: DensityOperator) -> np.ndarray:
@@ -158,14 +114,28 @@ def _hermitian_input(rho: DensityOperator) -> np.ndarray:
 
 def global_pt(rho: DensityOperator, p: int) -> np.ndarray:
     """Partial transpose over subsystem p of every matrix element."""
-    return _global_pt(_hermitian_input(rho), rho.layout.dims, p)
+    M, dims = _hermitian_input(rho), rho.layout.dims
+    _check_focus(p, len(dims))
+    return _global_pt(M, dims, p)
 
 
 def kway_pt(rho: DensityOperator, K: int, p: int) -> np.ndarray:
     """Focus-swap only the elements whose bra and ket labels differ in exactly K subsystems."""
-    return _kway_pt(_hermitian_input(rho), rho.layout.dims, K, p)
+    M, dims = _hermitian_input(rho), rho.layout.dims
+    n = len(dims)
+    if not 2 <= K <= n:
+        raise ValueError(f"K = {K} out of range [2, {n}]")
+    _check_focus(p, n)
+    return _kway_pt(M, dims, K, p)
 
 
 def pair_pt(rho: DensityOperator, p: int, partner: int) -> np.ndarray:
     """2-way transpose restricted to elements leaving the third subsystem fixed."""
-    return _pair_pt(_hermitian_input(rho), rho.layout.dims, p, partner)
+    M, dims = _hermitian_input(rho), rho.layout.dims
+    if len(dims) != 3:
+        raise ValueError("pair-restricted transpose is defined for three subsystems only")
+    if p == partner:
+        raise ValueError("partner must differ from focus")
+    if not (0 <= p < 3 and 0 <= partner < 3):
+        raise ValueError("subsystem index out of range")
+    return _pair_pt(M, dims, p, partner)

@@ -152,7 +152,8 @@ def test_reports_and_roof_members_run_no_hermiticity_pass(monkeypatch):
             monkeypatch.setattr(mod, name, counted)
     for state in (amps, dens):
         for p in range(3):
-            negativity._report_arrays(state, L3.dims, p, {})
+            negativity._report_arrays(state, L3.dims, p)
+            negativity._n_kway(state, L3.dims, [p])
     roof._member_value("k2", 1, L3)(amps)
     assert shapes == []
     # the count sees the public transpose's check of its input

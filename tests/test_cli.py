@@ -603,6 +603,40 @@ def test_numerical_failure_exits_2_after_the_rows_already_printed(capsys, monkey
     assert out.splitlines() == clean.splitlines()[: 1 + k]
 
 
+def _out_of_memory(*args):
+    # numpy's allocation error, raised without allocating
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    raise _ArrayMemoryError((2**16, 2**16), np.dtype(complex))
+
+
+def test_a_memory_error_exits_1_with_one_line(write_state, capsys, monkeypatch):
+    from ktangle import negativity
+
+    monkeypatch.setattr(negativity, "_pure_kway_norms", _out_of_memory)
+    path = write_state("haar7.json", _haar_doc(7, 7))
+    rc, out, err = _run(capsys, ["analyze", path, "--focus", "A"])
+    assert rc == 1 and out == ""
+    assert err == ("input error: not enough memory: Unable to allocate 64.0 GiB for an array "
+                   "with shape (65536, 65536) and data type complex128\n")
+    # as after a numerical failure, the header and the k rows a sweep
+    # printed before the error stay on stdout
+    argv = ["sweep", "--family", "ghzw", "--sign", "minus", "--q", "0.1:0.9:9"]
+    rc, clean, _ = _run(capsys, argv)
+    k, check, calls = 4, ghzw._closed_form_root_check, []
+
+    def fail_after_k(result, x):
+        calls.append(x)
+        if len(calls) > k:
+            _out_of_memory()
+        check(result, x)
+
+    monkeypatch.setattr(ghzw, "_closed_form_root_check", fail_after_k)
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1 and err.startswith("input error: not enough memory: ")
+    assert out.splitlines() == clean.splitlines()[: 1 + k]
+
+
 def test_module_entrypoint_and_determinism(tmp_path):
     doc_in = {
         "dims": [2, 2],

@@ -61,8 +61,8 @@ def _factor_error(W, n, p):
     P_minus for the negative eigenpairs."""
     rho = _density(W)[None]
     dims = (2,) * n
-    n_kway = {}
-    a = _report_arrays(rho, dims, p, n_kway, factor=W[None])
+    a = _report_arrays(rho, dims, p, factor=W[None])
+    n_kway = _n_kway(rho, dims, [p], W[None])[0]
     ref = projector_report(rho, dims, p)
     errs = [a.n_global - ref["n_global"], a.e0 - ref["e0"], a.sum_residual - ref["sum_residual"]]
     assert sorted(n_kway) == sorted(ref["n_kway"]) == list(range(2, n + 1))
@@ -132,8 +132,8 @@ def test_a_dropped_factor_column_fails_the_oracle():
     assert _factor_error(W, 5, 0) <= TOL
     short = W[:-1] / np.linalg.norm(W[:-1])
     rho = _density(W)[None]
-    n_kway = {}
-    a = _report_arrays(rho, (2,) * 5, 0, n_kway, factor=short[None])
+    a = _report_arrays(rho, (2,) * 5, 0, factor=short[None])
+    n_kway = _n_kway(rho, (2,) * 5, [0], short[None])[0]
     ref = projector_report(rho, (2,) * 5, 0)
     assert abs(a.n_global - ref["n_global"]).max() > 1e-3
     assert max(abs(n_kway[K] - ref["n_kway"][K]).max() for K in n_kway) > 1e-3

@@ -20,7 +20,7 @@ from ktangle import cli, negativity
 from ktangle.config import EPS_EIG
 from ktangle.core import _density_factor, _outer
 from ktangle.ghzw import _ghzw_amplitudes
-from ktangle.negativity import _kway_channel, _report_arrays
+from ktangle.negativity import _kway_channel, _n_kway, _report_arrays
 from ktangle.roof import _member_value
 from ktangle.tangle import _tangles
 from ktangle.transpose import _global_pt
@@ -560,9 +560,6 @@ def test_only_qudit_and_density_reports_build_the_n_kway_transposes(monkeypatch,
     amps = np.stack([kt.haar_random_pure(kt.qubit_layout(n), rng).amplitudes for _ in range(20)])
     amps3 = np.stack([kt.haar_random_pure(kt.SubsystemLayout(qudit), rng).amplitudes for _ in range(3)])
     rho = _outer(amps[:3])
-    _report_arrays(amps3, qudit, 0, {})  # checks each transpose table once
-    for p in (0, n - 1):
-        _report_arrays(rho, dims, p, {})
     calls = []
 
     def counted(*args, _swap=transpose._swap):
@@ -574,19 +571,22 @@ def test_only_qudit_and_density_reports_build_the_n_kway_transposes(monkeypatch,
     for p in range(n):
         calls.clear()
         linalg.clear()
-        _report_arrays(amps, dims, p, {})
+        _report_arrays(amps, dims, p)
+        _n_kway(amps, dims, [p])
         assert calls == [] and linalg == ["eigh", "svd"], p
         _report_arrays(amps, dims, p)
         assert calls == [] and linalg == ["eigh", "svd"], p
     calls.clear()
     linalg.clear()
-    _report_arrays(amps3, qudit, 0, {})
+    _report_arrays(amps3, qudit, 0)
+    _n_kway(amps3, qudit, [0])
     # the qutrit focus runs one SVD for its Schmidt step
     assert len(calls) == n - 1 and linalg == ["svd"] + ["eigvalsh"] * (n - 1)
     for p in (0, n - 1):
         calls.clear()
         linalg.clear()
-        _report_arrays(rho, dims, p, {})
+        _report_arrays(rho, dims, p)
+        _n_kway(rho, dims, [p])
         # the global transpose and its eigh come first
         assert len(calls) == n and linalg == ["eigh"] + ["eigvalsh"] * (n - 1), p
 
@@ -667,8 +667,7 @@ def test_pure_n_kway_matches_the_projector_oracle(kind, n):
     dims, amps = _pure_kway_case(kind, n)
     for p in (0, len(dims) - 1):
         assert dims[p] == 2
-        n_kway = {}
-        _report_arrays(amps, dims, p, n_kway)
+        n_kway = _n_kway(amps, dims, [p])[0]
         want = projector_report(_outer(amps), dims, p)["n_kway"]
         assert sorted(n_kway) == sorted(want) == list(range(2, len(dims) + 1))
         for K in want:
@@ -684,8 +683,7 @@ def test_pure_n_kway_of_a_stack_matches_its_batches_of_one(n):
     for p in (0, n - 1):
         alone = [kt.negativity_report(kt.PureState(layout, v), p).n_kway for v in amps]
         for size in (1, 2, 7):
-            n_kway = {}
-            _report_arrays(amps[:size], layout.dims, p, n_kway)
+            n_kway = _n_kway(amps[:size], layout.dims, [p])[0]
             for b in range(size):
                 # the same eigh and matmuls per state: bit for bit
                 assert {K: v[b] for K, v in n_kway.items()} == alone[b], (p, size, b)
@@ -791,13 +789,11 @@ def test_pure_n_kway_is_exactly_zero_where_y_k_vanishes(n):
         cases.append((_w(dims), [3]))
     for v, zeros in cases:
         for p in range(n):
-            n_kway = {}
-            _report_arrays(v[None], dims, p, n_kway)
+            n_kway = _n_kway(v[None], dims, [p])[0]
             for K in zeros:
                 assert n_kway[K][0] == 0.0, (p, K)
     # GHZ keeps its n-way negativity
-    n_kway = {}
-    _report_arrays(_ghz(dims)[None], dims, 0, n_kway)
+    n_kway = _n_kway(_ghz(dims)[None], dims, [0])[0]
     assert abs(n_kway[n][0] - 1.0) <= TOL
 
 
@@ -850,10 +846,14 @@ def test_qubit_schmidt_route_raises_on_a_bad_reconstruction(monkeypatch):
 
 
 def test_both_routes_reject_a_focus_out_of_range():
-    psi = kt.haar_random_pure(L3, 1)
-    for state in (psi, kt.outer(psi)):
-        for p in (-1, 3):
-            with pytest.raises(ValueError, match="focus"):
+    # a negative focus must not index from the end; the 7-qubit outer
+    # product takes the factor route
+    psi, psi7 = kt.haar_random_pure(L3, 1), kt.haar_random_pure(kt.qubit_layout(7), 1)
+    assert _density_factor(kt.outer(psi7)) is not None
+    for state in (psi, kt.outer(psi), kt.outer(psi7)):
+        n = state.layout.n_subsystems
+        for p in (-1, n):
+            with pytest.raises(ValueError, match=f"focus {p} out of range"):
                 kt.negativity_report(state, p)
 
 

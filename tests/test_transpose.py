@@ -123,6 +123,12 @@ def test_kway_pt_argument_errors():
         kt.kway_pt(rho, 4, 0)
     with pytest.raises(ValueError):
         kt.kway_pt(rho, 2, 3)
+    # a negative focus must not index from the end
+    for p in (-1, 3):
+        with pytest.raises(ValueError, match=f"focus {p} out of range"):
+            kt.global_pt(rho, p)
+        with pytest.raises(ValueError, match=f"focus {p} out of range"):
+            kt.kway_pt(rho, 2, p)
 
 
 def test_pair_pt_argument_errors():
@@ -135,29 +141,63 @@ def test_pair_pt_argument_errors():
         kt.pair_pt(rho, 0, 3)
 
 
-@pytest.fixture
-def fresh_tables():
-    """The table verdicts forgotten before and after the test, so that its
-    tables are checked afresh and no verdict it leaves is reused."""
-    from ktangle.transpose import _check_table
+def assert_hermitian_table(dims, p, kind):
+    """Assert that the transpose of the given kind (global None, K-way K,
+    pair (2, partner)) maps every Hermitian matrix to a Hermitian one.
 
-    _check_table.cache_clear()
-    yield _check_table
-    _check_table.cache_clear()
+    The transpose of two label probes, rows[r, c] = r and cols[r, c] = c,
+    gives the source (rows[r, c], cols[r, c]) of output entry (r, c).  The
+    output is Hermitian for every Hermitian input exactly when the entry at
+    (c, r) comes from the transposed source, rows.T == cols.  The probes
+    take the smallest unsigned type that holds a label.
+    """
+    from ktangle import transpose
+
+    def pt(M):
+        if kind is None:
+            return transpose._global_pt(M, dims, p)
+        if isinstance(kind, tuple):
+            return transpose._pair_pt(M, dims, p, kind[1])
+        return transpose._kway_pt(M, dims, kind, p)
+
+    D = int(np.prod(dims))
+    label = np.arange(D, dtype=np.min_scalar_type(D - 1))
+    rows = pt(np.broadcast_to(label[:, None], (D, D)))
+    cols = pt(np.broadcast_to(label, (D, D)))
+    table = f"table (dims {dims}, focus {p}, kind {kind})"
+    assert np.array_equal(rows.T, cols), f"{table} breaks hermiticity"
 
 
-def test_each_table_is_checked_once(fresh_tables):
-    from ktangle.transpose import _global_pt, _kway_pt, _pair_pt
+# every layout with a qudit that the suite transposes
+QUDIT_LAYOUTS = [(2, 3), (3, 2), (4, 2), (2, 3, 2), (2, 4, 2), (3, 2, 2), (3, 2, 2, 2),
+                 (3, 2, 2, 2, 2), (3,) * 5]
 
-    M = mixed_state(L3, np.random.default_rng(3)).matrix
-    for _ in range(3):
-        _global_pt(M, L3.dims, 0)
-        _kway_pt(M[None], L3.dims, 2, 0)
-        _kway_pt(M, L3.dims, 3, 0)
-        _pair_pt(M, L3.dims, 0, 1)
-        _pair_pt(M, L3.dims, 0, 2)
-    info = fresh_tables.cache_info()
-    assert (info.misses, info.hits) == (5, 10)
+
+def check_every_table():
+    """assert_hermitian_table on the qubit layouts of 1 to 9 qubits and the
+    qudit layouts, at every focus: the global kind, each K and, at three
+    subsystems, each pair kind."""
+    for dims in [(2,) * n for n in range(1, 10)] + QUDIT_LAYOUTS:
+        n = len(dims)
+        for p in range(n):
+            kinds = [None, *range(2, n + 1)]
+            kinds += [(2, q) for q in range(n) if q != p] if n == 3 else []
+            for kind in kinds:
+                assert_hermitian_table(dims, p, kind)
+
+
+def test_every_table_maps_hermitian_to_hermitian():
+    check_every_table()
+
+
+def _patch_l3_tables(monkeypatch, tables):
+    # the seeded tables stand in for the three-qubit ones only
+    from ktangle import transpose
+
+    def seeded(dims, real=transpose._label_tables):
+        return tables if dims == L3.dims else real(dims)
+
+    monkeypatch.setattr(transpose, "_label_tables", seeded)
 
 
 def _flipped_diff(dims, p, K, focus_differs):
@@ -174,38 +214,39 @@ def _flipped_diff(dims, p, K, focus_differs):
 
 
 @pytest.mark.parametrize("K", [0, 3])
-def test_seeded_table_bug_fails_when_the_table_is_built(fresh_tables, monkeypatch, K):
+def test_seeded_table_bug_fails_when_the_table_is_built(monkeypatch, K):
     # the flipped entry leaves the 2-way mask (K = 0: it drops out) or the
     # 3-way mask (K = 3: it comes in) asymmetric; for K = 0 also the pair
     # mask of the partner whose label differs there
-    from ktangle import transpose
-
-    M = mixed_state(L3, np.random.default_rng(4)).matrix
     tables, (r, c) = _flipped_diff(L3.dims, 0, K, focus_differs=True)
-    monkeypatch.setattr(transpose, "_label_tables", lambda dims: tables)
-    with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
-        transpose._kway_pt(M, L3.dims, K or 2, 0)
+    _patch_l3_tables(monkeypatch, tables)
+    with pytest.raises(AssertionError, match="breaks hermiticity"):
+        check_every_table()
+    with pytest.raises(AssertionError, match="breaks hermiticity"):
+        assert_hermitian_table(L3.dims, 0, K or 2)
     if K == 0:
         dg = tables[0]
         partner = next(m for m in (1, 2) if dg[r, m] != dg[c, m])
-        with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
-            transpose._pair_pt(M, L3.dims, 0, partner)
+        with pytest.raises(AssertionError, match="breaks hermiticity"):
+            assert_hermitian_table(L3.dims, 0, (2, partner))
 
 
-def test_flip_where_the_focus_labels_agree_is_harmless(fresh_tables, monkeypatch):
-    # the swap fixes such an entry, so the table still maps Hermitian to
-    # Hermitian, and the transpose is unchanged bit for bit
+def test_flip_where_the_focus_labels_agree_is_harmless(monkeypatch):
+    # the swap of focus 0 fixes such an entry, so every table of focus 0
+    # still maps Hermitian to Hermitian, and the transpose is unchanged bit
+    # for bit
     from ktangle import transpose
 
     M = mixed_state(L3, np.random.default_rng(5)).matrix
     want = transpose._kway_pt(M, L3.dims, 2, 0)
-    fresh_tables.cache_clear()
     tables, _ = _flipped_diff(L3.dims, 0, 0, focus_differs=False)
-    monkeypatch.setattr(transpose, "_label_tables", lambda dims: tables)
+    _patch_l3_tables(monkeypatch, tables)
+    for kind in (None, 2, 3, (2, 1), (2, 2)):
+        assert_hermitian_table(L3.dims, 0, kind)
     assert np.array_equal(transpose._kway_pt(M, L3.dims, 2, 0), want)
 
 
-def test_swap_of_the_wrong_axes_fails_when_the_table_is_built(fresh_tables, monkeypatch):
+def test_swap_of_the_wrong_axes_fails_when_the_table_is_built(monkeypatch):
     from ktangle import transpose
 
     def wrong_swap(M, dims, p, mask):
@@ -215,8 +256,10 @@ def test_swap_of_the_wrong_axes_fails_when_the_table_is_built(fresh_tables, monk
         return np.swapaxes(t, len(lead) + p, len(lead) + n + (p + 1) % n).reshape(M.shape)
 
     monkeypatch.setattr(transpose, "_swap", wrong_swap)
-    with pytest.raises(kt.ValidationError, match="breaks hermiticity"):
-        transpose._global_pt(mixed_state(L3, np.random.default_rng(6)).matrix, L3.dims, 1)
+    with pytest.raises(AssertionError, match="breaks hermiticity"):
+        check_every_table()
+    with pytest.raises(AssertionError, match="breaks hermiticity"):
+        assert_hermitian_table(L3.dims, 1, None)
 
 
 def test_public_transposes_keep_a_defect_within_the_bound():
