@@ -10,11 +10,31 @@ generically has two roots, so two inequivalent-looking representatives of the
 same orbit are returned; its discriminant test is the one rule that merges
 them into one form near a double root.
 
-Each root is reduced in one pass: the quadratic's coefficients are closed
-2x2 determinants, its roots are projective points (nothing is divided), the
-phase gauge reads the 2x2 second slice, and one contraction of the phased
-rotations with the tensor gives the amplitudes.  The scalar work runs on
-Python complex values, which are faster than numpy scalars at this size.
+Each root is reduced in closed form, on Python complex scalars, with no
+LAPACK call (Python complex values are faster than numpy scalars at this
+size).  The quadratic's coefficients are 2x2 determinants and its roots are
+projective points (nothing is divided).  The root's rotation of the first
+qubit gives the slices M = x T0 + y T1, singular by construction, and
+N = -y* T0 + x* T1.  The leading singular pair u, v of M comes from the
+2x2 Gram matrix M M^dagger (_leading_pair), so U_B = [u^dagger; (-u1, u0)]
+and U_C = [v^T; (-v1*, v0*)] take M to diag(a, 0); the same two rotations
+take N to the second slice [[b, d], [c, f]], whose phases fix the second
+rows (_phase_gauge), and the amplitudes are those two rotated slices times
+the gauge phases.  Where the roots merge (_quadratic_roots), M keeps a
+small second singular value, which lands on |011> and in the residual.
+A reduction by np.linalg.svd of M and one einsum of the rotations with
+the tensor is the test suite's oracle (tests/conftest.py,
+svd_canonicalize3).
+
+Gauge of the returned unitaries.  The forms fix every rotation up to one
+joint phase of the first rows of U_B and U_C and, where an amplitude of the
+second slice vanishes, the phase of a second row that touches only zeros.
+The rules: the first row (x, y) of U_A has its larger entry real and
+positive (_unit_root); the first entry of U_C's first row is real and
+>= 0, and where it is 0 the second entry is real and positive; the second
+rows of U_B and U_C start as the epsilon rotations above, and every second
+row is then multiplied by its gauge phase.  No form depends on these rules,
+only the printed unitaries do, so they do not depend on the LAPACK build.
 
 Phase range note: phi is stored in [0, 2*pi).  When all five amplitudes are
 nonzero the phase is rigid modulo 2*pi along the local-unitary orbit (the
@@ -213,15 +233,61 @@ def _phase_gauge(b: complex, c: complex, d: complex, f: complex):
     return delta, beta1, gamma1
 
 
+def _leading_pair(m00: complex, m01: complex, m10: complex, m11: complex):
+    """Unit vectors (u0, u1), (v0, v1) of the larger singular value s of
+    M = [[m00, m01], [m10, m11]]: M^dagger u = s v and, for a singular M,
+    M = s u v^dagger.  Gauge: v0 is real and >= 0, and v1 is real and > 0
+    where v0 = 0.  M = 0 gives (1, 0) twice, as LAPACK does.
+
+    u is the eigenvector of G = M M^dagger = [[p, g], [g*, r]] for its larger
+    eigenvalue lam = (p + r)/2 + h, h = hypot((p - r)/2, |g|), read off the
+    row of G - lam that does not cancel: (lam - r, g*) where p >= r, else
+    (g, lam - p), or (1, 0) where G is a multiple of 1.  M is scaled by its
+    largest entry first, so p and r neither underflow nor overflow.
+    """
+    scale = max(abs(m00), abs(m01), abs(m10), abs(m11))
+    if scale == 0.0:
+        return (1.0, 0.0), (1.0, 0.0)
+    m00, m01, m10, m11 = m00 / scale, m01 / scale, m10 / scale, m11 / scale
+    p = abs(m00) ** 2 + abs(m01) ** 2
+    r = abs(m10) ** 2 + abs(m11) ** 2
+    g = m00 * m10.conjugate() + m01 * m11.conjugate()
+    h = math.hypot(0.5 * (p - r), abs(g))
+    u0, u1 = (0.5 * (p - r) + h, g.conjugate()) if p >= r else (g, 0.5 * (r - p) + h)
+    if h == 0.0:  # G = p 1, and every unit vector is singular
+        u0, u1 = 1.0, 0.0
+    # w = M^dagger u, and v = w/|w| with the phase of the gauge
+    w0 = m00.conjugate() * u0 + m10.conjugate() * u1
+    w1 = m01.conjugate() * u0 + m11.conjugate() * u1
+    lead = w0 if w0 != 0 else w1
+    ph = lead.conjugate() / abs(lead)
+    nu, nw = math.hypot(abs(u0), abs(u1)), math.hypot(abs(w0), abs(w1))
+    u = (u0 * ph / nu, u1 * ph / nu)
+    if w0 != 0:
+        return u, (abs(w0) / nw, w1 * ph / nw)
+    return u, (0.0, abs(w1) / nw)
+
+
+def _sandwich(L, X, R):
+    """L X R^T of 2 x 2 matrices held as pairs of rows."""
+    (l00, l01), (l10, l11) = L
+    (x00, x01), (x10, x11) = X
+    (r00, r01), (r10, r11) = R
+    y00, y01 = x00 * r00 + x01 * r01, x00 * r10 + x01 * r11
+    y10, y11 = x10 * r00 + x11 * r01, x10 * r10 + x11 * r11
+    return ((l00 * y00 + l01 * y10, l00 * y01 + l01 * y11),
+            (l10 * y00 + l11 * y10, l10 * y01 + l11 * y11))
+
+
 def canonicalize3(psi: PureState) -> CanonicalizationResult:
     """Reduce a three-qubit pure state to canonical form(s).
 
     Both quadratic roots are returned when distinct (ordered by larger a,
-    tie-broken by larger f); a near-double root yields a single form.
+    tie-broken by larger f); a near-double root yields a single form.  The
+    unitaries follow the gauge of the module docstring.
     """
     if psi.layout.dims != (2, 2, 2):
         raise ValidationError("canonicalization needs a three-qubit pure state")
-    T = psi.amplitudes.reshape(2, 2, 2)
     t000, t001, t010, t011, t100, t101, t110, t111 = psi.amplitudes.tolist()
     # det(x T0 + y T1) = c0 x^2 + b0 x y + a0 y^2
     c0 = t000 * t011 - t001 * t010
@@ -231,25 +297,33 @@ def canonicalize3(psi: PureState) -> CanonicalizationResult:
     entries = []
     for root in _quadratic_roots(a0, b0, c0):
         x, y = _unit_root(*root)
-        UA = np.array([[x, y], [-y.conjugate(), x.conjugate()]], dtype=complex)
-        # the SVD rotations take the singular first slice x T0 + y T1 to diag(a, 0)
-        W, _, Vh = np.linalg.svd(x * T[0] + y * T[1])
-        UB = W.conj().T
-        UC = Vh.conj()
+        xc, yc = x.conjugate(), y.conjugate()
+        # the slices x T0 + y T1 and -y* T0 + x* T1 of the A rotation
+        first = ((x * t000 + y * t100, x * t001 + y * t101),
+                 (x * t010 + y * t110, x * t011 + y * t111))
+        second = ((xc * t100 - yc * t000, xc * t101 - yc * t001),
+                  (xc * t110 - yc * t010, xc * t111 - yc * t011))
+        # the first rows of U_B and U_C take the singular first slice to
+        # diag(a, 0); their second rows are the epsilon rotations of the first
+        (u0, u1), (v0, v1) = _leading_pair(*first[0], *first[1])
+        rows_b = ((u0.conjugate(), u1.conjugate()), (-u1, u0))
+        rows_c = ((v0, v1), (-v1.conjugate(), v0.conjugate()))
+        (p00, p01), (p10, p11) = _sandwich(rows_b, first, rows_c)
         # the second slice [[b, d], [c, f]] before the phase gauge
-        (b, d), (c, f) = (UB @ (UA[1, 0] * T[0] + UA[1, 1] * T[1]) @ UC.T).tolist()
-        for U, angle in zip((UA, UB, UC), _phase_gauge(b, c, d, f)):
-            U[1] *= cmath.exp(1j * angle)
-        amps = np.einsum("ai,bj,ck,ijk->abc", UA, UB, UC, T).ravel().tolist()
+        (b, d), (c, f) = _sandwich(rows_b, second, rows_c)
+        delta, beta1, gamma1 = _phase_gauge(b, c, d, f)
+        ed, eb, eg = cmath.exp(1j * delta), cmath.exp(1j * beta1), cmath.exp(1j * gamma1)
+        b, c, d, f = b * ed, c * ed * eb, d * ed * eg, f * ed * eb * eg
 
-        b = abs(amps[4])
-        phi = _phase(cmath.phase(amps[4])) if b > CANONICAL_AMP_EPS else 0.0
-        resid = max(*(abs(amps[k]) for k in (1, 2, 3)),
-                    *(abs(amps[k].imag) for k in (0, 5, 6, 7)))
-        a, c, d, f = (abs(amps[k]) for k in (0, 6, 5, 7))
-        form = _derived(CanonicalForm3Q, a=a, b=b, c=c, d=d, f=f, phi=phi)
-        us = tuple(_derived(LocalUnitary, target=m, matrix=U)
-                   for m, U in enumerate((UA, UB, UC)))
+        amp_b = abs(b)
+        phi = _phase(cmath.phase(b)) if amp_b > CANONICAL_AMP_EPS else 0.0
+        resid = max(abs(p01), abs(p10), abs(p11),
+                    abs(p00.imag), abs(c.imag), abs(d.imag), abs(f.imag))
+        form = _derived(CanonicalForm3Q, a=abs(p00), b=amp_b, c=abs(c), d=abs(d), f=abs(f), phi=phi)
+        matrices = np.array((((x, y), (-yc * ed, xc * ed)),
+                             (rows_b[0], (-u1 * eb, u0 * eb)),
+                             ((v0, v1), (-v1.conjugate() * eg, v0.conjugate() * eg))), dtype=complex)
+        us = tuple(_derived(LocalUnitary, target=m, matrix=matrices[m]) for m in range(3))
         entries.append((form, us, resid))
 
     entries.sort(key=lambda e: (-e[0].a, -e[0].f))

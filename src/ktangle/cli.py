@@ -154,14 +154,18 @@ def _focus_index(letter: str, n: int) -> int:
 
 
 def _load(path: str):
+    """The state of the file at path, its kind and the sha256 of its bytes.
+    The bytes are hashed and decoded, then dropped before the parse, so the
+    parse holds the text and not a second copy of the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from None
+    del raw
     obj = parse_state_file(text)
-    digest = hashlib.sha256(raw).hexdigest()
     if isinstance(obj, PureState):
         kind = "pure"
     elif isinstance(obj, DensityOperator):

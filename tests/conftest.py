@@ -8,7 +8,7 @@ from hypothesis import settings
 
 import ktangle as kt
 from ktangle import SubsystemLayout
-from ktangle.config import EPS_EIG, EPS_NORM, ROOF_MAX_MEMBERS
+from ktangle.config import CANONICAL_AMP_EPS, EPS_EIG, EPS_NORM, ROOF_MAX_MEMBERS
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -97,6 +97,45 @@ def random_form(rng, phases=None):
     return kt.CanonicalForm3Q(
         a=float(amps[0]), b=float(amps[1]), c=float(amps[2]), d=float(amps[3]),
         f=float(amps[4]), phi=phi,
+    )
+
+
+def svd_canonicalize3(psi):
+    """canonicalize3 by LAPACK: the same roots and phase gauge, with the
+    first slice diagonalized by np.linalg.svd and the amplitudes contracted
+    by one einsum.  The suite's oracle for the closed-form reduction; its
+    unitaries take the Householder signs of the LAPACK build, so only its
+    forms and residual are compared."""
+    from ktangle.canonical import _phase, _phase_gauge, _quadratic_roots, _unit_root
+
+    T = psi.amplitudes.reshape(2, 2, 2)
+    t000, t001, t010, t011, t100, t101, t110, t111 = psi.amplitudes.tolist()
+    c0 = t000 * t011 - t001 * t010
+    a0 = t100 * t111 - t101 * t110
+    b0 = t000 * t111 + t100 * t011 - t001 * t110 - t101 * t010
+    entries = []
+    for root in _quadratic_roots(a0, b0, c0):
+        x, y = _unit_root(*root)
+        UA = np.array([[x, y], [-y.conjugate(), x.conjugate()]], dtype=complex)
+        W, _, Vh = np.linalg.svd(x * T[0] + y * T[1])
+        UB, UC = W.conj().T, Vh.conj()
+        (b, d), (c, f) = (UB @ (UA[1, 0] * T[0] + UA[1, 1] * T[1]) @ UC.T).tolist()
+        for U, angle in zip((UA, UB, UC), _phase_gauge(b, c, d, f)):
+            U[1] *= cmath.exp(1j * angle)
+        amps = np.einsum("ai,bj,ck,ijk->abc", UA, UB, UC, T).ravel().tolist()
+        b = abs(amps[4])
+        phi = _phase(cmath.phase(amps[4])) if b > CANONICAL_AMP_EPS else 0.0
+        resid = max(*(abs(amps[k]) for k in (1, 2, 3)),
+                    *(abs(amps[k].imag) for k in (0, 5, 6, 7)))
+        a, c, d, f = (abs(amps[k]) for k in (0, 6, 5, 7))
+        form = kt.CanonicalForm3Q(a=a, b=b, c=c, d=d, f=f, phi=phi)
+        us = tuple(kt.LocalUnitary(m, U) for m, U in enumerate((UA, UB, UC)))
+        entries.append((form, us, resid))
+    entries.sort(key=lambda e: (-e[0].a, -e[0].f))
+    return kt.CanonicalizationResult(
+        forms=tuple(e[0] for e in entries),
+        unitaries=tuple(e[1] for e in entries),
+        residual=max(e[2] for e in entries),
     )
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import ktangle as kt
 
-from conftest import L3, random_form, real_pure
+from conftest import L3, haar_amplitudes, random_form, real_pure, svd_canonicalize3
 
 
 def _random_lu_triple(rng):
@@ -278,3 +279,157 @@ def test_closed_negative_eigenpair_matches_the_report(seed):
     ((lam_n, vec_n),) = rep.negative_eigenpairs
     assert abs(lam - lam_n) <= 1e-14
     assert abs(abs(np.vdot(vec, vec_n)) - 1.0) <= 1e-12
+
+
+def _form_gap(f, g):
+    """Largest difference of two forms, with b taken as b e^{i phi} (so that
+    a phase near 0 and one near 2 pi, or the phase of a vanishing b, are
+    close), less the rounding phi inherits near the tangle zero.
+
+    phi takes the phase of the smallest of c, d and f (_phase_gauge), so
+    rounding of order 1e-16 in that amplitude moves b e^{i phi} by about
+    1e-16 b / min(c, d, f): 8.5e-12 between the two reductions at
+    q* - 1e-11 on the GHZ+W minus branch, where f = 4.4e-6.
+    """
+    m = min(g.c, g.d, g.f)
+    slack = 1e-15 * g.b / m if m > 1e-12 else 0.0
+    moduli = max(abs(f.a - g.a), abs(f.b - g.b), abs(f.c - g.c), abs(f.d - g.d), abs(f.f - g.f))
+    phased = abs(f.b * cmath.exp(1j * f.phi) - g.b * cmath.exp(1j * g.phi))
+    return max(moduli, phased - slack)
+
+
+def _assert_matches_the_oracle(psi, tol=1e-13):
+    got, want = kt.canonicalize3(psi), svd_canonicalize3(psi)
+    assert len(got.forms) == len(want.forms)
+    # two forms whose a and f agree to rounding (a conjugate pair of the
+    # GHZ+W minus branch) may sort either way, so each form meets its nearest
+    for f in got.forms:
+        assert min(_form_gap(f, g) for g in want.forms) <= tol, (got.forms, want.forms)
+    for g in want.forms:
+        assert min(_form_gap(f, g) for f in got.forms) <= tol, (got.forms, want.forms)
+    assert abs(got.residual - want.residual) <= tol
+
+
+def _kron_state(*factors):
+    v = factors[0]
+    for w in factors[1:]:
+        v = np.kron(v, w)
+    return kt.PureState(L3, v)
+
+
+def _special_states():
+    """States whose roots, slices or rotations are degenerate, by name."""
+    rng = np.random.default_rng(11)
+    eps = 1e-9
+    special = {
+        "ghz": [2**-0.5, 0, 0, 0, 0, 0, 0, 2**-0.5],
+        "w": [0, 3**-0.5, 3**-0.5, 0, 3**-0.5, 0, 0, 0],
+        "product": [1, 0, 0, 0, 0, 0, 0, 0],
+        # eps (|000> + |011>): the quadratic vanishes, and its root's first
+        # slice is a multiple of 1, whose singular vectors are any
+        "unitary_first_slice": [eps, 0, 0, eps, 0, math.sqrt(1 - 2 * eps**2), 0, 0],
+    }
+    states = {k: kt.PureState(L3, np.array(v, dtype=complex)) for k, v in special.items()}
+    for i in range(3):
+        bc = haar_amplitudes((4,), rng)
+        states[f"zero_first_slice_{i}"] = _kron_state(np.array([0.0, 1.0]), bc)
+        states[f"zero_second_slice_{i}"] = _kron_state(np.array([1.0, 0.0]), bc)
+        states[f"ab_c_{i}"] = _kron_state(haar_amplitudes((4,), rng), haar_amplitudes((2,), rng))
+    return states
+
+
+SPECIAL = _special_states()
+QSTAR_OFFSETS = (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10,
+                 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7, 1e-6, -1e-6)
+
+
+def test_forms_match_the_svd_oracle_on_haar_states():
+    worst = 0.0
+    for seed in range(2000):
+        psi = kt.haar_random_pure(L3, seed)
+        _assert_matches_the_oracle(psi)
+        worst = max(worst, kt.canonicalize3(psi).residual)
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL))
+def test_forms_match_the_svd_oracle_on_degenerate_states(name):
+    _assert_matches_the_oracle(SPECIAL[name])
+
+
+@pytest.mark.parametrize("sign", (1, -1), ids=("plus", "minus"))
+def test_forms_match_the_svd_oracle_around_the_tangle_zero(sign):
+    # on the minus branch the two roots merge into one form within about
+    # 1e-12 of q*, where the slice keeps a second singular value near 1e-12
+    q_star = kt.tau3_minus_zero()
+    merged = []
+    for dq in QSTAR_OFFSETS:
+        psi = kt.build_ghzw(kt.GhzwParams(q=q_star + dq, sign=sign))
+        _assert_matches_the_oracle(psi)
+        merged.append(len(kt.canonicalize3(psi).forms) == 1)
+    assert any(merged) == (sign == -1)
+
+
+def test_a_generic_a_bc_product_keeps_its_invariants():
+    # the rotated first slice of alpha (x) psi vanishes only to rounding, so
+    # its singular vectors, and with them the form, are not unique: a is 0
+    # and the second slice carries the Schmidt coefficients of psi
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        bc = haar_amplitudes((4,), rng)
+        psi = _kron_state(haar_amplitudes((2,), rng), bc)
+        schmidt = np.linalg.svd(bc.reshape(2, 2), compute_uv=False)
+        (form,) = kt.canonicalize3(psi).forms
+        second = np.array([[form.b * cmath.exp(1j * form.phi), form.d], [form.c, form.f]])
+        assert form.a <= 1e-15
+        assert np.abs(np.linalg.svd(second, compute_uv=False) - schmidt).max() <= 1e-13
+
+
+def _gauge_defects(us):
+    """The gauge rules of the canonical module docstring that a triple of
+    unitaries breaks, by name."""
+    ua, ub, uc = (u.matrix for u in us)
+    bad = []
+    big = ua[0, 0] if abs(ua[0, 0]) >= abs(ua[0, 1]) else ua[0, 1]
+    if not (big.imag == 0.0 and big.real > 0.0):
+        bad.append("U_A first row: larger entry real and positive")
+    lead = uc[0, 0] if uc[0, 0] != 0 else uc[0, 1]
+    if not (lead.imag == 0.0 and lead.real > 0.0):
+        bad.append("U_C first row: first nonzero entry real and positive")
+    for name, u in (("U_A", ua), ("U_B", ub), ("U_C", uc)):
+        if np.abs(u.conj().T @ u - np.eye(2)).max() > 1e-15:
+            bad.append(f"{name} unitary")
+    return bad
+
+
+def test_unitaries_follow_the_stated_gauge():
+    states = [kt.haar_random_pure(L3, seed) for seed in range(300)]
+    states += list(SPECIAL.values())
+    q_star = kt.tau3_minus_zero()
+    states += [kt.build_ghzw(kt.GhzwParams(q=q_star + dq, sign=s))
+               for dq in QSTAR_OFFSETS for s in (1, -1)]
+    for psi in states:
+        res = kt.canonicalize3(psi)
+        for form, us in zip(res.forms, res.unitaries):
+            assert _gauge_defects(us) == []
+            # the unitaries leave no more than the residual outside the support
+            out = _apply_triple(psi, us).amplitudes
+            gap = np.abs(out - kt.build_canonical_state(form).amplitudes).max()
+            assert gap <= 1e-12 + res.residual
+
+
+def test_the_reduction_calls_no_lapack_and_no_einsum(monkeypatch):
+    states = [kt.haar_random_pure(L3, seed) for seed in range(50)] + list(SPECIAL.values())
+    params = [kt.GhzwParams(q=q, sign=s) for q in (0.3, kt.tau3_minus_zero(), 0.9) for s in (1, -1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonicalize3 called numpy.linalg or numpy.einsum")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    for psi in states:
+        kt.canonicalize3(psi)
+    for p in params:
+        kt.ghzw_canonical_params(p)

@@ -1,12 +1,16 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,30 @@ def test_sweep_memory_does_not_grow_with_the_grid():
     _sweep_peak("0:1:300")  # fills the module caches
     small, large = _sweep_peak("0:1:300"), _sweep_peak("0:1:3000")
     assert large - small <= 0.25 * 2**20, (small, large)
+
+
+def test_load_drops_the_file_bytes_before_the_parse(tmp_path):
+    # _load hashes and decodes the bytes, then drops them: bytes and text
+    # are held together only while decoding (2 file sizes), and the parse
+    # holds the text and about 3 MiB of cells.  Holding the bytes through the
+    # parse peaked at 10.7 MiB on this 3.8 MiB 8-qubit density file
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
+    rho = z @ z.conj().T
+    rho /= np.trace(rho).real
+    path = tmp_path / "rho8.json"
+    path.write_text(json.dumps({"dims": [2] * 8, "matrix": [amplitudes_json(row) for row in rho]}))
+    size = path.stat().st_size
+    cli._load(str(path))  # fills the module caches
+    tracemalloc.start()
+    try:
+        _, kind, digest = cli._load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kind == "density" and digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert 3.7 * 2**20 < size < 3.9 * 2**20
+    assert peak <= 2.1 * size, (peak, size)
 
 
 def test_the_e0_gate_keeps_a_valid_haar_state_out_of_the_audit(capsys):
@@ -949,3 +977,31 @@ def test_exit_code_contract_over_sweep_grids(a, b, steps):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(argv)
         assert rc == 0, (argv, err.getvalue())
+
+
+def test_the_ci_console_script_step_runs_in_process(tmp_path, monkeypatch, capsys):
+    # CI runs these commands through the installed console script, from
+    # outside the checkout; here the same argv go through cli.main, in the
+    # same order, with the same files and the same checks on them
+    workflow = (Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml")
+    step = workflow.read_text().split("The installed console script runs")[1].split("run: |\n")[1]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in filter(None, (raw.strip() for raw in step.splitlines())):
+        words = shlex.split(line)
+        if words[0] == "ktangle":
+            assert words[-2] == ">"
+            assert main(words[1:-2]) == 0, line
+            (tmp_path / words[-1]).write_text(capsys.readouterr().out)
+            ran.append(words[1])
+        elif words[0] == "echo":
+            (tmp_path / words[-1]).write_text(words[1] + "\n")
+        elif words[0] == "test":
+            (name,) = re.fullmatch(r"\$\(head -n 1 (\S+)\)", words[1]).groups()
+            assert words[2] == "=" and (tmp_path / name).read_text().splitlines()[0] == words[3]
+        elif words[0] == "python":
+            assert words[1] == "-c"
+            exec(words[2], {})
+        else:
+            assert words[0] == "cat", line
+    assert ran == ["audit", "sweep", "canonicalize"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ktangle import cli
+from ktangle import cli, roof
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("audit", "analyze_wide", "roof", "forms3")
@@ -100,6 +100,25 @@ def test_a_last_digit_change_fails_the_golden_file(monkeypatch):
     got = _load("cli_digests").digest_lines("forms3", 7, n_cycles=1)
     moved = {g.split()[0] for g, w in zip(got, want) if g != w}
     assert moved == {"canonicalize", "analyze_canonical", "total"}
+
+
+def test_a_changed_k2_draw_stream_fails_the_golden_file(monkeypatch):
+    # one drawn step of every restart turns the other way: the k2 searches
+    # move, the exact global roofs, which draw nothing, do not.  A rejected
+    # step moves nothing, so the step is one both searches of the seed-7
+    # cycle accept (11 of the rank-2 search's first 400 steps move it)
+    want, draws, step = _golden_or_skip("roof")[7], roof._draws, 7
+
+    def seeded(g, m, iters, start=0):
+        pairs, coefs = draws(g, m, iters, start)
+        if start <= step < start + iters:
+            coefs[step - start, 1:] *= -1.0  # (c, s e, -s e*) of the angle -t
+        return pairs, coefs
+
+    monkeypatch.setattr(roof, "_draws", seeded)
+    got = _load("cli_digests").digest_lines("roof", 7, n_cycles=1)
+    moved = {g.split()[0] for g, w in zip(got, want) if g != w}
+    assert moved == {"k2q3r2", "k2q3r3", "total"}
 
 
 def test_cli_digests_repeat_on_one_audit_cycle():
